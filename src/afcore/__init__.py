@@ -10,6 +10,7 @@ matrix, and Picard groups of finite-dimensional algebras.  See the
 
 from .errors import (
     ArtifactError,
+    CertificateError,
     GuardError,
     MorphismError,
     NotUnimodular,
@@ -51,6 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArtifactError",
+    "CertificateError",
     "GuardError",
     "MorphismError",
     "NotUnimodular",

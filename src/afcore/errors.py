@@ -36,6 +36,10 @@ class NotUnimodular(ArtifactError):
         self.det = det
 
 
+class CertificateError(ArtifactError):
+    """An exact self-check on a computed result failed (an internal fault)."""
+
+
 class SinkError(ArtifactError):
     """An operation needed to expand at a vertex that emits no edges."""
 

@@ -112,11 +112,6 @@ class Graph:
         except KeyError:
             raise ValueError(f"unknown edge {eid!r} in graph {self.name!r}") from None
 
-    def edge_index(self, eid: str) -> int:
-        # edges are few; linear scan is not worth avoiding, but a dict is free
-        e = self.edge(eid)
-        return self.edges.index(e)
-
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         try:
             return self._out[v]
@@ -372,14 +367,6 @@ def transpose(g: Graph) -> Graph:
 # A walk of length k is a flat tuple (v0, e1, v1, ..., ek, vk) alternating
 # vertices and edge ids, with s(e_i) = v_{i-1} and r(e_i) = v_i.  A walk of
 # length 0 is (v0,).
-
-
-def walk_source(walk: tuple) -> str:
-    return walk[0]
-
-
-def walk_range(walk: tuple) -> str:
-    return walk[-1]
 
 
 def walk_edges(walk: tuple) -> tuple:

@@ -1,19 +1,24 @@
 """Invariants of the fixed-point (gauge-invariant) subalgebra tower.
 
-Everything is driven by the vertex adjacency matrix ``Gamma`` in exact
-integer arithmetic:
+Everything is read off one per-graph object, :class:`Tower`, built from
+the vertex adjacency matrix ``Gamma`` in exact integer arithmetic.  Each
+field is computed on first use and kept for the life of the tower:
+``det Gamma``, ``Gamma^-1``, ``det(t Gamma - 1)``, the line-class matrix
+and its inverse, and the colimit data.  The module functions are thin
+wrappers that build a fresh tower, so no state lives between calls.
 
-* ``walk_counts(g, k)``: the vector ``m_k`` whose entry at vertex ``v``
-  counts length-``k`` walks with range ``v`` (column sums of ``Gamma^k``;
-  negative ``k`` needs a unimodular ``Gamma``).
-* ``bratteli``/``emit_dot``: the multiplicity diagram of the tower.
-* ``k0``: the ordered ``K_0`` bookkeeping — free on the vertex
-  projections when ``|det Gamma| = 1``, otherwise a colimit of integer
-  lattices along ``Gamma^T``.
-* ``line_class(g, k)``: the coordinate vector of the canonical "power
-  ``k`` line element" class; ``atiyah_todd`` produces the exact recursions
-  these classes satisfy; ``phi`` is the ring identification with
-  ``Z[x]/(p)`` for ``p = det(t Gamma - 1)``.
+Walk counts and line classes are two views of one vector orbit,
+``orbit(k) = 1 Gamma^k`` (column sums of ``Gamma^k``; ``k < 0`` needs a
+unimodular ``Gamma``), extended one vector-matrix product at a time:
+``walk_counts(g, k)`` is ``orbit(k)``; ``line_class(g, k)`` is
+``orbit(-k)`` when ``k <= 0`` or ``Gamma`` is unimodular, and a support
+indicator in the colimit otherwise; row ``k`` of ``line_class_matrix`` is
+``orbit(-k)``.  Built on these: ``bratteli``/``emit_dot`` (the
+multiplicity diagram), ``k0`` (free on the vertex projections when
+``|det Gamma| = 1``, otherwise a colimit of integer lattices along
+``Gamma^T``), ``atiyah_todd`` (the exact class recursions), ``phi`` (the
+ring identification with ``Z[x]/(p)`` for ``p = det(t Gamma - 1)``) and
+``kk_matrix`` (the degree shift ``Gamma^-1``).
 
 Coordinate convention: all class vectors are *row* vectors in vertex
 declaration order, and matrices act on the right.
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar
 
 from . import graphs, linalg
@@ -32,14 +38,209 @@ from .linalg import Matrix
 from .report import CheckReport
 
 
+class Tower:
+    """The per-graph data of the tower, each field computed on first use."""
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.n = g.n_vertices
+        self.gamma = graphs.adjacency(g)
+        # orbit(k) sits at index k of _up for k >= 0, at index -k of _down for k <= 0
+        self._up = [(1,) * self.n]
+        self._down = [(1,) * self.n]
+
+    def require_sink_free(self, why: str) -> None:
+        g = self.graph
+        if g.sinks():
+            raise SinkError(f"graph {g.name!r} has sinks {list(g.sinks())}; {why}")
+
+    @cached_property
+    def det(self) -> int:
+        return linalg.det(self.gamma)
+
+    @property
+    def unimodular(self) -> bool:
+        return self.det in (1, -1)
+
+    def require_unimodular(self) -> None:
+        if not self.unimodular:
+            raise NotUnimodular(self.det)
+
+    @cached_property
+    def gamma_inv(self) -> Matrix:
+        return linalg.inv_unimodular(self.gamma)
+
+    @cached_property
+    def rev_charpoly(self) -> tuple:
+        return linalg.rev_charpoly(self.gamma)
+
+    def orbit(self, k: int) -> tuple:
+        """``1 Gamma^k``, the column sums of ``Gamma^k``."""
+        side, step = (self._up, self.gamma) if k >= 0 else (self._down, self.gamma_inv)
+        while len(side) <= abs(k):
+            side.append(linalg.row_vec_mul(side[-1], step))
+        return side[abs(k)]
+
+    @cached_property
+    def colimit(self) -> ColimitK0:
+        g = self.graph
+        self.require_sink_free("K0 of the tower is computed for emission-complete graphs only")
+        supports = [tuple(range(self.n))]
+        while True:
+            cur = supports[-1]
+            nxt = tuple(
+                sorted({g.vertex_index(e.dst) for i in cur for e in g.out_edges(g.vertices[i])})
+            )
+            if nxt == cur:
+                break
+            supports.append(nxt)
+            assert len(supports) <= self.n + 1, "supports must stabilize within n steps"
+        stable = supports[-1]
+        # maps x -> Gamma^T x on the stable block
+        restricted = Matrix([[self.gamma[(i, j)] for i in stable] for j in stable])
+        rank = linalg.rank_Q(linalg.power(restricted, max(len(stable), 1)))
+        return ColimitK0(
+            graph=g, supports=tuple(supports), stable_level=len(supports) - 1, rank=rank
+        )
+
+    @property
+    def k0(self):
+        # a sink is a zero row of Gamma, so a graph with sinks takes the
+        # colimit branch and is refused there
+        if self.unimodular:
+            return FreeK0(graph=self.graph, rank=self.n, basis=self.graph.vertices)
+        return self.colimit
+
+    def q_class(self, pres, v: str, k: int) -> K0Class:
+        i = self.graph.vertex_index(v)
+        if k < 0:
+            raise ValueError("walk length must be nonnegative")
+        if isinstance(pres, FreeK0):
+            vec = tuple(int(j == i) for j in range(self.n))
+            for _ in range(k):
+                vec = linalg.row_vec_mul(vec, self.gamma_inv)
+            return K0Class(vec, 0)
+        supported = i in pres.support(k) and self.orbit(k)[i] > 0
+        return K0Class(tuple(int(j == i and supported) for j in range(self.n)), k)
+
+    def line_class(self, k: int) -> K0Class:
+        g = self.graph
+        self.require_sink_free("line classes live over emission-complete graphs")
+        if k <= 0 or self.unimodular:
+            return K0Class(self.orbit(-k), 0)
+        if g.sources():
+            raise SourceError(
+                f"graph {g.name!r} has sources {list(g.sources())} and a singular "
+                f"adjacency matrix; positive-degree classes are not available"
+            )
+        supp = set(self.colimit.support(k))
+        return K0Class(tuple(int(i in supp) for i in range(self.n)), k)
+
+    @cached_property
+    def line_class_matrix(self) -> Matrix:
+        self.require_unimodular()
+        return Matrix([self.orbit(-k) for k in range(self.n)])
+
+    @cached_property
+    def line_class_det(self) -> int:
+        return linalg.det(self.line_class_matrix)
+
+    def require_line_basis(self) -> None:
+        """The classes ``[L_0] .. [L_(n-1)]`` must form a basis."""
+        if self.line_class_det not in (1, -1):
+            raise NotUnimodular(self.line_class_det, what="line-class matrix")
+
+    @cached_property
+    def line_class_inv(self) -> Matrix:
+        self.require_line_basis()
+        return linalg.inv_unimodular(self.line_class_matrix)
+
+    @property
+    def kk_matrix(self) -> Matrix:
+        self.require_line_basis()
+        return self.gamma_inv
+
+    def atiyah_todd(self, k: int) -> ATIdentity:
+        self.require_unimodular()
+        n, c = self.n, self.rev_charpoly
+        if 0 <= k < n:
+            raise ValueError(
+                f"degree {k} lies in the base window 0..{n - 1}; "
+                f"no recursion is needed there"
+            )
+        if k >= n:
+            s = -c[n]  # c_n = det = +-1
+            coeffs = {i + (k - n): s * c[i] for i in range(n) if c[i]}
+        else:
+            s = -c[0]  # c_0 = (-1)^n
+            coeffs = {i + k: s * c[i] for i in range(1, n + 1) if c[i]}
+        rhs = (0,) * n
+        for j, coeff in coeffs.items():
+            rhs = tuple(r + coeff * x for r, x in zip(rhs, self.line_class(j).vector))
+        verified = self.line_class(k).vector == rhs
+        return ATIdentity(k=k, coeffs=tuple(sorted(coeffs.items())), verified=verified)
+
+    def phi(self, cls: K0Class) -> linalg.QuotElem:
+        if cls.level != 0:
+            raise ValueError("phi takes level-0 coordinate vectors")
+        y = linalg.row_vec_mul(cls.vector, self.line_class_inv)
+        return linalg.quot_make(self.rev_charpoly, y)
+
+    def verify_phi(self, depth: int) -> CheckReport:
+        rep = CheckReport(f"phi on powers of the line class of {self.graph.name!r}")
+        for k in range(-depth, depth + 1):
+            got = self.phi(self.line_class(k))
+            rep.add(f"phi([L_{k}]) = x^{k}", got == linalg.lambda_pow(self.rev_charpoly, k))
+        return rep
+
+    def semiring_check(self, depth: int) -> CheckReport:
+        rep = CheckReport(f"multiplicativity of phi on {self.graph.name!r}")
+        values = {k: self.phi(self.line_class(k)) for k in range(-2 * depth, 2 * depth + 1)}
+        for j in range(-depth, depth + 1):
+            for k in range(-depth, depth + 1):
+                rep.add(
+                    f"phi(L_{j}) phi(L_{k}) = phi(L_{j + k})",
+                    values[j] * values[k] == values[j + k],
+                )
+        return rep
+
+    def kk_report(self, depth: int) -> CheckReport:
+        rep = CheckReport(f"shift matrix checks on {self.graph.name!r}")
+        kkm = self.kk_matrix
+        rep.add("shift matrix inverts the adjacency", kkm * self.gamma == Matrix.identity(self.n))
+        for k in range(-depth, depth):
+            lhs = linalg.row_vec_mul(self.line_class(k).vector, kkm)
+            rep.add(f"[L_{k}] shifted = [L_{k + 1}]", lhs == self.line_class(k + 1).vector)
+        rep.add("adjacency is non-derogatory", linalg.is_non_derogatory(self.gamma))
+        rep.add("shift matrix is non-derogatory", linalg.is_non_derogatory(kkm))
+        return rep
+
+    def verify_q_recursion(self, depth: int) -> CheckReport:
+        g = self.graph
+        rep = CheckReport(f"projection class recursion on {g.name!r}")
+        pres = self.k0
+        for k in range(depth + 1):
+            level = 0 if isinstance(pres, FreeK0) else k + 1
+            for i, v in enumerate(g.vertices):
+                if self.orbit(k)[i] == 0:
+                    continue
+                lhs = self.q_class(pres, v, k)
+                total = K0Class((0,) * self.n, level)
+                for j, w in enumerate(g.vertices):
+                    mult = self.gamma[(i, j)]
+                    if mult:
+                        total = total.add(self.q_class(pres, w, k + 1).scale(mult))
+                rep.add(f"recursion at ({v}, {k})", k0_equal(pres, lhs, total))
+        return rep
+
+
 def walk_counts(g: Graph, k: int) -> tuple:
     """Entry per vertex: number of length-``k`` walks ending there.
 
     For ``k < 0`` these are the alternating-sign entries coming from
     ``Gamma^k``; that requires ``Gamma`` unimodular.
     """
-    gamma = graphs.adjacency(g)
-    return linalg.col_sums(linalg.power(gamma, k))
+    return Tower(g).orbit(k)
 
 
 # -- Bratteli diagram of the tower ------------------------------------------
@@ -64,30 +265,13 @@ class BratteliDiagram:
 def bratteli(g: Graph, depth: int) -> BratteliDiagram:
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    if g.sinks():
-        raise SinkError(
-            f"graph {g.name!r} has sinks {list(g.sinks())}; "
-            f"the tower sizes assume every vertex emits an edge"
-        )
-    gamma = graphs.adjacency(g)
-    levels = []
-    sizes = (1,) * g.n_vertices  # level 1 sizes: one length-0 walk per vertex
-    for k in range(1, depth + 1):
-        levels.append(
-            tuple((v, sizes[i]) for i, v in enumerate(g.vertices) if sizes[i] > 0)
-        )
-        sizes = linalg.row_vec_mul(sizes, gamma)
-    diagram = BratteliDiagram(g, depth, tuple(levels))
-    # invariant: each level's sizes satisfy the multiplicity recursion
-    for k in range(1, depth):
-        prev = dict(diagram.levels[k - 1])
-        for w, size in diagram.levels[k]:
-            j = g.vertex_index(w)
-            expected = sum(
-                prev.get(v, 0) * gamma[(g.vertex_index(v), j)] for v in g.vertices
-            )
-            assert size == expected, f"size recursion failed at level {k + 1}, {w!r}"
-    return diagram
+    t = Tower(g)
+    t.require_sink_free("the tower sizes assume every vertex emits an edge")
+    levels = tuple(
+        tuple((v, size) for v, size in zip(g.vertices, t.orbit(k)) if size > 0)
+        for k in range(depth)
+    )
+    return BratteliDiagram(g, depth, levels)
 
 
 def emit_dot(d: BratteliDiagram) -> str:
@@ -182,53 +366,12 @@ class ColimitK0:
 
 def colimit_presentation(g: Graph) -> ColimitK0:
     """The colimit bookkeeping, available for any sink-free graph."""
-    if g.sinks():
-        raise SinkError(
-            f"graph {g.name!r} has sinks {list(g.sinks())}; K0 of the tower "
-            f"is computed for emission-complete graphs only"
-        )
-    n = g.n_vertices
-    supports = [tuple(range(n))]
-    while True:
-        cur = supports[-1]
-        nxt = tuple(
-            sorted(
-                {
-                    g.vertex_index(e.dst)
-                    for i in cur
-                    for e in g.out_edges(g.vertices[i])
-                }
-            )
-        )
-        if nxt == cur:
-            break
-        supports.append(nxt)
-        assert len(supports) <= n + 1, "supports must stabilize within n steps"
-    stable = supports[-1]
-    gamma = graphs.adjacency(g)
-    restricted = Matrix(
-        [[gamma[(i, j)] for i in stable] for j in stable]
-    )  # maps x -> Gamma^T x on the stable block
-    rank = linalg.rank_Q(linalg.power(restricted, max(len(stable), 1)))
-    return ColimitK0(
-        graph=g,
-        supports=tuple(supports),
-        stable_level=len(supports) - 1,
-        rank=rank,
-    )
+    return Tower(g).colimit
 
 
 def k0(g: Graph):
     """The K0 presentation: free when ``|det Gamma| = 1``, else a colimit."""
-    if g.sinks():
-        raise SinkError(
-            f"graph {g.name!r} has sinks {list(g.sinks())}; K0 of the tower "
-            f"is computed for emission-complete graphs only"
-        )
-    gamma = graphs.adjacency(g)
-    if linalg.det(gamma) in (1, -1):
-        return FreeK0(graph=g, rank=g.n_vertices, basis=g.vertices)
-    return colimit_presentation(g)
+    return Tower(g).k0
 
 
 def _check_class(pres, cls: K0Class) -> None:
@@ -289,16 +432,7 @@ def k0_equal(pres, a: K0Class, b: K0Class) -> bool:
 def q_class(pres, v: str, k: int) -> K0Class:
     """The class of the distinguished projection built from a length-``k``
     walk into ``v`` (zero class when no such walk exists)."""
-    g = pres.graph
-    i = g.vertex_index(v)
-    if k < 0:
-        raise ValueError("walk length must be nonnegative")
-    if isinstance(pres, FreeK0):
-        gamma = graphs.adjacency(g)
-        return K0Class(linalg.power(gamma, -k).row(i), 0)
-    supported = i in pres.support(k) and walk_counts(g, k)[i] > 0
-    vec = tuple(1 if (j == i and supported) else 0 for j in range(g.n_vertices))
-    return K0Class(vec, k)
+    return Tower(pres.graph).q_class(pres, v, k)
 
 
 def class_of_unit(g: Graph) -> K0Class:
@@ -317,27 +451,7 @@ def line_class(g: Graph, k: int) -> K0Class:
       sum of the level-``k`` distinguished projections, i.e. the support
       indicator at level ``k`` in the colimit.
     """
-    if g.sinks():
-        raise SinkError(
-            f"graph {g.name!r} has sinks {list(g.sinks())}; "
-            f"line classes live over emission-complete graphs"
-        )
-    n = g.n_vertices
-    if k == 0:
-        return K0Class((1,) * n, 0)
-    gamma = graphs.adjacency(g)
-    if k < 0:
-        return K0Class(linalg.col_sums(linalg.power(gamma, -k)), 0)
-    if linalg.det(gamma) in (1, -1):
-        return K0Class(linalg.col_sums(linalg.power(gamma, -k)), 0)
-    if g.sources():
-        raise SourceError(
-            f"graph {g.name!r} has sources {list(g.sources())} and a singular "
-            f"adjacency matrix; positive-degree classes are not available"
-        )
-    pres = colimit_presentation(g)
-    supp = set(pres.support(k))
-    return K0Class(tuple(1 if i in supp else 0 for i in range(n)), k)
+    return Tower(g).line_class(k)
 
 
 def colimit_to_free(g: Graph, cls: K0Class) -> K0Class:
@@ -378,29 +492,7 @@ def atiyah_todd(g: Graph, k: int) -> ATIdentity:
     (degree-raising).  Degrees ``0 <= k < n`` are the base window and are
     rejected.  Requires a unimodular adjacency matrix.
     """
-    gamma = graphs.adjacency(g)
-    d = linalg.det(gamma)
-    if d not in (1, -1):
-        raise NotUnimodular(d)
-    n = g.n_vertices
-    c = linalg.rev_charpoly(gamma)
-    if 0 <= k < n:
-        raise ValueError(
-            f"degree {k} lies in the base window 0..{n - 1}; "
-            f"no recursion is needed there"
-        )
-    if k >= n:
-        s = -c[n]  # c_n = det = +-1
-        coeffs = {i + (k - n): s * c[i] for i in range(n) if c[i]}
-    else:
-        s = -c[0]  # c_0 = (-1)^n
-        coeffs = {i + k: s * c[i] for i in range(1, n + 1) if c[i]}
-    lhs = line_class(g, k).vector
-    rhs = (0,) * n
-    for j, coeff in coeffs.items():
-        vec = line_class(g, j).vector
-        rhs = tuple(r + coeff * x for r, x in zip(rhs, vec))
-    return ATIdentity(k=k, coeffs=tuple(sorted(coeffs.items())), verified=lhs == rhs)
+    return Tower(g).atiyah_todd(k)
 
 
 def line_class_matrix(g: Graph) -> Matrix:
@@ -409,12 +501,7 @@ def line_class_matrix(g: Graph) -> Matrix:
     Row ``k`` holds the column sums of ``Gamma^-k`` for ``k = 0..n-1``;
     requires a unimodular adjacency matrix.
     """
-    gamma = graphs.adjacency(g)
-    d = linalg.det(gamma)
-    if d not in (1, -1):
-        raise NotUnimodular(d)
-    n = g.n_vertices
-    return Matrix([linalg.col_sums(linalg.power(gamma, -k)) for k in range(n)])
+    return Tower(g).line_class_matrix
 
 
 def phi(g: Graph, cls: K0Class) -> linalg.QuotElem:
@@ -424,41 +511,18 @@ def phi(g: Graph, cls: K0Class) -> linalg.QuotElem:
     of :func:`line_class_matrix` (which must be unimodular as well), so
     ``phi([L_k]) = x^k`` by construction on the base window.
     """
-    if cls.level != 0:
-        raise ValueError("phi takes level-0 coordinate vectors")
-    gamma = graphs.adjacency(g)
-    p = linalg.rev_charpoly(gamma)
-    mm = line_class_matrix(g)
-    d = linalg.det(mm)
-    if d not in (1, -1):
-        raise NotUnimodular(d, what="line-class matrix")
-    y = linalg.row_vec_mul(cls.vector, linalg.inv_unimodular(mm))
-    return linalg.quot_make(p, y)
+    return Tower(g).phi(cls)
 
 
 def verify_phi(g: Graph, depth: int) -> CheckReport:
     """Check ``phi([L_k]) = x^k`` for ``|k| <= depth``."""
-    rep = CheckReport(f"phi on powers of the line class of {g.name!r}")
-    gamma = graphs.adjacency(g)
-    p = linalg.rev_charpoly(gamma)
-    for k in range(-depth, depth + 1):
-        got = phi(g, line_class(g, k))
-        rep.add(f"phi([L_{k}]) = x^{k}", got == linalg.lambda_pow(p, k))
-    return rep
+    return Tower(g).verify_phi(depth)
 
 
 def semiring_check(g: Graph, depth: int) -> CheckReport:
     """Check multiplicativity ``phi(L_j) phi(L_k) = phi(L_(j+k))``, honestly
     evaluating each side from computed classes."""
-    rep = CheckReport(f"multiplicativity of phi on {g.name!r}")
-    values = {k: phi(g, line_class(g, k)) for k in range(-2 * depth, 2 * depth + 1)}
-    for j in range(-depth, depth + 1):
-        for k in range(-depth, depth + 1):
-            rep.add(
-                f"phi(L_{j}) phi(L_{k}) = phi(L_{j + k})",
-                values[j] * values[k] == values[j + k],
-            )
-    return rep
+    return Tower(g).semiring_check(depth)
 
 
 # -- the shift matrix ----------------------------------------------------------
@@ -471,26 +535,11 @@ def kk_matrix(g: Graph) -> Matrix:
     Requires both ``Gamma`` and the line-class matrix to be unimodular
     (the latter guarantees the shift acts on an honest basis of classes).
     """
-    gamma = graphs.adjacency(g)
-    mm_det = linalg.det(line_class_matrix(g))
-    if mm_det not in (1, -1):
-        raise NotUnimodular(mm_det, what="line-class matrix")
-    return linalg.inv_unimodular(gamma)
+    return Tower(g).kk_matrix
 
 
 def kk_report(g: Graph, depth: int = 6) -> CheckReport:
-    rep = CheckReport(f"shift matrix checks on {g.name!r}")
-    gamma = graphs.adjacency(g)
-    kkm = kk_matrix(g)
-    rep.add("shift matrix inverts the adjacency", kkm * gamma == Matrix.identity(g.n_vertices))
-    for k in range(-depth, depth):
-        lhs = linalg.row_vec_mul(line_class(g, k).vector, kkm)
-        rep.add(
-            f"[L_{k}] shifted = [L_{k + 1}]", lhs == line_class(g, k + 1).vector
-        )
-    rep.add("adjacency is non-derogatory", linalg.is_non_derogatory(gamma))
-    rep.add("shift matrix is non-derogatory", linalg.is_non_derogatory(kkm))
-    return rep
+    return Tower(g).kk_report(depth)
 
 
 # -- single-vertex colimit embedding -------------------------------------------
@@ -521,24 +570,7 @@ def verify_q_recursion(g: Graph, depth: int) -> CheckReport:
     Verified for every vertex ``v`` with at least one length-``k`` walk
     into it; the right side adds classes at level ``k+1``.
     """
-    rep = CheckReport(f"projection class recursion on {g.name!r}")
-    pres = k0(g)
-    gamma = graphs.adjacency(g)
-    for k in range(depth + 1):
-        counts = walk_counts(g, k)
-        for v in g.vertices:
-            i = g.vertex_index(v)
-            if counts[i] == 0:
-                continue
-            lhs = q_class(pres, v, k)
-            level = 0 if isinstance(pres, FreeK0) else k + 1
-            total = K0Class((0,) * g.n_vertices, level)
-            for w in g.vertices:
-                mult = gamma[(i, g.vertex_index(w))]
-                if mult:
-                    total = total.add(q_class(pres, w, k + 1).scale(mult))
-            rep.add(f"recursion at ({v}, {k})", k0_equal(pres, lhs, total))
-    return rep
+    return Tower(g).verify_q_recursion(depth)
 
 
 # -- aggregate report for the CLI ----------------------------------------------
@@ -549,111 +581,76 @@ def invariants_report(g: Graph, k_min: int = -3, k_max: int = 3) -> dict:
 
     Entries that need stronger hypotheses than the graph satisfies are
     replaced by a ``{"available": False, "reason": ...}`` marker rather
-    than raising, so the report is total for any graph.
+    than raising, so the report is total for any graph with a vertex.
     """
     if k_min > k_max:
         raise ValueError(f"empty degree range {k_min}..{k_max}")
-    gamma = graphs.adjacency(g)
-    d = linalg.det(gamma)
-    unimodular = d in (1, -1)
+    if not g.n_vertices:
+        raise ValueError(f"graph {g.name!r} has no vertices, so its tower has no invariants")
+    t = Tower(g)
+    ks = range(k_min, k_max + 1)
     out: dict = {
         "graph": g.name,
         "vertices": list(g.vertices),
-        "gamma": [list(r) for r in gamma.rows],
-        "det": d,
-        "charpoly_reversed": list(linalg.rev_charpoly(gamma)),
+        "gamma": [list(r) for r in t.gamma.rows],
+        "det": t.det,
+        "charpoly_reversed": list(t.rev_charpoly),
+        "m_table": {k: list(t.orbit(k)) for k in ks if k >= 0 or t.unimodular},
     }
 
-    m_table = {}
-    for k in range(k_min, k_max + 1):
-        if k < 0 and not unimodular:
-            continue
-        m_table[k] = list(walk_counts(g, k))
-    out["m_table"] = m_table
-
     sink_free = not g.sinks()
-    if sink_free:
-        pres = k0(g)
-        if isinstance(pres, FreeK0):
-            out["k0"] = {"kind": "free", "rank": pres.rank, "basis": list(pres.basis)}
-        else:
-            out["k0"] = {
-                "kind": "colimit",
-                "rank": pres.rank,
-                "stable_level": pres.stable_level,
-                "supports": [list(s) for s in pres.supports],
-            }
+    if not sink_free:
+        out["k0"] = {"available": False, "reason": f"graph has sinks {list(g.sinks())}"}
+    elif t.unimodular:
+        out["k0"] = {"kind": "free", "rank": t.n, "basis": list(g.vertices)}
     else:
+        pres = t.colimit
         out["k0"] = {
-            "available": False,
-            "reason": f"graph has sinks {list(g.sinks())}",
+            "kind": "colimit",
+            "rank": pres.rank,
+            "stable_level": pres.stable_level,
+            "supports": [list(s) for s in pres.supports],
         }
 
     line_classes = []
-    for k in range(k_min, k_max + 1):
+    for k in ks:
         if not sink_free:
-            line_classes.append(
-                {"k": k, "available": False, "reason": "graph has sinks"}
-            )
+            line_classes.append({"k": k, "available": False, "reason": "graph has sinks"})
             continue
         try:
-            cls = line_class(g, k)
-            line_classes.append(
-                {"k": k, "vector": list(cls.vector), "level": cls.level}
-            )
-        except (SourceError, NotUnimodular) as err:
+            cls = t.line_class(k)
+            line_classes.append({"k": k, "vector": list(cls.vector), "level": cls.level})
+        except SourceError as err:
             line_classes.append({"k": k, "available": False, "reason": str(err)})
     out["line_classes"] = line_classes
 
-    if unimodular and sink_free:
-        n = g.n_vertices
-        identities = []
-        for k in range(k_min, k_max + 1):
-            if 0 <= k < n:
-                continue
-            ident = atiyah_todd(g, k)
-            identities.append(
-                {
-                    "k": ident.k,
-                    "coeffs": [[j, c] for j, c in ident.coeffs],
-                    "verified": ident.verified,
-                }
-            )
-        out["class_recursions"] = identities
-        mm = line_class_matrix(g)
-        out["line_class_matrix"] = [list(r) for r in mm.rows]
-        if linalg.det(mm) in (1, -1):
-            p = linalg.rev_charpoly(gamma)
+    if t.unimodular and sink_free:
+        out["class_recursions"] = [
+            {"k": ident.k, "coeffs": [[j, c] for j, c in ident.coeffs], "verified": ident.verified}
+            for ident in (t.atiyah_todd(k) for k in ks if not 0 <= k < t.n)
+        ]
+        out["line_class_matrix"] = [list(r) for r in t.line_class_matrix.rows]
+        if t.line_class_det in (1, -1):
+            p = t.rev_charpoly
             out["phi_modulus"] = list(linalg.lambda_pow(p, 0).modulus)
+            phis = {k: t.phi(t.line_class(k)) for k in ks}
             out["phi_checks"] = [
                 {
                     "k": k,
-                    "residue": list(phi(g, line_class(g, k)).residue),
-                    "matches_power": phi(g, line_class(g, k))
-                    == linalg.lambda_pow(p, k),
+                    "residue": list(phis[k].residue),
+                    "matches_power": phis[k] == linalg.lambda_pow(p, k),
                 }
-                for k in range(k_min, k_max + 1)
+                for k in ks
             ]
             out["kk"] = {
-                "matrix": [list(r) for r in kk_matrix(g).rows],
-                "checks_pass": kk_report(g, min(6, max(abs(k_min), abs(k_max)))).ok,
+                "matrix": [list(r) for r in t.kk_matrix.rows],
+                "checks_pass": t.kk_report(min(6, max(abs(k_min), abs(k_max)))).ok,
             }
         else:
-            out["phi_checks"] = {
-                "available": False,
-                "reason": "line-class matrix is not unimodular",
-            }
-            out["kk"] = {
-                "available": False,
-                "reason": "line-class matrix is not unimodular",
-            }
-    elif sink_free and g.n_vertices == 1 and gamma[(0, 0)] >= 2:
-        n_loops = gamma[(0, 0)]
+            unavailable = {"available": False, "reason": "line-class matrix is not unimodular"}
+            out["phi_checks"] = out["kk"] = unavailable
+    elif sink_free and t.n == 1 and t.gamma[(0, 0)] >= 2:
         out["scaled_dimension_values"] = [
-            {
-                "k": k,
-                "value": uhf_embed(n_loops, line_class(g, k)),
-            }
-            for k in range(k_min, k_max + 1)
+            {"k": k, "value": uhf_embed(t.gamma[(0, 0)], t.line_class(k))} for k in ks
         ]
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotUnimodular
+from .errors import CertificateError, NotUnimodular
 
 IntPoly = tuple  # ascending integer coefficients, trailing zeros trimmed
 
@@ -139,17 +139,6 @@ def row_vec_mul(vec: Sequence[int], m: Matrix) -> tuple:
     return tuple(sum(vec[i] * m.rows[i][j] for i in range(m.n_rows)) for j in range(m.n_cols))
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product, left-factor-major block order."""
-    rows = []
-    for ra in a.rows:
-        for rb in b.rows:
-            rows.append(tuple(x * y for x in ra for y in rb))
-    if not a.rows or not b.rows:
-        return Matrix(())
-    return Matrix(rows)
-
-
 def det(m: Matrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
@@ -186,7 +175,9 @@ def inv_unimodular(m: Matrix) -> Matrix:
     """Inverse of an integer matrix with det = +-1.
 
     Raises :class:`NotUnimodular` (carrying the determinant) otherwise.
-    The result is computed over the rationals and checked to be integral.
+    The result is computed over the rationals; it is checked to be
+    integral and to invert ``m``, and :class:`CertificateError` is raised
+    if either check fails.
     """
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
@@ -207,13 +198,11 @@ def inv_unimodular(m: Matrix) -> Matrix:
             if i != col and aug[i][col] != 0:
                 factor = aug[i][col]
                 aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    inv_rows = []
-    for i in range(n):
-        row = aug[i][n:]
-        assert all(x.denominator == 1 for x in row), "unimodular inverse must be integral"
-        inv_rows.append([int(x) for x in row])
-    result = Matrix(inv_rows)
-    assert result * m == Matrix.identity(n)
+    if any(x.denominator != 1 for row in aug for x in row[n:]):
+        raise CertificateError("the inverse of a unimodular matrix came out non-integral")
+    result = Matrix([[int(x) for x in row[n:]] for row in aug])
+    if result * m != Matrix.identity(n):
+        raise CertificateError("the computed inverse times the matrix is not the identity")
     return result
 
 
@@ -259,8 +248,8 @@ def rank_Q(m: Matrix) -> int:
 def charpoly(m: Matrix) -> tuple:
     """Coefficients of det(x*I - m), ascending, leading coefficient 1.
 
-    Computed by the exact Faddeev-LeVerrier recursion; all divisions are
-    integral and asserted so.
+    Computed by the exact Faddeev-LeVerrier recursion; every division and
+    the closing identity are checked.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
@@ -274,12 +263,14 @@ def charpoly(m: Matrix) -> tuple:
     for k in range(1, n + 1):
         amk = m * mk
         t = trace(amk)
-        assert t % k == 0, "Faddeev-LeVerrier trace must divide exactly"
+        if t % k:
+            raise CertificateError(f"Faddeev-LeVerrier trace {t} is not divisible by {k}")
         c = -(t // k)
         coeffs[n - k] = c
         mk = amk + c * ident
     # closing identity of the recursion: M_(n+1) = A*M_n + c_0*I = 0
-    assert mk == Matrix.zeros(n, n), "Faddeev-LeVerrier closing identity failed"
+    if mk != Matrix.zeros(n, n):
+        raise CertificateError("Faddeev-LeVerrier closing identity failed")
     return tuple(coeffs)
 
 
@@ -293,8 +284,8 @@ def rev_charpoly(m: Matrix) -> IntPoly:
     n = m.n_rows
     sign = (-1) ** n
     c = tuple(sign * a[n - j] for j in range(n + 1))
-    assert c[0] == sign
-    assert c[n] == det(m), "trailing coefficient must equal the determinant"
+    if c[0] != sign or c[n] != det(m):
+        raise CertificateError("det(t*m - 1) must run from (-1)^n to det(m)")
     return c
 
 
@@ -459,14 +450,6 @@ def quot_make(p: IntPoly, residue: Iterable[int]) -> QuotElem:
     """Reduce ``residue`` into Z[x]/(p); ``p`` is normalized to be monic."""
     modulus = _normalize_modulus(tuple(p))
     return QuotElem(modulus, poly_mod_monic(poly_trim(residue), modulus))
-
-
-def quot_add(x: QuotElem, y: QuotElem) -> QuotElem:
-    return x + y
-
-
-def quot_mul(x: QuotElem, y: QuotElem) -> QuotElem:
-    return x * y
 
 
 def quot_one(p: IntPoly) -> QuotElem:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -233,6 +234,51 @@ def test_ktheory_text_mode_renders(capsys):
     code, out, err = run(capsys, "ktheory", "cuntz:2")
     assert code == 0
     assert "scaled_dimension_values" in out
+
+
+def test_ktheory_refuses_the_empty_graph(capsys, tmp_path):
+    path = tmp_path / "empty.graph"
+    path.write_text("graph empty\n")
+    code, out, err = run(capsys, "ktheory", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "no vertices" in err
+    code, out, err = run(capsys, "ktheory", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "ValueError"
+    assert "no vertices" in json.loads(err)["error"]["message"]
+    # the tower diagram of the empty graph is still an answer: empty levels
+    code, data, err = run_json(capsys, "bratteli", str(path), "--levels", "3")
+    assert code == 0 and data["levels"] == [[], [], []]
+
+
+# sha256 of "<exit code>\n<stdout>" for ``ktheory <token> [range] --json``,
+# recorded before the per-graph Tower refactor: the report must not move
+PINNED_KTHEORY_JSON = {
+    ("penrose", ""): "50ffc786cd1af13ba27b2d01414b6e8c57268fec91d74f2ef20beed9196ef4e1",
+    ("penrose", "--range=-8..8"): "c5a0f4c55e0baf8e7433291528aa155970d0fd5d2b834204320a233a2c3f9168",
+    ("cycle:6", ""): "16631da3581cac6e214fe3738e6ed92fc6dcc8fa810272b2d6c8f59a325347b0",
+    ("cycle:6", "--range=-8..8"): "423e96e19cad76dd6f33eb6cde21f44f39ac6343298d149bd02831864b983638",
+    ("sigma:5", ""): "f9dc8f31325ca02a1b84d47ceb35f0daaa9ced2ba3fdcc417784902e50fdbf95",
+    ("sigma:5", "--range=-8..8"): "4987ca8d81226170ecb98f2ba463c1426870a7b852e739d5afaea2b1a8b39b03",
+    ("lens:4", ""): "229ca8484390aab522804c473bf435e60d8f9654579ee39981c41dff57199ef4",
+    ("lens:4", "--range=-8..8"): "eececfedff3a03bb29f3268cff9b0dc6283afb1f11a32e2b414eb07465925c80",
+    ("full:3", ""): "abb130581bf693138e9f54accaa015f9b06ce4aef946aab01da63988e1f23d08",
+    ("full:3", "--range=-8..8"): "760090a9ffb6de18ae002ca66adc2080592dbc2ff90cdbc64e367777acff33b2",
+    ("cuntz:2", ""): "40c6ad3845d77526ef33273b1e3e39590ae91beed17187792641d6bee56358ba",
+    ("cuntz:2", "--range=-8..8"): "73e00750def90f981f387a98659880e43b3da73440f557e91cd19c1de3cce689",
+    ("tadpole", ""): "b0ee1900c7a78655e0997fbbfd13b89027c9af6bbf812e997f1ca671b3d07df5",
+    ("tadpole", "--range=-8..8"): "321974ae9ff6f681967201bad4fb2a24ecfcaa7596852344a6236b2b9ec66f2c",
+    ("chambers:2", ""): "9ec68d55eeb90942a0ed2d21e3393b293ae1f17de0dc547098cf44099910e285",
+    ("chambers:2", "--range=-8..8"): "e406b9f986fa721bfb18b5de87e96eeee7418bce40b679451f3e191da0e1c239",
+}
+
+
+def test_ktheory_json_output_is_pinned(capsys):
+    got = {}
+    for token, window in PINNED_KTHEORY_JSON:
+        code, out, err = run(capsys, "ktheory", token, *([window] if window else []), "--json")
+        got[(token, window)] = hashlib.sha256(f"{code}\n".encode() + out.encode()).hexdigest()
+    assert got == PINNED_KTHEORY_JSON
 
 
 # -- leavitt ----------------------------------------------------------------------------

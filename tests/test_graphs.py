@@ -15,8 +15,6 @@ from afcore.graphs import (
     serialize_graph,
     transpose,
     walk_edges,
-    walk_range,
-    walk_source,
     walks_into,
 )
 
@@ -188,7 +186,7 @@ def test_directed_walks_structure(penrose):
             e = penrose.edge(eid)
             assert e.src == w[2 * i] and e.dst == w[2 * i + 2]
     # deterministic order: first walk starts at the first vertex
-    assert walk_source(walks[0]) == "1"
+    assert walks[0][0] == "1"
     assert directed_walks(penrose, 2) == walks
     with pytest.raises(ValueError):
         directed_walks(penrose, -1)
@@ -201,7 +199,7 @@ def test_walks_into_agrees_with_forward_enumeration(universe_sample):
             for v in g.vertices:
                 backward = walks_into(g, v, k)
                 assert sorted(backward) == sorted(
-                    w for w in forward if walk_range(w) == v
+                    w for w in forward if w[-1] == v
                 )
 
 

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from afcore import catalog, cli
+from afcore import catalog, cli, linalg
 from afcore.errors import NotUnimodular, SinkError, SourceError
 from afcore.graphs import adjacency
 from afcore.ktheory import (
@@ -449,3 +449,36 @@ def test_invariants_report_is_jsonable(penrose, tadpole):
 def test_invariants_report_range_validation(penrose):
     with pytest.raises(ValueError, match="empty degree range"):
         invariants_report(penrose, k_min=2, k_max=-2)
+
+
+def test_invariants_report_derives_each_per_graph_datum_once(monkeypatch):
+    sigma = catalog.build_token("sigma:12")
+    full = catalog.build_token("full:16")
+    mm_rows = line_class_matrix(sigma).rows
+    counts = dict.fromkeys(("inv_unimodular", "charpoly", "rank_Q"), 0)
+    for name in counts:
+        def counting(*args, _real=getattr(linalg, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    mm_builds = []
+    real_init = Matrix.__init__
+
+    def init(self, rows):
+        real_init(self, rows)
+        if self.rows == mm_rows:
+            mm_builds.append(self)
+
+    monkeypatch.setattr(Matrix, "__init__", init)
+
+    invariants_report(sigma)
+    assert counts["inv_unimodular"] <= 2  # Gamma and the line-class matrix
+    assert counts["charpoly"] <= 1
+    assert len(mm_builds) == 1
+
+    counts["rank_Q"] = 0
+    invariants_report(full)
+    # each colimit build ranks its stable connecting map once, and full:16
+    # is not unimodular, so no other rank is taken
+    assert counts["rank_Q"] == 1

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import afcore
 from afcore.errors import NotUnimodular
 from afcore.linalg import (
     Matrix,
@@ -11,7 +16,6 @@ from afcore.linalg import (
     det,
     inv_unimodular,
     is_non_derogatory,
-    kron,
     lambda_pow,
     poly_add,
     poly_deg,
@@ -20,7 +24,6 @@ from afcore.linalg import (
     poly_str,
     power,
     quot_make,
-    quot_mul,
     quot_one,
     rank_Q,
     rev_charpoly,
@@ -125,18 +128,6 @@ def test_matrix_arithmetic():
         a + Matrix.zeros(3, 3)
 
 
-def test_kron_shape_and_values():
-    a = Matrix([[1, 2], [0, 1]])
-    b = Matrix([[0, 3], [4, 0]])
-    k = kron(a, b)
-    assert k.n_rows == 4 and k.n_cols == 4
-    for i in range(2):
-        for j in range(2):
-            for p in range(2):
-                for q in range(2):
-                    assert k[(2 * i + p, 2 * j + q)] == a[(i, j)] * b[(p, q)]
-
-
 # -- determinants and inverses ----------------------------------------------------
 
 
@@ -181,6 +172,37 @@ def test_inv_unimodular_rejects_and_reports_det():
     assert exc.value.det == 0
 
 
+def test_certificates_survive_python_O():
+    # under -O an assert is skipped; the certificates must still refuse a
+    # result built from a wrong matrix product
+    script = textwrap.dedent(
+        """
+        from afcore.errors import CertificateError
+        from afcore.linalg import Matrix, charpoly, inv_unimodular
+
+        real_mul = Matrix.__mul__
+        Matrix.__mul__ = lambda a, b: Matrix.zeros(a.n_rows, b.n_cols)
+        try:
+            inv_unimodular(Matrix([[2, 1], [1, 1]]))
+            raise SystemExit("inverse certificate skipped")
+        except CertificateError:
+            pass
+        Matrix.__mul__ = lambda a, b: real_mul(a, b) + Matrix.identity(a.n_rows)
+        try:
+            charpoly(Matrix([[2, 1], [1, 1]]))
+            raise SystemExit("charpoly closing identity skipped")
+        except CertificateError:
+            pass
+        """
+    )
+    src = os.path.dirname(os.path.dirname(afcore.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_power_negative_exponents():
     m = Matrix([[1, 1], [1, 0]])
     assert power(m, 0) == Matrix.identity(2)
@@ -199,6 +221,69 @@ def test_rank_against_minor_oracle():
         assert rank_Q(m) == rank_by_minors([list(r) for r in m.rows])
     assert rank_Q(Matrix.zeros(3, 3)) == 0
     assert rank_Q(Matrix([[1, 2], [2, 4]])) == 1
+
+
+# -- sympy as an independent oracle -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+small_ints = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def square_matrices(draw, max_n=4):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    return draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary integer matrices: row additions, swaps, negations."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(("add", "swap", "negate")))
+        if op == "add" and i != j:
+            c = draw(st.integers(min_value=-3, max_value=3))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-a for a in rows[i]]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+def test_det_and_charpoly_match_sympy(sympy, rows):
+    m = sympy.Matrix(rows)
+    assert det(Matrix(rows)) == m.det()
+    x = sympy.Symbol("x")
+    assert list(charpoly(Matrix(rows))) == m.charpoly(x).all_coeffs()[::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(unimodular_matrices())
+def test_inv_unimodular_matches_sympy(sympy, rows):
+    inverse = inv_unimodular(Matrix(rows))
+    assert [list(r) for r in inverse.rows] == sympy.Matrix(rows).inv().tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda cols: st.lists(
+            st.lists(small_ints, min_size=cols, max_size=cols), min_size=1, max_size=4
+        )
+    )
+)
+def test_rank_matches_sympy(sympy, rows):
+    assert rank_Q(Matrix(rows)) == sympy.Matrix(rows).rank()
 
 
 # -- characteristic polynomials ----------------------------------------------------
@@ -278,7 +363,7 @@ def test_lambda_pow_additivity():
     p = (1, -1, -1)
     for a in range(-3, 4):
         for b in range(-3, 4):
-            assert quot_mul(lambda_pow(p, a), lambda_pow(p, b)) == lambda_pow(p, a + b)
+            assert lambda_pow(p, a) * lambda_pow(p, b) == lambda_pow(p, a + b)
     assert lambda_pow(p, 0) == quot_one(p)
 
 

@@ -5,7 +5,7 @@ import pytest
 from afcore import catalog
 from afcore.errors import GuardError, MorphismError, ParseError
 from afcore.graphs import Graph, adjacency, parse_graph
-from afcore.linalg import Matrix, kron
+from afcore.linalg import Matrix
 from afcore.ops import (
     Morphism,
     check_morphism,
@@ -22,6 +22,11 @@ from afcore.ops import (
 )
 
 # -- independent oracles -------------------------------------------------------
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product, left-factor-major block order."""
+    return Matrix([x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows)
 
 
 def admissible_by_definition(m: Morphism) -> bool:
