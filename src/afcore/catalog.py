@@ -752,12 +752,18 @@ def suite_symbolic(**_ignored) -> CheckReport:
 
 def suite_k0(**_ignored) -> CheckReport:
     rep = CheckReport("K0 bookkeeping cross-checks")
+    towers: dict = {}
+
+    def tower(token: str) -> ktheory.Tower:
+        if token not in towers:
+            towers[token] = ktheory.Tower(build_token(token))
+        return towers[token]
 
     for token in ("penrose", "sigma:2", "sigma:3", "cycle:2", "cycle:3", "lens:2"):
-        g = build_token(token)
-        shadow = ktheory.colimit_presentation(g)
+        t = tower(token)
+        shadow = t.colimit
         rng = random.Random(f"k0:{token}")
-        n = g.n_vertices
+        n = t.n
         agree = 0
         for _ in range(100):
             a = ktheory.K0Class(
@@ -766,11 +772,8 @@ def suite_k0(**_ignored) -> CheckReport:
             b = ktheory.K0Class(
                 tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(0, 3)
             )
-            colimit_eq = ktheory.k0_equal(shadow, a, b)
-            free_eq = (
-                ktheory.colimit_to_free(g, a).vector
-                == ktheory.colimit_to_free(g, b).vector
-            )
+            colimit_eq = t.k0_equal(shadow, a, b)
+            free_eq = t.to_free(a).vector == t.to_free(b).vector
             if colimit_eq == free_eq:
                 agree += 1
         rep.add(
@@ -790,14 +793,13 @@ def suite_k0(**_ignored) -> CheckReport:
         "lens:2",
         "tadpole",
     ):
-        g = build_token(token)
         rep.add(
             f"projection class recursion on {token} (k <= 5)",
-            ktheory.verify_q_recursion(g, 5).ok,
+            tower(token).verify_q_recursion(5).ok,
         )
 
     for token in ("penrose", "sigma:2", "cuntz:2", "tadpole", "full:2"):
-        g = build_token(token)
+        g = tower(token).graph
         all_ok = True
         for v in g.vertices:
             for k in range(1, 4):
@@ -818,36 +820,36 @@ def suite_k0(**_ignored) -> CheckReport:
             "equivalence implemented by the connecting partial isometry",
         )
 
-    tado = build("tadpole")
-    pres = ktheory.k0(tado)
+    tado = tower("tadpole")
+    pres = tado.k0
     p1 = ktheory.K0Class((1, 0), 0)
     p2 = ktheory.K0Class((0, 1), 0)
-    rep.add("tadpole: the two vertex classes agree", ktheory.k0_equal(pres, p1, p2))
+    rep.add("tadpole: the two vertex classes agree", tado.k0_equal(pres, p1, p2))
     rep.add(
         "tadpole: the unit is twice the loop vertex class",
-        ktheory.k0_equal(pres, ktheory.class_of_unit(tado), p2.scale(2)),
+        tado.k0_equal(pres, ktheory.class_of_unit(tado.graph), p2.scale(2)),
     )
     rep.add(
         "tadpole: distinguished projections all give the loop class (k <= 5)",
         all(
-            ktheory.k0_equal(pres, ktheory.q_class(pres, "2", k), p2)
+            tado.k0_equal(pres, tado.q_class(pres, "2", k), p2)
             for k in range(0, 6)
         ),
     )
     neg_ok = all(
-        ktheory.k0_equal(pres, ktheory.line_class(tado, -k), p2.scale(2))
+        tado.k0_equal(pres, tado.line_class(-k), p2.scale(2))
         for k in range(1, 6)
     )
     rep.add("tadpole: negative line classes equal the unit class (k <= 5)", neg_ok)
     try:
-        ktheory.line_class(tado, 1)
+        tado.line_class(1)
         raised = False
     except SourceError:
         raised = True
     rep.add("tadpole: positive line classes refuse (source present)", raised)
 
-    cyc = build("cycle", n=2)
-    pres_c = ktheory.k0(cyc)
+    cyc = tower("cycle:2")
+    pres_c = cyc.k0
     rep.add(
         "two-cycle: K0 free of rank 2",
         isinstance(pres_c, ktheory.FreeK0) and pres_c.rank == 2,
@@ -855,15 +857,15 @@ def suite_k0(**_ignored) -> CheckReport:
     rep.add(
         "two-cycle: every line class is the unit class (|k| <= 6)",
         all(
-            ktheory.line_class(cyc, k).vector == (1, 1) for k in range(-6, 7)
+            cyc.line_class(k).vector == (1, 1) for k in range(-6, 7)
         ),
     )
     rep.add(
         "two-cycle: line-class matrix is the all-ones matrix",
-        ktheory.line_class_matrix(cyc).rows == ((1, 1), (1, 1)),
+        cyc.line_class_matrix.rows == ((1, 1), (1, 1)),
     )
     try:
-        ktheory.phi(cyc, ktheory.class_of_unit(cyc))
+        cyc.phi(ktheory.class_of_unit(cyc.graph))
         raised = False
     except NotUnimodular:
         raised = True

@@ -320,13 +320,13 @@ def _cmd_leavitt_eval(args) -> int:
                 "input": args.expr,
                 "raw": leavitt.to_string(x),
                 "normal": leavitt.to_string(nf),
-                "is_zero": nf.is_zero(),
+                "is_zero": not nf.terms,
             }
         )
         return 0
     print(f"raw: {leavitt.to_string(x)}")
     print(f"normal: {leavitt.to_string(nf)}")
-    print(f"zero: {_yesno(nf.is_zero())}")
+    print(f"zero: {_yesno(not nf.terms)}")
     return 0
 
 

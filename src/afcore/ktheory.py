@@ -230,8 +230,36 @@ class Tower:
                     mult = self.gamma[(i, j)]
                     if mult:
                         total = total.add(self.q_class(pres, w, k + 1).scale(mult))
-                rep.add(f"recursion at ({v}, {k})", k0_equal(pres, lhs, total))
+                rep.add(f"recursion at ({v}, {k})", self.k0_equal(pres, lhs, total))
         return rep
+
+    def push(self, cls: K0Class) -> K0Class:
+        """See :func:`push_class`."""
+        return K0Class(linalg.row_vec_mul(cls.vector, self.gamma), cls.level + 1)
+
+    def k0_equal(self, pres, a: K0Class, b: K0Class) -> bool:
+        """See :func:`k0_equal`."""
+        _check_class(pres, a)
+        _check_class(pres, b)
+        if isinstance(pres, FreeK0):
+            return a.vector == b.vector
+        while a.level < b.level:
+            a = self.push(a)
+        while b.level < a.level:
+            b = self.push(b)
+        diff = tuple(x - y for x, y in zip(a.vector, b.vector))
+        for _ in range(2 * self.n + 2):
+            if all(x == 0 for x in diff):
+                return True
+            diff = linalg.row_vec_mul(diff, self.gamma)
+        return all(x == 0 for x in diff)
+
+    def to_free(self, cls: K0Class) -> K0Class:
+        """See :func:`colimit_to_free`."""
+        vec = cls.vector
+        for _ in range(cls.level):
+            vec = linalg.row_vec_mul(vec, self.gamma_inv)
+        return K0Class(vec, 0)
 
 
 def walk_counts(g: Graph, k: int) -> tuple:
@@ -399,8 +427,7 @@ def push_class(pres: ColimitK0, cls: K0Class) -> K0Class:
     Coordinates move along ``new[w] = sum_v Gamma[v][w] x[v]``; the result
     automatically vanishes outside the next support.
     """
-    gamma = graphs.adjacency(pres.graph)
-    return K0Class(linalg.row_vec_mul(cls.vector, gamma), cls.level + 1)
+    return Tower(pres.graph).push(cls)
 
 
 def k0_equal(pres, a: K0Class, b: K0Class) -> bool:
@@ -411,22 +438,7 @@ def k0_equal(pres, a: K0Class, b: K0Class) -> bool:
     within ``2n + 1`` further steps (supports stabilize within ``n`` steps
     and the kernel chain of the stable map within ``n`` more).
     """
-    _check_class(pres, a)
-    _check_class(pres, b)
-    if isinstance(pres, FreeK0):
-        return a.vector == b.vector
-    gamma = graphs.adjacency(pres.graph)
-    while a.level < b.level:
-        a = push_class(pres, a)
-    while b.level < a.level:
-        b = push_class(pres, b)
-    diff = tuple(x - y for x, y in zip(a.vector, b.vector))
-    n = pres.graph.n_vertices
-    for _ in range(2 * n + 2):
-        if all(x == 0 for x in diff):
-            return True
-        diff = linalg.row_vec_mul(diff, gamma)
-    return all(x == 0 for x in diff)
+    return Tower(pres.graph).k0_equal(pres, a, b)
 
 
 def q_class(pres, v: str, k: int) -> K0Class:
@@ -460,9 +472,7 @@ def colimit_to_free(g: Graph, cls: K0Class) -> K0Class:
     Only meaningful when ``Gamma`` is unimodular (the two presentations
     then describe the same group); used as a cross-oracle.
     """
-    gamma = graphs.adjacency(g)
-    vec = linalg.row_vec_mul(cls.vector, linalg.power(gamma, -cls.level))
-    return K0Class(vec, 0)
+    return Tower(g).to_free(cls)
 
 
 # -- exact class recursions ----------------------------------------------------

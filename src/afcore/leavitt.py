@@ -9,17 +9,21 @@ uses the reduction
                        S_gamma^*  if beta = alpha.gamma,
                        0          otherwise,
 
-and zero-testing rewrites each fixed-degree component to a common
-``|beta|`` level by the range relation
+and everything else rests on the range relation
 
     S_alpha S_beta^* = sum over edges e leaving the range vertex of
                        S_(alpha.e) S_(beta.e)^*,
 
-after which monomials of a fixed shape are linearly independent (standard
-theory for relative Cuntz-Krieger families).  The rewrite is attempted
-lazily: merged coefficients are cancelled first, and :class:`SinkError`
-is raised only if an expansion at an emission-free vertex is genuinely
-required.
+applied one step at a time by ``_expand``, the only raiser of
+:class:`SinkError`.  Zero tests work by root: stripping the longest common
+trailing string ``gamma`` from ``alpha = alpha'.gamma``, ``beta = beta'.gamma``
+leaves the root ``(alpha', beta', v)``, ``v`` the source of ``gamma`` (the
+base vertex if ``gamma`` is empty); ``gamma`` is the monomial's node in the
+root's expansion tree.  Rewrites stay inside one root and distinct roots are
+linearly independent (the monomial basis of Leavitt path algebras).  In a
+tree only proper prefixes of present nodes are expanded, shortest first, so
+zero tests never expand at a sink and answer exactly on every graph;
+:func:`normal_form`, the display form, refuses when it needs one.
 
 The same reduction engine drives three carriers: plain elements
 (:class:`LeavittElem`), elementary tensors of two graph algebras
@@ -225,7 +229,16 @@ def to_string(x: LeavittElem) -> str:
     return out
 
 
-# -- normal form ------------------------------------------------------------
+# -- expansion trees and zero tests ---------------------------------------------
+
+
+def _expand(g: Graph, m: Monomial) -> list:
+    """The monomials ``S_(alpha.e) S_(beta.e)^*`` that the range relation
+    rewrites ``m`` into; :class:`SinkError` if its base vertex emits none."""
+    outgoing = g.out_edges(m.vertex)
+    if not outgoing:
+        raise SinkError(f"cannot expand at vertex {m.vertex!r}: it emits no edges")
+    return [Monomial(m.alpha + (e.eid,), m.beta + (e.eid,), e.dst) for e in outgoing]
 
 
 def ck3_expand(x: LeavittElem) -> LeavittElem:
@@ -238,72 +251,75 @@ def ck3_expand(x: LeavittElem) -> LeavittElem:
     g = x.graph
     out: dict = {}
     for m, c in x.terms.items():
-        outgoing = g.out_edges(m.vertex)
-        if not outgoing:
-            raise SinkError(
-                f"cannot expand at vertex {m.vertex!r}: it emits no edges"
-            )
-        for e in outgoing:
-            key = Monomial(m.alpha + (e.eid,), m.beta + (e.eid,), e.dst)
+        for key in _expand(g, m):
             out[key] = out.get(key, 0) + c
     return LeavittElem(g, out)
-
-
-def _degree_components(x: LeavittElem) -> dict:
-    comps: dict = {}
-    for m, c in x.terms.items():
-        comps.setdefault(m.degree, {})[m] = c
-    return comps
-
-
-def _expand_component(g: Graph, comp: dict, level: int) -> dict:
-    """Rewrite a fixed-degree component so every monomial has |beta| = level."""
-    work = dict(comp)
-    while True:
-        pending = [m for m in work if len(m.beta) < level]
-        if not pending:
-            return work
-        for m in pending:
-            # an earlier expansion in this sweep may have cancelled m away
-            c = work.pop(m, 0)
-            if not c:
-                continue
-            outgoing = g.out_edges(m.vertex)
-            if not outgoing:
-                raise SinkError(
-                    f"zero test needs an expansion at vertex {m.vertex!r}, "
-                    f"which emits no edges"
-                )
-            for e in outgoing:
-                key = Monomial(m.alpha + (e.eid,), m.beta + (e.eid,), e.dst)
-                nc = work.get(key, 0) + c
-                if nc:
-                    work[key] = nc
-                else:
-                    work.pop(key, None)
 
 
 def normal_form(x: LeavittElem) -> LeavittElem:
     """Canonical representative: each degree component at its top level.
 
-    Within each degree, coefficients are merged first; components that
-    cancel outright never trigger expansion, so elements over graphs with
-    sinks normalize whenever no expansion at a sink is actually needed.
+    Within each degree, coefficients are merged first, and a monomial that
+    an earlier expansion cancelled is not expanded.  Raises
+    :class:`SinkError` when the form still needs an expansion at a sink;
+    :func:`is_zero` never does.
     """
+    g = x.graph
+    comps: dict = {}
+    for m, c in x.terms.items():
+        comps.setdefault(m.degree, {})[m] = c
     out: dict = {}
-    for _, comp in sorted(_degree_components(x).items()):
-        comp = {m: c for m, c in comp.items() if c}
-        if not comp:
+    for _, work in sorted(comps.items()):
+        level = max(len(m.beta) for m in work)
+        while pending := [m for m in work if len(m.beta) < level]:
+            for m in pending:
+                c = work.pop(m, 0)
+                if not c:
+                    continue
+                for key in _expand(g, m):
+                    work[key] = work.get(key, 0) + c
+        out.update(work)
+    return LeavittElem(g, out)
+
+
+def _prefixes(g: Graph, m: Monomial) -> list:
+    """The proper prefixes of ``m``'s node in its root's tree, deepest first.
+
+    Each strips one more edge of the common trailing string of ``alpha``
+    and ``beta``; the last one is the root.
+    """
+    a, b, out = m.alpha, m.beta, []
+    while a and b and a[-1] == b[-1]:
+        a, b = a[:-1], b[:-1]
+        out.append(Monomial(a, b, g.edge(m.alpha[len(a)]).src))
+    return out
+
+
+def _refine(g: Graph, terms: dict):
+    """Push ``terms`` down their roots' trees; yield (final node, coefficient).
+
+    Only the proper prefixes of present nodes are expanded, shortest first
+    and each once.  A child that is neither present nor a prefix is final
+    when it is reached; the present nodes that are no prefix are final at
+    the end.  Coefficients need only ``+``.
+    """
+    prefixes = {p for m in terms for p in _prefixes(g, m)}
+    work = dict(terms)
+    for p in sorted(prefixes, key=_term_sort_key):
+        c = work.pop(p, None)
+        if not c:
             continue
-        level = max(len(m.beta) for m in comp)
-        expanded = _expand_component(x.graph, comp, level)
-        out.update(expanded)
-    return LeavittElem(x.graph, out)
+        for child in _expand(g, p):
+            if child in prefixes or child in terms:
+                work[child] = work[child] + c if child in work else c
+            else:
+                yield child, c
+    yield from work.items()
 
 
 def is_zero(x: LeavittElem) -> bool:
-    """Exact zero test; see :func:`normal_form` for the strategy."""
-    return not normal_form(x).terms
+    """Exact zero test: every final node of every root must carry 0."""
+    return not any(c for _, c in _refine(x.graph, x.terms))
 
 
 def equals(x: LeavittElem, y: LeavittElem) -> bool:
@@ -546,8 +562,7 @@ def z_isometry_report(g: Graph, eta: dict, depth: int) -> CheckReport:
 def walk_unit_identity(g: Graph, k: int) -> bool:
     """Exact check of ``sum over length-k walks mu of S_mu S_mu^* = 1``.
 
-    Requires every vertex to emit an edge (else the identity is false and
-    the zero test may raise :class:`SinkError`).
+    On a graph with sinks the identity fails for ``k >= 1``.
     """
     from .graphs import directed_walks
 
@@ -805,53 +820,19 @@ class TensorElem:
         )
 
     def is_zero(self) -> bool:
-        # group by bi-degree, then expand both factors to a common level;
-        # elementary tensors of fixed shapes are a product basis
-        groups: dict = {}
+        # push the left factors down their trees; the final left nodes are
+        # independent, so each one's right-hand element must vanish
+        rg = self.right_graph
+        left: dict = {}
         for (ml, mr), c in self.terms.items():
-            groups.setdefault((ml.degree, mr.degree), {})[(ml, mr)] = c
-        for comp in groups.values():
-            comp = {mm: c for mm, c in comp.items() if c}
-            if not comp:
-                continue
-            kl = max(len(ml.beta) for ml, _ in comp)
-            kr = max(len(mr.beta) for _, mr in comp)
-            acc: dict = {}
-            for (ml, mr), c in comp.items():
-                expl = _expand_to(self.left_graph, ml, kl)
-                expr = _expand_to(self.right_graph, mr, kr)
-                for m1, c1 in expl.items():
-                    for m2, c2 in expr.items():
-                        key = (m1, m2)
-                        acc[key] = acc.get(key, 0) + c * c1 * c2
-            if any(acc.values()):
-                return False
-        return True
+            left[ml] = left.get(ml, LeavittElem.zero(rg)) + LeavittElem(rg, {mr: c})
+        return all(is_zero(y) for _, y in _refine(self.left_graph, left))
 
     def __repr__(self) -> str:
         return (
             f"TensorElem({self.left_graph.name!r} x {self.right_graph.name!r}, "
             f"{len(self.terms)} terms)"
         )
-
-
-def _expand_to(g: Graph, mono: Monomial, level: int) -> dict:
-    out = {mono: 1}
-    while True:
-        pending = [m for m in out if len(m.beta) < level]
-        if not pending:
-            return out
-        for m in pending:
-            c = out.pop(m)
-            outgoing = g.out_edges(m.vertex)
-            if not outgoing:
-                raise SinkError(
-                    f"zero test needs an expansion at vertex {m.vertex!r}, "
-                    f"which emits no edges"
-                )
-            for e in outgoing:
-                key = Monomial(m.alpha + (e.eid,), m.beta + (e.eid,), e.dst)
-                out[key] = out.get(key, 0) + c
 
 
 def product_tensor_family(e: Graph, f: Graph, within: Graph | None = None):

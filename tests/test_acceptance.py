@@ -6,9 +6,11 @@ acceptance protocol.  Every check is exact -- integer and rational
 arithmetic throughout, no tolerances anywhere.
 """
 
+import os
 import subprocess
 import sys
 
+import afcore
 from afcore import catalog
 
 
@@ -134,10 +136,12 @@ def test_criterion_11_cli_determinism():
         [sys.executable, "-m", "afcore", "embeddings", "sigma:2", "--json"],
         [sys.executable, "-m", "afcore", "picard", "--dims", "1,2,3", "--json"],
     )
+    # the child imports the package from the same tree as this process
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(afcore.__file__)))
     for argv in invocations:
         outputs = set()
         for _ in range(3):
-            proc = subprocess.run(argv, capture_output=True, check=True)
+            proc = subprocess.run(argv, env=env, capture_output=True, check=True)
             outputs.add(proc.stdout)
         assert len(outputs) == 1, f"nondeterministic output from {argv!r}"
     print(

@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from afcore import catalog
+from afcore import catalog, leavitt
 from afcore.errors import MorphismError, ParseError, SinkError, SourceError
 from afcore.graphs import Graph
 from afcore.leavitt import (
     LeavittElem,
     Monomial,
+    TensorElem,
     build_Q,
     build_Z,
     ck3_expand,
@@ -32,11 +33,12 @@ from afcore.ops import Morphism, compose
 #
 # A monomial S_alpha S_beta^* sends the basis vector of a walk w to the basis
 # vector of alpha.gamma when w = beta.gamma, and to zero otherwise (for empty
-# beta the source of w must be the base vertex).  Restricted to walks of length
-# exactly K, where K bounds every |beta| in sight, this action is faithful on
-# graphs without sinks: each monomial can be rewritten so that |beta| = K, and
-# the rewritten monomials act on disjoint matrix units.  The oracle below uses
-# only this action -- no shared code with the normal-form machinery.
+# beta the source of w must be the base vertex).  Restricted to the walks of
+# length exactly K, where K bounds every |beta| in sight, plus the shorter
+# walks that end at a sink, this action is faithful: each monomial can be
+# rewritten so that |beta| = K or its walks end at a sink, and the rewritten
+# monomials act on disjoint matrix units.  The oracle below uses only this
+# action -- no shared code with the zero-test machinery.
 
 
 def walks_of_length(g: Graph, k: int):
@@ -54,11 +56,20 @@ def walks_of_length(g: Graph, k: int):
         yield from extend(v, (), v, k)
 
 
+def action_walks(g: Graph, k: int):
+    """The walks of length k, plus the shorter walks that end at a sink."""
+    for length in range(k + 1):
+        for src, edges in walks_of_length(g, length):
+            end = g.edge(edges[-1]).dst if edges else src
+            if length == k or g.is_sink(end):
+                yield (src, edges)
+
+
 def action_matrix(x: LeavittElem, k: int) -> dict:
-    """{(input walk, output walk): coefficient} for x on length-k walks."""
+    """{(input walk, output walk): coefficient} for x on the action walks."""
     g = x.graph
     out: dict = {}
-    for (src, edges) in walks_of_length(g, k):
+    for (src, edges) in action_walks(g, k):
         for (alpha, beta, v), c in x.terms.items():
             lb = len(beta)
             if lb > k or edges[:lb] != beta:
@@ -73,8 +84,6 @@ def action_matrix(x: LeavittElem, k: int) -> dict:
 
 
 def oracle_equal(x: LeavittElem, y: LeavittElem) -> bool:
-    g = x.graph
-    assert not g.sinks(), "the fixed-length action is only faithful without sinks"
     k = max(
         [len(m.beta) for m in x.terms] + [len(m.beta) for m in y.terms] + [0]
     )
@@ -105,6 +114,7 @@ def random_elem(g: Graph, pool, rng, n_terms=3) -> LeavittElem:
 
 
 SINK_FREE_TOKENS = ("penrose", "sigma:2", "cuntz:2", "cycle:2")
+SINK_TOKENS = ("chambers:1", "chambers:2", "chambers:3")
 
 
 # -- equality machinery vs the oracle ---------------------------------------------
@@ -155,6 +165,28 @@ def test_equals_agrees_with_walk_action_oracle(token):
     # the random stream must exercise the negative branch; the positive
     # branch is covered explicitly below
     assert agree_false > 0
+
+
+@pytest.mark.parametrize("token", SINK_TOKENS)
+def test_equals_agrees_with_oracle_on_graphs_with_sinks(token):
+    g = catalog.build_token(token)
+    pool = monomial_pool(g)
+    regular = [m for m in pool if not g.is_sink(m.vertex)]
+    rng = random.Random(f"leavitt-sinks:{token}")
+    verdicts = set()
+    for _ in range(150):
+        x = random_elem(g, pool, rng)
+        y = random_elem(g, pool, rng)
+        verdict = equals(x, y)  # answers; never a SinkError
+        assert verdict == oracle_equal(x, y)
+        verdicts.add(verdict)
+        # an equal pair: rewrite one monomial at its emitting base vertex
+        m = LeavittElem(g, {rng.choice(regular): 1})
+        z = x + m - ck3_expand(m)
+        assert equals(x, z)
+        assert oracle_equal(x, z)
+    # random pairs exercise the negative branch, the rewrites the positive one
+    assert False in verdicts
 
 
 @pytest.mark.parametrize("token", SINK_FREE_TOKENS)
@@ -257,7 +289,7 @@ def test_monomial_elem_validates(penrose):
         LeavittElem.monomial_elem(penrose, (), ())
 
 
-# -- sinks: lazy expansion ------------------------------------------------------------
+# -- sinks: exact zero tests, lazy normal form ----------------------------------------
 
 
 def test_normal_form_with_sinks_is_lazy():
@@ -267,13 +299,116 @@ def test_normal_form_with_sinks_is_lazy():
     d1 = LeavittElem.edge_gen(g, "d1")
     # expansion happens at the regular vertex v0 only; this works
     assert equals(p0, ell * ell.star() + d1 * d1.star())
-    # but a zero test that would need to expand at the sink must refuse
+    # the zero test never expands at the sink, so it answers this exactly
     p_sink = LeavittElem.vertex_projection(g, "1")
+    assert not equals(p_sink, d1 * d1.star())
+    # an independent witness by multiplication alone: P(1) S(d1) = 0, so the
+    # difference times P(1) is the nonzero P(1)
+    assert equals((p_sink - d1 * d1.star()) * p_sink, p_sink)
+    assert not is_zero(p_sink)
+    # the normal form does need that expansion, and refuses
     with pytest.raises(SinkError, match="emits no edges"):
-        equals(p_sink, d1 * d1.star())
+        normal_form(p_sink - d1 * d1.star())
     # cancellations that never touch the sink are fine
     assert is_zero(p_sink - p_sink)
     assert equals(d1.star() * d1, p_sink)  # reduces eagerly, no expansion
+
+
+# -- work of the zero test and the tensor carrier ------------------------------------
+
+
+def _walk_from(g: Graph, v: str, k: int) -> tuple:
+    mu, cur = [], v
+    for i in range(k):
+        out = g.out_edges(cur)
+        e = out[i % len(out)]
+        mu.append(e.eid)
+        cur = e.dst
+    return tuple(mu)
+
+
+def test_zero_test_work_is_linear_in_depth(monkeypatch):
+    g = catalog.build_token("full:3")
+    children = []
+    expand = leavitt._expand
+
+    def counted(graph, m):
+        out = expand(graph, m)
+        children.append(len(out))
+        return out
+
+    monkeypatch.setattr(leavitt, "_expand", counted)
+    depth = 30
+    mu = _walk_from(g, "1", depth)
+    end = g.edge(mu[-1]).dst
+    p = LeavittElem.vertex_projection(g, "1")
+    q = LeavittElem(g, {Monomial(mu, mu, end): 1})
+    # the comb: P(1) is S_mu S_mu^* plus the sibling projections along mu
+    comb = q
+    for i in range(depth):
+        src = g.edge(mu[i]).src
+        for e in g.out_edges(src):
+            if e.eid != mu[i]:
+                w = mu[:i] + (e.eid,)
+                comb = comb + LeavittElem(g, {Monomial(w, w, e.dst): 1})
+    assert is_zero(p - comb)
+    assert sum(children) <= 3 * depth
+    children.clear()
+    assert not equals(p, q)
+    assert sum(children) <= 3 * depth
+
+
+def _expand_to(g: Graph, mono: Monomial, level: int) -> dict:
+    out = {mono: 1}
+    while True:
+        pending = [m for m in out if len(m.beta) < level]
+        if not pending:
+            return out
+        for m in pending:
+            c = out.pop(m)
+            for e in g.out_edges(m.vertex):
+                key = Monomial(m.alpha + (e.eid,), m.beta + (e.eid,), e.dst)
+                out[key] = out.get(key, 0) + c
+
+
+def tensor_is_zero_by_levels(t: TensorElem) -> bool:
+    """Reference: expand both factors of each bi-degree to a common level."""
+    groups: dict = {}
+    for (ml, mr), c in t.terms.items():
+        groups.setdefault((ml.degree, mr.degree), {})[(ml, mr)] = c
+    for comp in groups.values():
+        kl = max(len(ml.beta) for ml, _ in comp)
+        kr = max(len(mr.beta) for _, mr in comp)
+        acc: dict = {}
+        for (ml, mr), c in comp.items():
+            for m1, c1 in _expand_to(t.left_graph, ml, kl).items():
+                for m2, c2 in _expand_to(t.right_graph, mr, kr).items():
+                    acc[(m1, m2)] = acc.get((m1, m2), 0) + c * c1 * c2
+        if any(acc.values()):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("left, right", [("penrose", "cycle:2"), ("sigma:2", "cuntz:2")])
+def test_tensor_zero_test_matches_level_expansion(left, right):
+    lg, rg = catalog.build_token(left), catalog.build_token(right)
+    lpool, rpool = monomial_pool(lg), monomial_pool(rg)
+    rng = random.Random(f"tensor-zero:{left}:{right}")
+    verdicts = set()
+    for _ in range(60):
+        t = TensorElem.zero(lg, rg)
+        for _ in range(rng.randint(1, 3)):
+            x = random_elem(lg, lpool, rng, n_terms=1)
+            y = random_elem(rg, rpool, rng, n_terms=1)
+            t = t + TensorElem.pure(x, y)
+        x = LeavittElem(lg, {rng.choice(lpool): 1})
+        y = LeavittElem(rg, {rng.choice(rpool): 1})
+        rewrite = TensorElem.pure(x, y) - TensorElem.pure(ck3_expand(x), ck3_expand(y))
+        for u in (t, t + rewrite, rewrite):
+            verdict = u.is_zero()
+            assert verdict == tensor_is_zero_by_levels(u)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # -- parser -------------------------------------------------------------------------
