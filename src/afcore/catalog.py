@@ -429,34 +429,34 @@ def suite_penrose(**_ignored) -> CheckReport:
             and not info.sources
         ),
     )
-    gamma = graphs.adjacency(g)
-    rep.add("adjacency inverse", linalg.inv_unimodular(gamma).rows == ((0, 1), (1, -1)))
+    t = ktheory.Tower(g)
+    rep.add("adjacency inverse", t.gamma_inv.rows == ((0, 1), (1, -1)))
 
     fib_ok = True
     for k in range(0, 21):
-        if ktheory.walk_counts(g, k) != (_fib(k + 2), _fib(k + 1)):
+        if t.orbit(k) != (_fib(k + 2), _fib(k + 1)):
             fib_ok = False
     rep.add("walk counts are consecutive Fibonacci numbers (k <= 20)", fib_ok)
 
     neg_ok = True
     for k in range(1, 21):
         expected = ((-1) ** (k + 1) * _fib(k - 2), (-1) ** k * _fib(k - 1))
-        if ktheory.walk_counts(g, -k) != expected:
+        if t.orbit(-k) != expected:
             neg_ok = False
     rep.add("signed walk counts at negative powers (k <= 20)", neg_ok)
 
-    el0 = ktheory.line_class(g, 0).vector
-    el1 = ktheory.line_class(g, 1).vector
+    el0 = t.line_class(0).vector
+    el1 = t.line_class(1).vector
     rep.add("[L_0] is the unit vector of all ones", el0 == (1, 1))
     rep.add("[L_1] is the first vertex class", el1 == (1, 0))
     lfibo_ok = True
     for k in range(1, 21):
-        got_pos = ktheory.line_class(g, k).vector
+        got_pos = t.line_class(k).vector
         sign = (-1) ** k
         want_pos = tuple(
             sign * (_fib(k - 1) * a - _fib(k) * b) for a, b in zip(el0, el1)
         )
-        got_neg = ktheory.line_class(g, -k).vector
+        got_neg = t.line_class(-k).vector
         want_neg = tuple(
             _fib(k + 1) * a + _fib(k) * b for a, b in zip(el0, el1)
         )
@@ -464,15 +464,14 @@ def suite_penrose(**_ignored) -> CheckReport:
             lfibo_ok = False
     rep.add("line classes satisfy the Fibonacci recursion (k <= 20, both signs)", lfibo_ok)
 
-    p = linalg.rev_charpoly(gamma)
     rep.add(
         "inverse of the ring generator is x + 1",
-        linalg.lambda_pow(p, -1).residue == (1, 1),
+        linalg.lambda_pow(t.rev_charpoly, -1).residue == (1, 1),
     )
-    rep.add("phi matches powers (|k| <= 6)", ktheory.verify_phi(g, 6).ok)
-    rep.add("phi is multiplicative (|j|,|k| <= 6)", ktheory.semiring_check(g, 6).ok)
+    rep.add("phi matches powers (|k| <= 6)", t.verify_phi(6).ok)
+    rep.add("phi is multiplicative (|j|,|k| <= 6)", t.semiring_check(6).ok)
 
-    diagram = ktheory.bratteli(g, 8)
+    diagram = t.bratteli(8)
     sizes_ok = all(
         dict(level) == {"1": _fib(k + 1), "2": _fib(k)}
         for k, level in enumerate(diagram.levels, start=1)
@@ -487,21 +486,22 @@ def suite_cpq(n: int | None = None, **_ignored) -> CheckReport:
     for nn in ns:
         g = build("sigma", n=nn)
         rep.extend(verify_entry("sigma", n=nn), prefix=f"n={nn} facts: ")
-        gamma = graphs.adjacency(g)
+        t = ktheory.Tower(g)
 
         ok_pow = True
+        p = Matrix.identity(nn)
         for k in range(0, 11):
-            p = linalg.power(gamma, -k)
             for i in range(nn):
                 for j in range(nn):
                     want = (-1) ** (j - i) * math.comb(k, j - i) if j >= i else 0
                     if p[(i, j)] != want:
                         ok_pow = False
+            p = p * t.gamma_inv
         rep.add(f"n={nn}: inverse powers are signed binomials (k <= 10)", ok_pow)
 
         ok_m = True
         for k in range(0, 11):
-            got = ktheory.walk_counts(g, k)
+            got = t.orbit(k)
             want = tuple(math.comb(j + k - 1, k) for j in range(1, nn + 1))
             if got != want:
                 ok_m = False
@@ -509,7 +509,7 @@ def suite_cpq(n: int | None = None, **_ignored) -> CheckReport:
 
         ok_mneg = True
         for k in range(1, 11):
-            got = ktheory.walk_counts(g, -k)
+            got = t.orbit(-k)
             want = tuple(
                 (-1) ** (j - 1) * math.comb(k - 1, j - 1) for j in range(1, nn + 1)
             )
@@ -521,7 +521,7 @@ def suite_cpq(n: int | None = None, **_ignored) -> CheckReport:
         )
 
         # degree-lowering recursion at k = n (and above) with explicit coefficients
-        ident = ktheory.atiyah_todd(g, nn)
+        ident = t.atiyah_todd(nn)
         want_coeffs = tuple(
             (j, (-1) ** (nn + 1) * (-1) ** j * math.comb(nn, j)) for j in range(nn)
         )
@@ -529,10 +529,10 @@ def suite_cpq(n: int | None = None, **_ignored) -> CheckReport:
             f"n={nn}: top-degree class recursion has the expected coefficients",
             ident.coeffs == want_coeffs and ident.verified,
         )
-        up_ok = all(ktheory.atiyah_todd(g, k).verified for k in range(nn, nn + 3))
+        up_ok = all(t.atiyah_todd(k).verified for k in range(nn, nn + 3))
         rep.add(f"n={nn}: degree-lowering recursions verify (k = n..n+2)", up_ok)
 
-        ident_neg = ktheory.atiyah_todd(g, -1)
+        ident_neg = t.atiyah_todd(-1)
         want_neg = tuple(
             (j, (-1) ** j * math.comb(nn, j + 1)) for j in range(nn)
         )
@@ -540,12 +540,11 @@ def suite_cpq(n: int | None = None, **_ignored) -> CheckReport:
             f"n={nn}: inverse-class expansion has the expected coefficients",
             ident_neg.coeffs == want_neg and ident_neg.verified,
         )
-        down_ok = all(ktheory.atiyah_todd(g, k).verified for k in (-1, -2, -3))
+        down_ok = all(t.atiyah_todd(k).verified for k in (-1, -2, -3))
         rep.add(f"n={nn}: degree-raising recursions verify (k = -1..-3)", down_ok)
 
-        p = linalg.rev_charpoly(gamma)
-        one = linalg.quot_one(p)
-        lam = linalg.lambda_pow(p, 1)
+        one = linalg.quot_one(t.rev_charpoly)
+        lam = linalg.lambda_pow(t.rev_charpoly, 1)
         nil = one - lam
         power = one
         for _ in range(nn):
@@ -556,7 +555,7 @@ def suite_cpq(n: int | None = None, **_ignored) -> CheckReport:
             power_below = power_below * nil
         rep.add(f"n={nn}: (1 - x)^(n-1) does not vanish", not power_below.is_zero())
 
-        mm = ktheory.line_class_matrix(g)
+        mm = t.line_class_matrix
         mprime = Matrix(
             [
                 [(-1) ** (j) * math.comb(k, j) for j in range(nn)]
@@ -565,13 +564,13 @@ def suite_cpq(n: int | None = None, **_ignored) -> CheckReport:
         )
         rep.add(
             f"n={nn}: line-class matrix factors through the signed Pascal matrix",
-            mm == mprime * gamma,
+            mm == mprime * t.gamma,
         )
         rep.add(
             f"n={nn}: the signed Pascal matrix is an involution",
             mprime * mprime == Matrix.identity(nn),
         )
-        rep.add(f"n={nn}: phi matches powers (|k| <= 6)", ktheory.verify_phi(g, 6).ok)
+        rep.add(f"n={nn}: phi matches powers (|k| <= 6)", t.verify_phi(6).ok)
     return rep
 
 

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ParseError
+from .errors import CertificateError, ParseError
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _GRAPH_RE = re.compile(r"graph\s+([A-Za-z0-9_]+)\s*\Z")
@@ -309,22 +309,44 @@ def directed_cycle_count(g: Graph) -> int:
     returning to the start; parallel edges give distinct cycles, and a loop
     is a cycle of length one.  Each cycle is counted once, rooted at its
     vertex of minimal declaration index.
+
+    Every vertex of a cycle rooted at ``s`` comes after ``s`` and returns
+    to ``s`` along the rest of the cycle, so (after Johnson 1975) the
+    depth-first search from ``s`` only enters ``back``: the vertices after
+    ``s`` that reach ``s`` through vertices after ``s``, found by one
+    reverse walk over ``in_edges``.  The reverse walk costs the in-edges of
+    ``s`` and ``back``; the search costs the out-edges of each simple path
+    inside ``back``.  A start on no cycle through a later vertex costs only
+    its own in- and out-edges, so ``sigma:n`` (loops on a triangular
+    order) and ``cycle:n`` each take O(n + m) steps, where searching every
+    increasing path took about 2^n and n^2.  Graphs with many cycles, such
+    as ``full:n``, stay exponential.
     """
     vindex = g._vindex
     count = 0
 
-    def extend(current: str, start: str, start_i: int, visited: frozenset[str]) -> int:
+    def extend(current: str, start: str, back: set[str]) -> int:
         found = 0
         for e in g.out_edges(current):
             w = e.dst
             if w == start:
                 found += 1
-            elif vindex[w] > start_i and w not in visited:
-                found += extend(w, start, start_i, visited | {w})
+            elif w in back:
+                back.discard(w)
+                found += extend(w, start, back)
+                back.add(w)
         return found
 
     for start_i, start in enumerate(g.vertices):
-        count += extend(start, start, start_i, frozenset())
+        back: set[str] = set()
+        frontier = [start]
+        while frontier:
+            for e in g.in_edges(frontier.pop()):
+                u = e.src
+                if vindex[u] > start_i and u not in back:
+                    back.add(u)
+                    frontier.append(u)
+        count += extend(start, start, back)
     return count
 
 
@@ -340,8 +362,8 @@ def classify(g: Graph) -> GraphReport:
         and g.n_vertices > 0
         and all(len(g._out[v]) == 1 and len(g._in[v]) == 1 for v in g.vertices)
     )
-    if cycle_graph:
-        assert cycles == 1, f"cycle graph {g.name!r} reported {cycles} cycles"
+    if cycle_graph and cycles != 1:
+        raise CertificateError(f"cycle graph {g.name!r} reported {cycles} cycles")
     return GraphReport(
         name=g.name,
         n_vertices=g.n_vertices,

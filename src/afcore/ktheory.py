@@ -233,6 +233,18 @@ class Tower:
                 rep.add(f"recursion at ({v}, {k})", self.k0_equal(pres, lhs, total))
         return rep
 
+    def bratteli(self, depth: int) -> BratteliDiagram:
+        """Levels 1..``depth`` of the multiplicity diagram; see :class:`BratteliDiagram`."""
+        if depth < 1:
+            raise ValueError(f"depth must be at least 1, got {depth}")
+        self.require_sink_free("the tower sizes assume every vertex emits an edge")
+        g = self.graph
+        levels = tuple(
+            tuple((v, size) for v, size in zip(g.vertices, self.orbit(k)) if size > 0)
+            for k in range(depth)
+        )
+        return BratteliDiagram(g, depth, levels)
+
     def push(self, cls: K0Class) -> K0Class:
         """See :func:`push_class`."""
         return K0Class(linalg.row_vec_mul(cls.vector, self.gamma), cls.level + 1)
@@ -291,15 +303,7 @@ class BratteliDiagram:
 
 
 def bratteli(g: Graph, depth: int) -> BratteliDiagram:
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    t = Tower(g)
-    t.require_sink_free("the tower sizes assume every vertex emits an edge")
-    levels = tuple(
-        tuple((v, size) for v, size in zip(g.vertices, t.orbit(k)) if size > 0)
-        for k in range(depth)
-    )
-    return BratteliDiagram(g, depth, levels)
+    return Tower(g).bratteli(depth)
 
 
 def emit_dot(d: BratteliDiagram) -> str:

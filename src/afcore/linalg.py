@@ -142,7 +142,11 @@ def row_vec_mul(vec: Sequence[int], m: Matrix) -> tuple:
 def det(m: Matrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
-    The 0x0 determinant is 1.
+    The 0x0 determinant is 1.  A row with a zero in the pivot column is
+    skipped when the pivot equals the previous pivot: its update
+    ``(a[i][j] * pivot - 0) // prev`` would return ``a[i][j]`` unchanged.
+    So a permutation-like matrix such as the adjacency of ``cycle:n``
+    costs O(n^2) instead of O(n^3).  Other rows are updated as usual.
     """
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
@@ -163,6 +167,8 @@ def det(m: Matrix) -> int:
                 return 0
         pivot = a[k][k]
         for i in range(k + 1, n):
+            if a[i][k] == 0 and pivot == prev:
+                continue
             for j in range(k + 1, n):
                 # Bareiss: this division is exact
                 a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev

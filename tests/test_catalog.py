@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from afcore import catalog
+from afcore import catalog, graphs, linalg
 from afcore.graphs import adjacency, directed_walks, walk_edges
 from afcore.linalg import det, rev_charpoly
 from afcore.ops import check_morphism
@@ -172,6 +172,22 @@ CHEAP_SUITES = [
 def test_suite_passes(name, params):
     rep = catalog.run_suite(name, **params)
     assert rep.ok, rep.render()
+
+
+@pytest.mark.parametrize("name, n_graphs", [("cpq", 7), ("penrose", 1)])
+def test_suite_reads_one_tower_per_graph(monkeypatch, name, n_graphs):
+    counts = dict.fromkeys(("inv_unimodular", "adjacency"), 0)
+    for module, fn in ((linalg, "inv_unimodular"), (graphs, "adjacency")):
+        def counting(*args, _real=getattr(module, fn), _name=fn):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, fn, counting)
+    assert catalog.run_suite(name).ok
+    # per graph: Gamma^-1 and the line-class inverse; the tower's Gamma and
+    # the one in the catalog facts check
+    assert counts["inv_unimodular"] <= 2 * n_graphs
+    assert counts["adjacency"] <= 2 * n_graphs
 
 
 def test_run_suite_unknown():

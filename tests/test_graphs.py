@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,11 +37,14 @@ def count_walks_by_enumeration(g: Graph, k: int) -> dict:
 
 
 def cycles_by_enumeration(g: Graph) -> int:
-    """Simple directed cycles up to rotation, by brute force over edge tuples."""
+    """Simple directed cycles up to rotation, by brute force over closed walks."""
     seen = set()
+    walks = [(e,) for e in g.edges]
     for length in range(1, g.n_vertices + 1):
-        for combo in itertools.product(g.edges, repeat=length):
-            if any(combo[i].dst != combo[(i + 1) % length].src for i in range(length)):
+        if length > 1:
+            walks = [w + (e,) for w in walks for e in g.edges if e.src == w[-1].dst]
+        for combo in walks:
+            if combo[-1].dst != combo[0].src:
                 continue
             starts = [e.src for e in combo]
             if len(set(starts)) != length:
@@ -206,6 +207,44 @@ def test_walks_into_agrees_with_forward_enumeration(universe_sample):
 def test_cycle_count_against_enumeration(universe_sample):
     for g in universe_sample:
         assert directed_cycle_count(g) == cycles_by_enumeration(g)
+
+
+@pytest.mark.parametrize(
+    "token",
+    [f"sigma:{n}" for n in range(1, 7)]
+    + [f"cycle:{n}" for n in range(1, 9)]
+    + [f"full:{n}" for n in range(1, 5)]
+    + [f"lens:{k}" for k in range(1, 4)]
+    + [f"chambers:{k}" for k in range(1, 4)]
+    + ["penrose", "tadpole"],
+)
+def test_cycle_count_against_enumeration_on_catalog(token):
+    g = catalog.build_token(token)
+    assert directed_cycle_count(g) == cycles_by_enumeration(g)
+
+
+@pytest.mark.parametrize("token, cycles", [("sigma:24", 24), ("cycle:300", 1)])
+def test_cycle_count_work_is_linear(monkeypatch, token, cycles):
+    # every edge the search reads comes through out_edges or in_edges; the
+    # budget fails the test at once, so an exponential search cannot run on
+    g = catalog.build_token(token)
+    budget = 2 * (g.n_vertices + g.n_edges)
+    visits = 0
+
+    def counted(real):
+        def accessor(self, v):
+            nonlocal visits
+            edges = real(self, v)
+            visits += len(edges)
+            if visits > budget:
+                pytest.fail(f"more than {budget} edge visits")
+            return edges
+
+        return accessor
+
+    monkeypatch.setattr(Graph, "out_edges", counted(Graph.out_edges))
+    monkeypatch.setattr(Graph, "in_edges", counted(Graph.in_edges))
+    assert directed_cycle_count(g) == cycles
 
 
 def test_cycle_count_frozen_examples(penrose):

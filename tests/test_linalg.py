@@ -5,9 +5,10 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import afcore
+from afcore import catalog, graphs
 from afcore.errors import NotUnimodular
 from afcore.linalg import (
     Matrix,
@@ -156,6 +157,32 @@ def test_det_oracle_property(rows):
     assert det(Matrix(rows)) == det_by_cofactors(rows)
 
 
+@st.composite
+def sparse_matrices(draw):
+    """At least 60% zeros, so Bareiss meets zeros in the pivot column both
+    when the pivot equals the previous one (row skipped) and when not."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    cells = draw(
+        st.lists(st.integers(0, n * n - 1), unique=True, max_size=(2 * n * n) // 5)
+    )
+    rows = [[0] * n for _ in range(n)]
+    for c in cells:
+        rows[c // n][c % n] = draw(st.sampled_from((-2, -1, 1, 2)))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # pivot == prev: rows skipped
+@example([[2, 1, 0], [0, 1, 1], [1, 0, 1]])  # pivot != prev: zero rows scaled
+def test_det_sparse_oracle_property(rows):
+    assert det(Matrix(rows)) == det_by_cofactors(rows)
+
+
+def test_det_of_long_cycle_is_the_cycle_sign():
+    assert det(graphs.adjacency(catalog.build_token("cycle:300"))) == (-1) ** 299
+
+
 def test_inv_unimodular_round_trip():
     m = Matrix([[1, 1], [1, 0]])
     inv = inv_unimodular(m)
@@ -191,6 +218,14 @@ def test_certificates_survive_python_O():
         try:
             charpoly(Matrix([[2, 1], [1, 1]]))
             raise SystemExit("charpoly closing identity skipped")
+        except CertificateError:
+            pass
+
+        from afcore import catalog, graphs
+        graphs.directed_cycle_count = lambda g: 2
+        try:
+            graphs.classify(catalog.build_token("cycle:3"))
+            raise SystemExit("cycle-graph cross-check skipped")
         except CertificateError:
             pass
         """
