@@ -580,30 +580,28 @@ def suite_uhf(n: int | None = None, **_ignored) -> CheckReport:
     for nn in ns:
         g = build("cuntz", n=nn)
         rep.extend(verify_entry("cuntz", n=nn), prefix=f"n={nn} facts: ")
-        pres = ktheory.k0(g)
+        t = ktheory.Tower(g)
+        pres = t.k0
         rep.add(
             f"n={nn}: K0 is a colimit of rank 1",
             isinstance(pres, ktheory.ColimitK0) and pres.rank == 1,
         )
         ok_embed = True
         for k in range(-6, 7):
-            cls = ktheory.line_class(g, k)
+            cls = t.line_class(k)
             if ktheory.uhf_embed(nn, cls) != Fraction(nn) ** (-k):
                 ok_embed = False
         rep.add(f"n={nn}: line classes embed as n^-k (|k| <= 6)", ok_embed)
 
         ok_q = all(
-            ktheory.uhf_embed(nn, ktheory.q_class(pres, "1", k)) == Fraction(1, nn**k)
+            ktheory.uhf_embed(nn, t.q_class(pres, "1", k)) == Fraction(1, nn**k)
             for k in range(0, 7)
         )
         rep.add(f"n={nn}: distinguished projections embed as n^-k (k <= 6)", ok_q)
 
         unit = ktheory.class_of_unit(g)
         ok_power = all(
-            ktheory.k0_equal(
-                pres, ktheory.line_class(g, -k), unit.scale(nn**k)
-            )
-            for k in range(0, 7)
+            t.k0_equal(pres, t.line_class(-k), unit.scale(nn**k)) for k in range(0, 7)
         )
         rep.add(f"n={nn}: [L_-k] equals n^k times the unit class (k <= 6)", ok_power)
     return rep
@@ -875,12 +873,12 @@ def suite_k0(**_ignored) -> CheckReport:
 def suite_kk(**_ignored) -> CheckReport:
     rep = CheckReport("shift-matrix checks")
     for token in ("penrose", "sigma:2", "sigma:3", "sigma:4", "sigma:5"):
-        g = build_token(token)
-        sub = ktheory.kk_report(g, 6)
+        t = ktheory.Tower(build_token(token))
+        sub = t.kk_report(6)
         rep.add(f"shift matrix checks on {token}", sub.ok, f"{len(sub.items)} checks")
         rep.add(
             f"shift matrix of {token} is the adjacency inverse",
-            ktheory.kk_matrix(g) == linalg.inv_unimodular(graphs.adjacency(g)),
+            t.kk_matrix == linalg.inv_unimodular(t.gamma),
         )
     rep.add(
         "identity matrix is derogatory in size 2",

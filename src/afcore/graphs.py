@@ -124,17 +124,11 @@ class Graph:
         except KeyError:
             raise ValueError(f"unknown vertex {v!r} in graph {self.name!r}") from None
 
-    def out_degree(self, v: str) -> int:
-        return len(self.out_edges(v))
-
     def in_degree(self, v: str) -> int:
         return len(self.in_edges(v))
 
     def is_sink(self, v: str) -> bool:
         return not self.out_edges(v)
-
-    def is_source(self, v: str) -> bool:
-        return not self.in_edges(v)
 
     def sinks(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if not self._out[v])

@@ -392,9 +392,6 @@ class ColimitK0:
     def support(self, k: int) -> tuple:
         return self.supports[min(k, self.stable_level)]
 
-    def lattice_dim(self, k: int) -> int:
-        return len(self.support(k))
-
 
 def colimit_presentation(g: Graph) -> ColimitK0:
     """The colimit bookkeeping, available for any sink-free graph."""

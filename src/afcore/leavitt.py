@@ -337,11 +337,17 @@ def equals(x: LeavittElem, y: LeavittElem) -> bool:
 # Whitespace is insignificant; juxtaposition multiplies.
 
 
+# Deepest parenthesis nesting the recursive-descent parser accepts; each
+# level costs four Python frames, so this stays far below the stack limit.
+MAX_NESTING = 100
+
+
 class _ExprScanner:
     def __init__(self, g: Graph, text: str):
         self.g = g
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(f"position {self.pos}: {message}")
@@ -424,9 +430,13 @@ class _ExprScanner:
     def parse_atom(self) -> LeavittElem:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             inner = self.parse_element()
             self.expect(")")
+            self.depth -= 1
             return inner
         if ch == "P":
             self.pos += 1

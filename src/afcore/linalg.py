@@ -1,9 +1,10 @@
-"""Exact integer/rational matrix arithmetic and polynomial quotient rings.
+"""Exact integer matrix arithmetic and polynomial quotient rings.
 
 Everything here is exact: integer matrices with arbitrary-precision
-entries, fraction-free determinants (Bareiss), rational rank, inverses
-that are *proved* integral before they are returned, and arithmetic in
-Z[x]/(p) for a monic-up-to-sign integer polynomial p.
+entries; determinants, ranks and unimodular inverses from one
+fraction-free (Bareiss) elimination, so no fraction ever arises, with
+each inverse checked against the identity before it is returned; and
+arithmetic in Z[x]/(p) for a monic-up-to-sign integer polynomial p.
 
 Polynomials are tuples of integer coefficients in ascending order with
 trailing zeros trimmed; the zero polynomial is the empty tuple.
@@ -12,7 +13,6 @@ trailing zeros trimmed; the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CertificateError, NotUnimodular
@@ -127,11 +127,6 @@ def trace(m: Matrix) -> int:
     return sum(m.rows[i][i] for i in range(m.n_rows))
 
 
-def col_sums(m: Matrix) -> tuple:
-    """Column sums as a tuple, one entry per column."""
-    return tuple(sum(col) for col in zip(*m.rows)) if m.rows else ()
-
-
 def row_vec_mul(vec: Sequence[int], m: Matrix) -> tuple:
     """Row vector times matrix."""
     if len(vec) != m.n_rows:
@@ -139,74 +134,81 @@ def row_vec_mul(vec: Sequence[int], m: Matrix) -> tuple:
     return tuple(sum(vec[i] * m.rows[i][j] for i in range(m.n_rows)) for j in range(m.n_cols))
 
 
-def det(m: Matrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination.
+def _eliminate(a: list, n_cols: int, reduce: bool = False) -> tuple:
+    """Fraction-free (Bareiss) elimination of the integer rows ``a``, in place.
 
-    The 0x0 determinant is 1.  A row with a zero in the pivot column is
-    skipped when the pivot equals the previous pivot: its update
-    ``(a[i][j] * pivot - 0) // prev`` would return ``a[i][j]`` unchanged.
-    So a permutation-like matrix such as the adjacency of ``cycle:n``
-    costs O(n^2) instead of O(n^3).  Other rows are updated as usual.
+    Pivots come from the first ``n_cols`` columns in order: the entry in
+    row ``rank``, or else the first nonzero entry below it, whose row is
+    swapped up; a column with neither is skipped.  Each pivot clears its
+    column in every later row (and, with ``reduce``, in every earlier row:
+    Gauss-Jordan) over the full row width, by
+    ``(a[i][j] * pivot - a[i][k] * a[rank][j]) // prev``, where ``prev``
+    is the previous pivot.  Every entry stays a minor of the input up to
+    sign, so the division is exact.  A row with a zero in the pivot column
+    is skipped when ``pivot == prev``: its update would return it
+    unchanged, so a permutation-like matrix such as the adjacency of
+    ``cycle:n`` costs O(n^2) instead of O(n^3).
+
+    Returns ``(rank, sign, pivot)``: the number of pivots, the sign of the
+    row permutation, and the last pivot (1 if there is none).  For a square
+    matrix of full rank ``sign * pivot`` is the determinant.  After
+    ``reduce`` each of the first ``rank`` rows is ``pivot`` times its row
+    of the reduced echelon form, except at its own pivot entry, which is
+    left as it was.
     """
-    if not m.is_square:
-        raise ValueError("determinant requires a square matrix")
-    n = m.n_rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
+    n_rows = len(a)
+    width = len(a[0]) if a else 0
+    rank, sign, prev = 0, 1, 1
+    for k in range(n_cols):
+        if rank == n_rows:
+            break
+        if a[rank][k] == 0:
+            for i in range(rank + 1, n_rows):
                 if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+                    a[rank], a[i] = a[i], a[rank]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] == 0 and pivot == prev:
                 continue
-            for j in range(k + 1, n):
-                # Bareiss: this division is exact
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+        top = a[rank]
+        pivot = top[k]
+        for row in a[:rank] + a[rank + 1 :] if reduce else a[rank + 1 :]:
+            if row[k] == 0 and pivot == prev:
+                continue
+            f = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+            row[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+        rank += 1
+    return rank, sign, prev
+
+
+def det(m: Matrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination; 0x0 gives 1."""
+    if not m.is_square:
+        raise ValueError("determinant requires a square matrix")
+    rank, sign, pivot = _eliminate([list(r) for r in m.rows], m.n_cols)
+    return sign * pivot if rank == m.n_rows else 0
 
 
 def inv_unimodular(m: Matrix) -> Matrix:
     """Inverse of an integer matrix with det = +-1.
 
     Raises :class:`NotUnimodular` (carrying the determinant) otherwise.
-    The result is computed over the rationals; it is checked to be
-    integral and to invert ``m``, and :class:`CertificateError` is raised
-    if either check fails.
+    One fraction-free Gauss-Jordan pass takes ``[m | I]`` to
+    ``[p*I | p*m^-1]`` with ``p = +-det m``.  The result is checked to
+    invert ``m``, and :class:`CertificateError` is raised if it does not.
     """
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
-    d = det(m)
+    n = m.n_rows
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
+    rank, sign, pivot = _eliminate(a, n, reduce=True)
+    d = sign * pivot if rank == n else 0
     if d not in (1, -1):
         raise NotUnimodular(d)
-    n = m.n_rows
-    aug = [
-        [Fraction(x) for x in m.rows[i]] + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot_row = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    if any(x.denominator != 1 for row in aug for x in row[n:]):
-        raise CertificateError("the inverse of a unimodular matrix came out non-integral")
-    result = Matrix([[int(x) for x in row[n:]] for row in aug])
+    result = Matrix([[pivot * x for x in row[n:]] for row in a])
     if result * m != Matrix.identity(n):
         raise CertificateError("the computed inverse times the matrix is not the identity")
     return result
@@ -229,26 +231,8 @@ def power(m: Matrix, k: int) -> Matrix:
 
 
 def rank_Q(m: Matrix) -> int:
-    """Rank over the rationals, by exact fraction elimination."""
-    rows = [[Fraction(x) for x in r] for r in m.rows]
-    n_rows = len(rows)
-    n_cols = m.n_cols
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(n_rows):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    """Rank over the rationals, by fraction-free elimination."""
+    return _eliminate([list(r) for r in m.rows], m.n_cols)[0]
 
 
 def charpoly(m: Matrix) -> tuple:

@@ -42,12 +42,6 @@ class Morphism:
     emap: dict
     name: str = ""
 
-    def image_vertices(self) -> frozenset:
-        return frozenset(self.vmap.values())
-
-    def image_edges(self) -> frozenset:
-        return frozenset(self.emap.values())
-
     def __repr__(self) -> str:
         label = self.name or f"{self.domain.name}->{self.codomain.name}"
         return f"Morphism({label}, |vmap|={len(self.vmap)}, |emap|={len(self.emap)})"

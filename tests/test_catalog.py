@@ -174,7 +174,9 @@ def test_suite_passes(name, params):
     assert rep.ok, rep.render()
 
 
-@pytest.mark.parametrize("name, n_graphs", [("cpq", 7), ("penrose", 1)])
+@pytest.mark.parametrize(
+    "name, n_graphs", [("cpq", 7), ("penrose", 1), ("uhf", 4), ("kk", 5)]
+)
 def test_suite_reads_one_tower_per_graph(monkeypatch, name, n_graphs):
     counts = dict.fromkeys(("inv_unimodular", "adjacency"), 0)
     for module, fn in ((linalg, "inv_unimodular"), (graphs, "adjacency")):
@@ -184,8 +186,8 @@ def test_suite_reads_one_tower_per_graph(monkeypatch, name, n_graphs):
 
         monkeypatch.setattr(module, fn, counting)
     assert catalog.run_suite(name).ok
-    # per graph: Gamma^-1 and the line-class inverse; the tower's Gamma and
-    # the one in the catalog facts check
+    # per graph: Gamma^-1 and either the line-class inverse or the kk
+    # cross-check; the tower's Gamma and the one in the catalog facts check
     assert counts["inv_unimodular"] <= 2 * n_graphs
     assert counts["adjacency"] <= 2 * n_graphs
 

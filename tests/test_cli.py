@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import afcore
 from afcore import catalog
 from afcore.cli import jsonable, main
 from afcore.graphs import parse_graph, serialize_graph
+from afcore.leavitt import MAX_NESTING
 from afcore.linalg import Matrix
 from afcore.report import CheckReport
 
@@ -309,6 +314,28 @@ def test_leavitt_parse_error(capsys):
     payload = json.loads(err)
     assert payload["error"]["type"] == "ParseError"
     assert "position" in payload["error"]["message"]
+
+
+def test_leavitt_nesting_limit():
+    # past the limit a typed refusal, not a RecursionError traceback
+    deep = "(" * 2000 + "P(1)" + ")" * 2000
+    src = os.path.dirname(os.path.dirname(afcore.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "afcore", "leavitt", "penrose", "eval", deep, "--json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"]["type"] == "ParseError"
+
+
+def test_leavitt_nesting_at_the_limit_evaluates(capsys):
+    text = "(" * MAX_NESTING + "P(1)" + ")" * MAX_NESTING
+    code, data, err = run_json(capsys, "leavitt", "penrose", "eval", text)
+    assert code == 0 and data["normal"] == "P(1)"
 
 
 # -- picard -----------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def test_accessor_order_follows_declaration():
     assert g.sinks() == ("1", "2")
     assert g.sources() == ()
     assert g.regular_vertices() == ("v0",)
-    assert g.out_degree("v0") == 3 and g.in_degree("v0") == 1
+    assert len(g.out_edges("v0")) == 3 and g.in_degree("v0") == 1
     with pytest.raises(ValueError, match="unknown vertex"):
         g.out_edges("nope")
     with pytest.raises(ValueError, match="unknown edge"):
@@ -275,7 +275,7 @@ def test_classify_frozen_examples(penrose):
 def test_classify_degree_flags_match_definitions(universe_sample):
     for g in universe_sample[:80]:
         info = classify(g)
-        assert info.is_functional == all(g.out_degree(v) <= 1 for v in g.vertices)
+        assert info.is_functional == all(len(g.out_edges(v)) <= 1 for v in g.vertices)
         assert info.is_transposed_functional == all(
             g.in_degree(v) <= 1 for v in g.vertices
         )
@@ -324,5 +324,5 @@ def test_transpose_involution_property(g):
 @given(small_graphs(), st.integers(min_value=0, max_value=3))
 def test_walk_count_matches_adjacency_power(g, k):
     gamma = adjacency(g)
-    total = sum(linalg.col_sums(linalg.power(gamma, k)))
+    total = sum(sum(row) for row in linalg.power(gamma, k).rows)
     assert total == len(directed_walks(g, k))

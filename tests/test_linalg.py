@@ -13,7 +13,6 @@ from afcore.errors import NotUnimodular
 from afcore.linalg import (
     Matrix,
     charpoly,
-    col_sums,
     det,
     inv_unimodular,
     is_non_derogatory,
@@ -96,6 +95,20 @@ def rank_by_minors(rows) -> int:
     return 0
 
 
+def inverse_by_adjugate(rows):
+    """Inverse of a determinant +-1 matrix as det * adjugate, by cofactors."""
+    n = len(rows)
+    d = det_by_cofactors(rows)
+    return [
+        [
+            d * (-1) ** (i + j)
+            * det_by_cofactors([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 def random_matrix(rng, n, lo=-4, hi=4):
     return Matrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 
@@ -110,7 +123,6 @@ def test_matrix_construction_and_access():
     assert m.row(0) == (1, 2) and m.col(1) == (2, 4)
     assert m.transpose().rows == ((1, 3), (2, 4))
     assert trace(m) == 5
-    assert col_sums(m) == (4, 6)
     with pytest.raises(ValueError, match="ragged"):
         Matrix([[1, 2], [3]])
 
@@ -197,6 +209,10 @@ def test_inv_unimodular_rejects_and_reports_det():
     with pytest.raises(NotUnimodular) as exc:
         inv_unimodular(Matrix([[1, 1], [1, 1]]))
     assert exc.value.det == 0
+    # the rows are swapped before the first pivot; the sign must survive
+    with pytest.raises(NotUnimodular) as exc:
+        inv_unimodular(Matrix([[0, 2], [1, 0]]))
+    assert exc.value.det == -2
 
 
 def test_certificates_survive_python_O():
@@ -302,6 +318,26 @@ def test_det_and_charpoly_match_sympy(sympy, rows):
     assert list(charpoly(Matrix(rows))) == m.charpoly(x).all_coeffs()[::-1]
 
 
+@st.composite
+def permuted_unitriangular_matrices(draw):
+    """A row permutation of an upper unitriangular matrix: zeros reach the
+    diagonal, so Gauss-Jordan has to swap rows to find its pivots."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    u = [[1 if i == j else draw(small_ints) if j > i else 0 for j in range(n)] for i in range(n)]
+    return [u[i] for i in draw(st.permutations(range(n)))]
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Tall, wide or square, dense or mostly zero, so that some columns
+    have no pivot and elimination has to skip them."""
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    n_cols = draw(st.integers(min_value=1, max_value=6))
+    entries = draw(st.sampled_from((small_ints, st.sampled_from((0, 0, 0, 0, -1, 1, 2)))))
+    row = st.lists(entries, min_size=n_cols, max_size=n_cols)
+    return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+
+
 @settings(max_examples=60, deadline=None)
 @given(unimodular_matrices())
 def test_inv_unimodular_matches_sympy(sympy, rows):
@@ -309,16 +345,34 @@ def test_inv_unimodular_matches_sympy(sympy, rows):
     assert [list(r) for r in inverse.rows] == sympy.Matrix(rows).inv().tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(permuted_unitriangular_matrices())
+@example([[0, 1, 2], [0, 0, 1], [1, 3, -1]])
+def test_inv_unimodular_after_row_swaps_matches_adjugate(rows):
+    assert [list(r) for r in inv_unimodular(Matrix(rows)).rows] == inverse_by_adjugate(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_matrices())
+@example([[0, 0, 1, 2], [0, 0, 2, 4], [0, 0, 0, 1]])  # columns 0, 1 and 3 lack a pivot
+@example([[0, 1], [0, 2], [0, 0], [1, 0], [0, 3]])  # tall, pivot found by a swap
+def test_rank_on_shaped_matrices_matches_minors(rows):
+    assert rank_Q(Matrix(rows)) == rank_by_minors(rows)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda cols: st.lists(
-            st.lists(small_ints, min_size=cols, max_size=cols), min_size=1, max_size=4
-        )
-    )
-)
+@given(shaped_matrices())
 def test_rank_matches_sympy(sympy, rows):
     assert rank_Q(Matrix(rows)) == sympy.Matrix(rows).rank()
+
+
+def test_rank_of_non_derogatory_test_matrices_matches_sympy(sympy):
+    # the n x n^2 matrix whose rows are I, m, ..., m^(n-1) flattened
+    tokens = [f"sigma:{n}" for n in range(1, 7)] + [f"cycle:{n}" for n in range(1, 9)]
+    for token in tokens:
+        m = graphs.adjacency(catalog.build_token(token))
+        rows = [[x for r in power(m, k).rows for x in r] for k in range(m.n_rows)]
+        assert rank_Q(Matrix(rows)) == sympy.Matrix(rows).rank(), token
 
 
 # -- characteristic polynomials ----------------------------------------------------
