@@ -3,7 +3,7 @@
 The package computes, in exact integer/rational arithmetic: graph
 classification and products, admissible embeddings, the path-algebra
 (Leavitt-style) relations and normal forms, tower (Bratteli) data, K0
-presentations with their canonical classes and recursions, the shift
+as a colimit with its canonical classes and recursions, the shift
 matrix, and Picard groups of finite-dimensional algebras.  See the
 ``afcore`` command-line tool or the README for a tour.
 """

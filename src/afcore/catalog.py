@@ -581,11 +581,7 @@ def suite_uhf(n: int | None = None, **_ignored) -> CheckReport:
         g = build("cuntz", n=nn)
         rep.extend(verify_entry("cuntz", n=nn), prefix=f"n={nn} facts: ")
         t = ktheory.Tower(g)
-        pres = t.k0
-        rep.add(
-            f"n={nn}: K0 is a colimit of rank 1",
-            isinstance(pres, ktheory.ColimitK0) and pres.rank == 1,
-        )
+        rep.add(f"n={nn}: K0 is a colimit of rank 1", not t.unimodular and t.k0.rank == 1)
         ok_embed = True
         for k in range(-6, 7):
             cls = t.line_class(k)
@@ -594,14 +590,14 @@ def suite_uhf(n: int | None = None, **_ignored) -> CheckReport:
         rep.add(f"n={nn}: line classes embed as n^-k (|k| <= 6)", ok_embed)
 
         ok_q = all(
-            ktheory.uhf_embed(nn, t.q_class(pres, "1", k)) == Fraction(1, nn**k)
+            ktheory.uhf_embed(nn, t.q_class("1", k)) == Fraction(1, nn**k)
             for k in range(0, 7)
         )
         rep.add(f"n={nn}: distinguished projections embed as n^-k (k <= 6)", ok_q)
 
         unit = ktheory.class_of_unit(g)
         ok_power = all(
-            t.k0_equal(pres, t.line_class(-k), unit.scale(nn**k)) for k in range(0, 7)
+            t.k0_equal(t.line_class(-k), unit.scale(nn**k)) for k in range(0, 7)
         )
         rep.add(f"n={nn}: [L_-k] equals n^k times the unit class (k <= 6)", ok_power)
     return rep
@@ -758,7 +754,6 @@ def suite_k0(**_ignored) -> CheckReport:
 
     for token in ("penrose", "sigma:2", "sigma:3", "cycle:2", "cycle:3", "lens:2"):
         t = tower(token)
-        shadow = t.colimit
         rng = random.Random(f"k0:{token}")
         n = t.n
         agree = 0
@@ -769,7 +764,7 @@ def suite_k0(**_ignored) -> CheckReport:
             b = ktheory.K0Class(
                 tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(0, 3)
             )
-            colimit_eq = t.k0_equal(shadow, a, b)
+            colimit_eq = t.k0_equal(a, b)
             free_eq = t.to_free(a).vector == t.to_free(b).vector
             if colimit_eq == free_eq:
                 agree += 1
@@ -818,23 +813,22 @@ def suite_k0(**_ignored) -> CheckReport:
         )
 
     tado = tower("tadpole")
-    pres = tado.k0
     p1 = ktheory.K0Class((1, 0), 0)
     p2 = ktheory.K0Class((0, 1), 0)
-    rep.add("tadpole: the two vertex classes agree", tado.k0_equal(pres, p1, p2))
+    rep.add("tadpole: the two vertex classes agree", tado.k0_equal(p1, p2))
     rep.add(
         "tadpole: the unit is twice the loop vertex class",
-        tado.k0_equal(pres, ktheory.class_of_unit(tado.graph), p2.scale(2)),
+        tado.k0_equal(ktheory.class_of_unit(tado.graph), p2.scale(2)),
     )
     rep.add(
         "tadpole: distinguished projections all give the loop class (k <= 5)",
         all(
-            tado.k0_equal(pres, tado.q_class(pres, "2", k), p2)
+            tado.k0_equal(tado.q_class("2", k), p2)
             for k in range(0, 6)
         ),
     )
     neg_ok = all(
-        tado.k0_equal(pres, tado.line_class(-k), p2.scale(2))
+        tado.k0_equal(tado.line_class(-k), p2.scale(2))
         for k in range(1, 6)
     )
     rep.add("tadpole: negative line classes equal the unit class (k <= 5)", neg_ok)
@@ -846,11 +840,7 @@ def suite_k0(**_ignored) -> CheckReport:
     rep.add("tadpole: positive line classes refuse (source present)", raised)
 
     cyc = tower("cycle:2")
-    pres_c = cyc.k0
-    rep.add(
-        "two-cycle: K0 free of rank 2",
-        isinstance(pres_c, ktheory.FreeK0) and pres_c.rank == 2,
-    )
+    rep.add("two-cycle: K0 free of rank 2", cyc.unimodular and cyc.k0.rank == 2)
     rep.add(
         "two-cycle: every line class is the unit class (|k| <= 6)",
         all(
@@ -995,39 +985,36 @@ def suite_negative_controls(**_ignored) -> CheckReport:
     rep.add("dropped generator summand fails the relations", not partial.ok)
 
     # 3. perturbed class-recursion coefficients
-    sig3 = build("sigma", n=3)
-    ident = ktheory.atiyah_todd(sig3, 3)
-    lhs = ktheory.line_class(sig3, 3).vector
+    sig3 = ktheory.Tower(build("sigma", n=3))
+    ident = sig3.atiyah_todd(3)
+    lhs = sig3.line_class(3).vector
     rhs = (0,) * 3
     for idx, (j, coeff) in enumerate(ident.coeffs):
         bad_coeff = coeff + (1 if idx == 0 else 0)
-        vec = ktheory.line_class(sig3, j).vector
+        vec = sig3.line_class(j).vector
         rhs = tuple(r + bad_coeff * x for r, x in zip(rhs, vec))
     rep.add("perturbed recursion coefficients break the identity", lhs != rhs)
 
     # 4. adjacency used in place of its inverse as the shift
     pen = build("penrose")
-    gamma = graphs.adjacency(pen)
-    wrong = linalg.row_vec_mul(ktheory.line_class(pen, 0).vector, gamma)
+    tpen = ktheory.Tower(pen)
+    wrong = linalg.row_vec_mul(tpen.line_class(0).vector, tpen.gamma)
     rep.add(
         "the adjacency itself does not shift line classes",
-        wrong != ktheory.line_class(pen, 1).vector,
+        wrong != tpen.line_class(1).vector,
     )
 
     # 5. distinct classes stay distinct
-    pres = ktheory.k0(pen)
     p1 = ktheory.K0Class((1, 0), 0)
     unit = ktheory.class_of_unit(pen)
     rep.add(
         "vertex class differs from the unit class (free case)",
-        not ktheory.k0_equal(pres, p1, unit),
+        not tpen.k0_equal(p1, unit),
     )
-    tado = build("tadpole")
-    pres_t = ktheory.k0(tado)
     p2 = ktheory.K0Class((0, 1), 0)
     rep.add(
         "vertex class differs from its double (colimit case)",
-        not ktheory.k0_equal(pres_t, p2, p2.scale(2)),
+        not ktheory.Tower(build("tadpole")).k0_equal(p2, p2.scale(2)),
     )
 
     # 6. corrupted tensor family

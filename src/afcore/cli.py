@@ -11,6 +11,7 @@ morphism, unequal elements, failed suite); 2 usage, parse, or data errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -426,7 +427,9 @@ def _cmd_catalog_suite(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"

@@ -4,7 +4,7 @@ Everything is read off one per-graph object, :class:`Tower`, built from
 the vertex adjacency matrix ``Gamma`` in exact integer arithmetic.  Each
 field is computed on first use and kept for the life of the tower:
 ``det Gamma``, ``Gamma^-1``, ``det(t Gamma - 1)``, the line-class matrix
-and its inverse, and the colimit data.  The module functions are thin
+and its inverse, and the colimit data.  The few module functions are thin
 wrappers that build a fresh tower, so no state lives between calls.
 
 Walk counts and line classes are two views of one vector orbit,
@@ -14,11 +14,12 @@ unimodular ``Gamma``), extended one vector-matrix product at a time:
 ``orbit(-k)`` when ``k <= 0`` or ``Gamma`` is unimodular, and a support
 indicator in the colimit otherwise; row ``k`` of ``line_class_matrix`` is
 ``orbit(-k)``.  Built on these: ``bratteli``/``emit_dot`` (the
-multiplicity diagram), ``k0`` (free on the vertex projections when
-``|det Gamma| = 1``, otherwise a colimit of integer lattices along
-``Gamma^T``), ``atiyah_todd`` (the exact class recursions), ``phi`` (the
-ring identification with ``Z[x]/(p)`` for ``p = det(t Gamma - 1)``) and
-``kk_matrix`` (the degree shift ``Gamma^-1``).
+multiplicity diagram), ``k0`` (the colimit of integer lattices along
+``Gamma^T``, which is free on the vertex projections exactly when
+``|det Gamma| = 1``), ``atiyah_todd`` (the exact class recursions),
+``phi`` (the ring identification with ``Z[x]/(p)`` for
+``p = det(t Gamma - 1)``) and ``Tower.kk_matrix`` (the degree shift
+``Gamma^-1``).
 
 Coordinate convention: all class vectors are *row* vectors in vertex
 declaration order, and matrices act on the right.
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import ClassVar
 
 from . import graphs, linalg
 from .errors import NotUnimodular, SinkError, SourceError
@@ -96,31 +96,35 @@ class Tower:
             supports.append(nxt)
             assert len(supports) <= self.n + 1, "supports must stabilize within n steps"
         stable = supports[-1]
-        # maps x -> Gamma^T x on the stable block
-        restricted = Matrix([[self.gamma[(i, j)] for i in stable] for j in stable])
-        rank = linalg.rank_Q(linalg.power(restricted, max(len(stable), 1)))
+        if len(stable) == self.n and self.det:
+            rank = self.n  # Gamma is invertible over Q, and so is each power
+        else:
+            # maps x -> Gamma^T x on the stable block
+            restricted = Matrix([[self.gamma[(i, j)] for i in stable] for j in stable])
+            rank = linalg.rank_Q(linalg.power(restricted, max(len(stable), 1)))
         return ColimitK0(
             graph=g, supports=tuple(supports), stable_level=len(supports) - 1, rank=rank
         )
 
     @property
-    def k0(self):
-        # a sink is a zero row of Gamma, so a graph with sinks takes the
-        # colimit branch and is refused there
-        if self.unimodular:
-            return FreeK0(graph=self.graph, rank=self.n, basis=self.graph.vertices)
+    def k0(self) -> ColimitK0:
+        """The K0 presentation, :attr:`colimit`.
+
+        It is free on the vertex projections exactly when ``Gamma`` is
+        unimodular: then every support is full, ``stable_level == 0`` and
+        ``rank == n``.
+        """
         return self.colimit
 
-    def q_class(self, pres, v: str, k: int) -> K0Class:
+    def q_class(self, v: str, k: int) -> K0Class:
+        """The class of the distinguished projection built from a length-``k``
+        walk into ``v``: the indicator of ``v`` at level ``k``, or the zero
+        class when no such walk exists.  :meth:`to_free` turns it into
+        ``e_v Gamma^-k`` when ``Gamma`` is unimodular."""
         i = self.graph.vertex_index(v)
         if k < 0:
             raise ValueError("walk length must be nonnegative")
-        if isinstance(pres, FreeK0):
-            vec = tuple(int(j == i) for j in range(self.n))
-            for _ in range(k):
-                vec = linalg.row_vec_mul(vec, self.gamma_inv)
-            return K0Class(vec, 0)
-        supported = i in pres.support(k) and self.orbit(k)[i] > 0
+        supported = i in self.colimit.support(k)
         return K0Class(tuple(int(j == i and supported) for j in range(self.n)), k)
 
     def line_class(self, k: int) -> K0Class:
@@ -157,6 +161,12 @@ class Tower:
 
     @property
     def kk_matrix(self) -> Matrix:
+        """The matrix of the degree shift on class vectors: ``Gamma^-1``.
+
+        Row convention: ``line_class(k) @ kk_matrix = line_class(k+1)``.
+        Requires both ``Gamma`` and the line-class matrix to be unimodular
+        (the latter guarantees the shift acts on an honest basis of classes).
+        """
         self.require_line_basis()
         return self.gamma_inv
 
@@ -187,6 +197,7 @@ class Tower:
         return linalg.quot_make(self.rev_charpoly, y)
 
     def verify_phi(self, depth: int) -> CheckReport:
+        """Check ``phi([L_k]) = x^k`` for ``|k| <= depth``."""
         rep = CheckReport(f"phi on powers of the line class of {self.graph.name!r}")
         for k in range(-depth, depth + 1):
             got = self.phi(self.line_class(k))
@@ -194,6 +205,8 @@ class Tower:
         return rep
 
     def semiring_check(self, depth: int) -> CheckReport:
+        """Check multiplicativity ``phi(L_j) phi(L_k) = phi(L_(j+k))``, honestly
+        evaluating each side from computed classes."""
         rep = CheckReport(f"multiplicativity of phi on {self.graph.name!r}")
         values = {k: self.phi(self.line_class(k)) for k in range(-2 * depth, 2 * depth + 1)}
         for j in range(-depth, depth + 1):
@@ -216,21 +229,23 @@ class Tower:
         return rep
 
     def verify_q_recursion(self, depth: int) -> CheckReport:
+        """Check ``[Q_(v,k)] = sum_w Gamma[v][w] [Q_(w,k+1)]`` for ``k <= depth``.
+
+        Verified for every vertex ``v`` with at least one length-``k`` walk
+        into it; the right side adds classes at level ``k+1``.
+        """
         g = self.graph
         rep = CheckReport(f"projection class recursion on {g.name!r}")
-        pres = self.k0
         for k in range(depth + 1):
-            level = 0 if isinstance(pres, FreeK0) else k + 1
             for i, v in enumerate(g.vertices):
                 if self.orbit(k)[i] == 0:
                     continue
-                lhs = self.q_class(pres, v, k)
-                total = K0Class((0,) * self.n, level)
+                total = K0Class((0,) * self.n, k + 1)
                 for j, w in enumerate(g.vertices):
                     mult = self.gamma[(i, j)]
                     if mult:
-                        total = total.add(self.q_class(pres, w, k + 1).scale(mult))
-                rep.add(f"recursion at ({v}, {k})", self.k0_equal(pres, lhs, total))
+                        total = total.add(self.q_class(w, k + 1).scale(mult))
+                rep.add(f"recursion at ({v}, {k})", self.k0_equal(self.q_class(v, k), total))
         return rep
 
     def bratteli(self, depth: int) -> BratteliDiagram:
@@ -246,15 +261,23 @@ class Tower:
         return BratteliDiagram(g, depth, levels)
 
     def push(self, cls: K0Class) -> K0Class:
-        """See :func:`push_class`."""
+        """One connecting step of the colimit: ``x -> x Gamma`` read as columns.
+
+        Coordinates move along ``new[w] = sum_v Gamma[v][w] x[v]``; the result
+        automatically vanishes outside the next support.
+        """
         return K0Class(linalg.row_vec_mul(cls.vector, self.gamma), cls.level + 1)
 
-    def k0_equal(self, pres, a: K0Class, b: K0Class) -> bool:
-        """See :func:`k0_equal`."""
-        _check_class(pres, a)
-        _check_class(pres, b)
-        if isinstance(pres, FreeK0):
-            return a.vector == b.vector
+    def k0_equal(self, a: K0Class, b: K0Class) -> bool:
+        """Exact equality of classes in the colimit.
+
+        Bring both to a common level and push the difference; classes agree
+        iff the difference dies within ``2n + 1`` further steps (supports
+        stabilize within ``n`` steps and the kernel chain of the stable map
+        within ``n`` more).
+        """
+        self.colimit.check(a)
+        self.colimit.check(b)
         while a.level < b.level:
             a = self.push(a)
         while b.level < a.level:
@@ -267,7 +290,11 @@ class Tower:
         return all(x == 0 for x in diff)
 
     def to_free(self, cls: K0Class) -> K0Class:
-        """See :func:`colimit_to_free`."""
+        """Transport a level-``k`` class to level-0 coordinates.
+
+        Only meaningful when ``Gamma`` is unimodular (the colimit is then
+        free on the vertex projections); used as a cross-oracle.
+        """
         vec = cls.vector
         for _ in range(cls.level):
             vec = linalg.row_vec_mul(vec, self.gamma_inv)
@@ -336,16 +363,17 @@ def emit_dot(d: BratteliDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- K0 presentations ---------------------------------------------------------
+# -- the K0 presentation ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class K0Class:
     """A class given by a row vector of vertex coordinates at a tower level.
 
-    For free presentations the level is always 0.  For colimit
-    presentations the vector lists coordinates over *all* vertices, with
-    zeros outside the supported set at that level.
+    The vector lists coordinates over *all* vertices, with zeros outside
+    the supported set at that level.  Level-0 vectors are coordinates on
+    the vertex projections, which form a basis when ``Gamma`` is
+    unimodular.
     """
 
     vector: tuple
@@ -363,16 +391,6 @@ class K0Class:
 
 
 @dataclass(frozen=True)
-class FreeK0:
-    """K0 free of rank n on the vertex projection classes."""
-
-    kind: ClassVar[str] = "free"
-    graph: Graph
-    rank: int
-    basis: tuple
-
-
-@dataclass(frozen=True)
 class ColimitK0:
     """K0 as a colimit of integer lattices along the transposed adjacency.
 
@@ -380,10 +398,11 @@ class ColimitK0:
     (vertices reached by some length-``k`` walk); supports shrink with
     ``k`` and stabilize after at most ``n`` steps at ``stable_level``.
     ``rank`` is the rank of the stable connecting map iterated until its
-    image saturates.
+    image saturates.  When ``Gamma`` is unimodular every support is full,
+    ``stable_level`` is 0 and ``rank`` is ``n``: K0 is free on the vertex
+    projections.
     """
 
-    kind: ClassVar[str] = "colimit"
     graph: Graph
     supports: tuple
     stable_level: int
@@ -392,28 +411,15 @@ class ColimitK0:
     def support(self, k: int) -> tuple:
         return self.supports[min(k, self.stable_level)]
 
-
-def colimit_presentation(g: Graph) -> ColimitK0:
-    """The colimit bookkeeping, available for any sink-free graph."""
-    return Tower(g).colimit
-
-
-def k0(g: Graph):
-    """The K0 presentation: free when ``|det Gamma| = 1``, else a colimit."""
-    return Tower(g).k0
-
-
-def _check_class(pres, cls: K0Class) -> None:
-    n = pres.graph.n_vertices
-    if len(cls.vector) != n:
-        raise ValueError(f"class vector has length {len(cls.vector)}, expected {n}")
-    if cls.level < 0:
-        raise ValueError("class level must be nonnegative")
-    if isinstance(pres, FreeK0):
-        if cls.level != 0:
-            raise ValueError("free presentations carry all classes at level 0")
-    else:
-        supp = set(pres.support(cls.level))
+    def check(self, cls: K0Class) -> None:
+        """Refuse a class of the wrong length, a negative level, or weight
+        outside the support at its level."""
+        n = self.graph.n_vertices
+        if len(cls.vector) != n:
+            raise ValueError(f"class vector has length {len(cls.vector)}, expected {n}")
+        if cls.level < 0:
+            raise ValueError("class level must be nonnegative")
+        supp = set(self.support(cls.level))
         bad = [i for i, c in enumerate(cls.vector) if c != 0 and i not in supp]
         if bad:
             raise ValueError(
@@ -422,30 +428,14 @@ def _check_class(pres, cls: K0Class) -> None:
             )
 
 
-def push_class(pres: ColimitK0, cls: K0Class) -> K0Class:
-    """One connecting step of the colimit: ``x -> x Gamma`` read as columns.
-
-    Coordinates move along ``new[w] = sum_v Gamma[v][w] x[v]``; the result
-    automatically vanishes outside the next support.
-    """
-    return Tower(pres.graph).push(cls)
+def colimit_presentation(g: Graph) -> ColimitK0:
+    """The same presentation as :func:`k0`, available for any sink-free graph."""
+    return Tower(g).colimit
 
 
-def k0_equal(pres, a: K0Class, b: K0Class) -> bool:
-    """Exact equality of classes in the presentation.
-
-    Free case: vector equality.  Colimit case: bring both to a common
-    level and push the difference; classes agree iff the difference dies
-    within ``2n + 1`` further steps (supports stabilize within ``n`` steps
-    and the kernel chain of the stable map within ``n`` more).
-    """
-    return Tower(pres.graph).k0_equal(pres, a, b)
-
-
-def q_class(pres, v: str, k: int) -> K0Class:
-    """The class of the distinguished projection built from a length-``k``
-    walk into ``v`` (zero class when no such walk exists)."""
-    return Tower(pres.graph).q_class(pres, v, k)
+def k0(g: Graph) -> ColimitK0:
+    """The K0 presentation; free on the vertex projections when ``|det Gamma| = 1``."""
+    return Tower(g).k0
 
 
 def class_of_unit(g: Graph) -> K0Class:
@@ -465,15 +455,6 @@ def line_class(g: Graph, k: int) -> K0Class:
       indicator at level ``k`` in the colimit.
     """
     return Tower(g).line_class(k)
-
-
-def colimit_to_free(g: Graph, cls: K0Class) -> K0Class:
-    """Transport a level-``k`` colimit-style class to level-0 coordinates.
-
-    Only meaningful when ``Gamma`` is unimodular (the two presentations
-    then describe the same group); used as a cross-oracle.
-    """
-    return Tower(g).to_free(cls)
 
 
 # -- exact class recursions ----------------------------------------------------
@@ -525,28 +506,7 @@ def phi(g: Graph, cls: K0Class) -> linalg.QuotElem:
     return Tower(g).phi(cls)
 
 
-def verify_phi(g: Graph, depth: int) -> CheckReport:
-    """Check ``phi([L_k]) = x^k`` for ``|k| <= depth``."""
-    return Tower(g).verify_phi(depth)
-
-
-def semiring_check(g: Graph, depth: int) -> CheckReport:
-    """Check multiplicativity ``phi(L_j) phi(L_k) = phi(L_(j+k))``, honestly
-    evaluating each side from computed classes."""
-    return Tower(g).semiring_check(depth)
-
-
 # -- the shift matrix ----------------------------------------------------------
-
-
-def kk_matrix(g: Graph) -> Matrix:
-    """The matrix of the degree shift on class vectors: ``Gamma^-1``.
-
-    Row convention: ``line_class(k) @ kk_matrix = line_class(k+1)``.
-    Requires both ``Gamma`` and the line-class matrix to be unimodular
-    (the latter guarantees the shift acts on an honest basis of classes).
-    """
-    return Tower(g).kk_matrix
 
 
 def kk_report(g: Graph, depth: int = 6) -> CheckReport:
@@ -570,18 +530,6 @@ def uhf_embed(n: int, cls: K0Class) -> Fraction:
             "this embedding applies to single-vertex presentations only"
         )
     return Fraction(cls.vector[0], n ** cls.level)
-
-
-# -- recursion among distinguished projection classes --------------------------
-
-
-def verify_q_recursion(g: Graph, depth: int) -> CheckReport:
-    """Check ``[Q_(v,k)] = sum_w Gamma[v][w] [Q_(w,k+1)]`` for ``k <= depth``.
-
-    Verified for every vertex ``v`` with at least one length-``k`` walk
-    into it; the right side adds classes at level ``k+1``.
-    """
-    return Tower(g).verify_q_recursion(depth)
 
 
 # -- aggregate report for the CLI ----------------------------------------------

@@ -22,8 +22,8 @@ base vertex if ``gamma`` is empty); ``gamma`` is the monomial's node in the
 root's expansion tree.  Rewrites stay inside one root and distinct roots are
 linearly independent (the monomial basis of Leavitt path algebras).  In a
 tree only proper prefixes of present nodes are expanded, shortest first, so
-zero tests never expand at a sink and answer exactly on every graph;
-:func:`normal_form`, the display form, refuses when it needs one.
+zero tests never expand at a sink and answer exactly on every graph, as
+does :func:`normal_form`, which leaves a monomial at a sink where it is.
 
 The same reduction engine drives three carriers: plain elements
 (:class:`LeavittElem`), elementary tensors of two graph algebras
@@ -259,10 +259,10 @@ def ck3_expand(x: LeavittElem) -> LeavittElem:
 def normal_form(x: LeavittElem) -> LeavittElem:
     """Canonical representative: each degree component at its top level.
 
-    Within each degree, coefficients are merged first, and a monomial that
-    an earlier expansion cancelled is not expanded.  Raises
-    :class:`SinkError` when the form still needs an expansion at a sink;
-    :func:`is_zero` never does.
+    A component whose longest ``beta`` has length ``L`` is written in the
+    level-``L`` basis: ``|beta| = L``, or shorter with a sink as base
+    vertex, where no expansion applies.  Coefficients are merged first, and
+    a monomial that an earlier expansion cancelled is not expanded.
     """
     g = x.graph
     comps: dict = {}
@@ -271,7 +271,7 @@ def normal_form(x: LeavittElem) -> LeavittElem:
     out: dict = {}
     for _, work in sorted(comps.items()):
         level = max(len(m.beta) for m in work)
-        while pending := [m for m in work if len(m.beta) < level]:
+        while pending := [m for m in work if len(m.beta) < level and not g.is_sink(m.vertex)]:
             for m in pending:
                 c = work.pop(m, 0)
                 if not c:

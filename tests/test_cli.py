@@ -286,6 +286,53 @@ def test_ktheory_json_output_is_pinned(capsys):
     assert got == PINNED_KTHEORY_JSON
 
 
+# sha256 of "<exit code>\n<stdout>" for ``catalog suite <name> [--json]``, recorded
+# before the K0 presentations were merged into one: the suites must not move
+PINNED_SUITES = {
+    ("penrose", ""): "a37fc67b490f59a7190722c54e2b34681a218e7c1931ea4f2b1110bd687cc0cd",
+    ("penrose", "--json"): "6f9a4ec5781f8ea7acdd908621518a6841c0f019010c83f97a592c19f512337e",
+    ("cpq", ""): "09b90eba6d20c8357e9e68fe26c2ae6677c7d44a04e438fc5fb63387468070e1",
+    ("cpq", "--json"): "456678be07076587838b9a9d511feb68bb17bb34a3ecf2746e15645f8c90638c",
+    ("uhf", ""): "52ad03aeb5e3929cfa8e74e75233659f5794161ed8ca30e4659bd15d80ccd7a3",
+    ("uhf", "--json"): "7325ce86a59895bb42f64399a809ddf07bb01ee92afcebd6e8605a9d82c9004c",
+    ("k0", ""): "913c65809786bb64fab0df4c0816bb7de57faa2123ef776c64f3761b4a146f68",
+    ("k0", "--json"): "9daf23122f95f98011a3899182b141a9304116a4b4066e25108c0ffe11c488a3",
+    ("kk", ""): "0a3f361764be0c7e96c5b602c3cc308644882af0845e508c2f819fdc23222f82",
+    ("kk", "--json"): "8917c8b7d416e6562b0c80aaf48cfc52f2a91d99410222d25a9d3dc069fc167b",
+    ("negative_controls", ""): "a61499aaafdd16f230d5d5f12ba75f43a3fad6132fc4d826646e63f72bd5f9e3",
+    ("negative_controls", "--json"): "6d0c67742cd80b64b9975ea3947f4d75a0a064d4935e6f6bff5cc7dc5def4cce",
+}
+
+
+def test_suite_output_is_pinned(capsys):
+    got = {}
+    for name, flag in PINNED_SUITES:
+        code, out, err = run(capsys, "catalog", "suite", name, *([flag] if flag else []))
+        got[(name, flag)] = hashlib.sha256(f"{code}\n".encode() + out.encode()).hexdigest()
+    assert got == PINNED_SUITES
+
+
+# -- the parser --------------------------------------------------------------------------
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    import argparse
+
+    first = [run(capsys, *argv) for argv in ([], ["bogus"], ["ktheory"])]
+    assert [code for code, _, _ in first] == [2, 2, 2]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    again = [run(capsys, *argv) for argv in ([], ["bogus"], ["ktheory"])]
+    assert built == []
+    assert again == first
+
+
 # -- leavitt ----------------------------------------------------------------------------
 
 

@@ -9,32 +9,23 @@ from afcore import catalog, cli, linalg
 from afcore.errors import NotUnimodular, SinkError, SourceError
 from afcore.graphs import adjacency
 from afcore.ktheory import (
-    ColimitK0,
-    FreeK0,
     K0Class,
+    Tower,
     atiyah_todd,
     bratteli,
     class_of_unit,
     colimit_presentation,
-    colimit_to_free,
     emit_dot,
     invariants_report,
     k0,
-    k0_equal,
-    kk_matrix,
     kk_report,
     line_class,
     line_class_matrix,
     phi,
-    push_class,
-    q_class,
-    semiring_check,
     uhf_embed,
-    verify_phi,
-    verify_q_recursion,
     walk_counts,
 )
-from afcore.linalg import Matrix, lambda_pow, rev_charpoly
+from afcore.linalg import Matrix, lambda_pow, power, rank_Q, rev_charpoly
 
 
 def fib(n: int) -> int:
@@ -158,19 +149,17 @@ def test_emit_dot_multiplicity_labels():
 
 def test_k0_presentation_kinds(penrose, tadpole):
     free = k0(penrose)
-    assert isinstance(free, FreeK0)
-    assert free.rank == 2 and free.basis == ("1", "2")
+    assert Tower(penrose).unimodular
+    assert free.rank == 2 and free.supports == ((0, 1),) and free.stable_level == 0
 
     col = k0(catalog.build("cuntz", n=2))
-    assert isinstance(col, ColimitK0)
     assert col.rank == 1 and col.supports == ((0,),) and col.stable_level == 0
 
     td = k0(tadpole)
-    assert isinstance(td, ColimitK0)
     assert td.supports == ((0, 1), (1,)) and td.stable_level == 1 and td.rank == 1
 
     full2 = k0(catalog.build("full", n=2))
-    assert isinstance(full2, ColimitK0) and full2.rank == 1
+    assert not Tower(full2.graph).unimodular and full2.rank == 1
 
     with pytest.raises(SinkError):
         k0(catalog.build("chambers", k=1))
@@ -178,63 +167,75 @@ def test_k0_presentation_kinds(penrose, tadpole):
         colimit_presentation(catalog.build("chambers", k=1))
 
 
+@pytest.mark.parametrize(
+    "token", ["penrose", "sigma:2", "sigma:5", "cycle:3", "cycle:7", "lens:2", "lens:4",
+              "cuntz:1", "full:1"]
+)
+def test_unimodular_colimit_is_free(token):
+    # |det Gamma| = 1: full support from level 0 on and rank n
+    t = Tower(catalog.build_token(token))
+    assert t.unimodular
+    assert t.k0.supports == (tuple(range(t.n)),)
+    assert t.k0.stable_level == 0 and t.k0.rank == t.n == rank_Q(power(t.gamma, t.n))
+
+
 def test_class_validation(penrose, tadpole):
-    free = k0(penrose)
+    t = Tower(penrose)
     with pytest.raises(ValueError, match="length"):
-        k0_equal(free, K0Class((1,)), K0Class((1, 0)))
-    with pytest.raises(ValueError, match="level 0"):
-        k0_equal(free, K0Class((1, 0), level=1), K0Class((1, 0), level=1))
-    col = k0(tadpole)
+        t.k0_equal(K0Class((1,)), K0Class((1, 0)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        t.k0_equal(K0Class((1, 0), level=-1), K0Class((1, 0)))
+    # a unimodular graph carries classes at every level, each equal to its push
+    cls = K0Class((1, 0), level=1)
+    assert t.k0_equal(cls, t.push(cls))
     with pytest.raises(ValueError, match="unsupported vertex"):
-        k0_equal(col, K0Class((1, 0), level=1), K0Class((1, 0), level=1))
+        Tower(tadpole).k0_equal(K0Class((1, 0), level=1), K0Class((1, 0), level=1))
 
 
 def test_k0_equal_collapsing_graph(tadpole):
     # both vertex classes agree in the colimit, and the unit is twice one
-    pres = k0(tadpole)
+    t = Tower(tadpole)
     p1 = K0Class((1, 0), 0)
     p2 = K0Class((0, 1), 0)
-    assert k0_equal(pres, p1, p2)
-    assert k0_equal(pres, class_of_unit(tadpole), p2.scale(2))
-    assert not k0_equal(pres, p2, p2.scale(2))
+    assert t.k0_equal(p1, p2)
+    assert t.k0_equal(class_of_unit(tadpole), p2.scale(2))
+    assert not t.k0_equal(p2, p2.scale(2))
 
 
 def test_k0_equal_full_graph():
-    full2 = catalog.build("full", n=2)
-    pres = k0(full2)
+    t = Tower(catalog.build("full", n=2))
     p1 = K0Class((1, 0), 0)
     p2 = K0Class((0, 1), 0)
-    assert k0_equal(pres, p1, p2)
-    assert not k0_equal(pres, p2, p2.scale(2))
-    assert not k0_equal(pres, p2, K0Class((0, 0), 0))
+    assert t.k0_equal(p1, p2)
+    assert not t.k0_equal(p2, p2.scale(2))
+    assert not t.k0_equal(p2, K0Class((0, 0), 0))
 
 
 def test_k0_equal_levels_align(penrose):
     # pushing a colimit class never changes its class
     g = catalog.build("cuntz", n=2)
-    pres = k0(g)
-    cls = q_class(pres, g.vertices[0], 2)
-    assert k0_equal(pres, cls, push_class(pres, cls).add(K0Class((0,), 3)).add(K0Class((0,), 3)))
-    pushed = push_class(pres, cls)
+    t = Tower(g)
+    cls = t.q_class(g.vertices[0], 2)
+    assert t.k0_equal(cls, t.push(cls).add(K0Class((0,), 3)).add(K0Class((0,), 3)))
+    pushed = t.push(cls)
     assert pushed.level == cls.level + 1
-    assert k0_equal(pres, cls, pushed)
+    assert t.k0_equal(cls, pushed)
 
 
 def test_colimit_vs_free_cross_oracle(penrose, sigma2):
-    # on a unimodular sink-free graph both presentations are available;
-    # equality must agree after transporting to level 0
+    # on a unimodular sink-free graph the colimit is free on the vertex
+    # projections; equality must agree after transporting to level 0
     rng = random.Random("colimit-vs-free")
     for g in (penrose, sigma2, catalog.build("cycle", n=3)):
-        free = k0(g)
-        assert isinstance(free, FreeK0)
-        col = colimit_presentation(g)
+        t = Tower(g)
+        assert t.unimodular and colimit_presentation(g) == t.k0
         n = g.n_vertices
         for _ in range(60):
             ka, kb = rng.randint(0, 3), rng.randint(0, 3)
             a = K0Class(tuple(rng.randint(-2, 2) for _ in range(n)), ka)
             b = K0Class(tuple(rng.randint(-2, 2) for _ in range(n)), kb)
-            via_colimit = k0_equal(col, a, b)
-            via_free = colimit_to_free(g, a).vector == colimit_to_free(g, b).vector
+            via_colimit = t.k0_equal(a, b)
+            via_free = t.to_free(a).vector == t.to_free(b).vector
             assert via_colimit == via_free
 
 
@@ -242,28 +243,26 @@ def test_colimit_vs_free_cross_oracle(penrose, sigma2):
 
 
 def test_q_class_free_and_colimit(penrose):
-    from afcore.linalg import power
-
-    free = k0(penrose)
-    assert q_class(free, "1", 0).vector == (1, 0)
-    assert q_class(free, "1", 2).vector == power(adjacency(penrose), -2).row(0)
+    t = Tower(penrose)
+    assert t.q_class("1", 0).vector == (1, 0)
+    assert t.q_class("1", 2) == K0Class((1, 0), 2)
+    assert t.to_free(t.q_class("1", 2)).vector == power(adjacency(penrose), -2).row(0)
     g = catalog.build("cuntz", n=2)
-    col = k0(g)
-    assert q_class(col, g.vertices[0], 3) == K0Class((1,), 3)
+    assert Tower(g).q_class(g.vertices[0], 3) == K0Class((1,), 3)
     with pytest.raises(ValueError, match="nonnegative"):
-        q_class(free, "1", -1)
+        t.q_class("1", -1)
 
 
 def test_q_class_vanishes_off_support(tadpole):
-    pres = k0(tadpole)
+    t = Tower(tadpole)
     # no length-2 walk ends at vertex 1, so the class is zero
-    assert q_class(pres, "1", 2).vector == (0, 0)
-    assert q_class(pres, "2", 2).vector == (0, 1)
+    assert t.q_class("1", 2).vector == (0, 0)
+    assert t.q_class("2", 2).vector == (0, 1)
 
 
 @pytest.mark.parametrize("token", ["penrose", "sigma:2", "cuntz:2", "tadpole", "full:2"])
 def test_q_recursion_reports(token):
-    rep = verify_q_recursion(catalog.build_token(token), 4)
+    rep = Tower(catalog.build_token(token)).verify_q_recursion(4)
     assert rep.ok, rep.render()
 
 
@@ -300,13 +299,13 @@ def test_line_class_routing():
 
 def test_uhf_embedding_values():
     g = catalog.build("cuntz", n=2)
-    pres = k0(g)
+    t = Tower(g)
     for k in range(0, 5):
         assert uhf_embed(2, line_class(g, k)) == Fraction(1, 2**k)
         assert uhf_embed(2, line_class(g, -k)) == Fraction(2**k)
     # pushing a class does not move its embedded value
-    cls = q_class(pres, g.vertices[0], 1)
-    assert uhf_embed(2, push_class(pres, cls)) == uhf_embed(2, cls)
+    cls = t.q_class(g.vertices[0], 1)
+    assert uhf_embed(2, t.push(cls)) == uhf_embed(2, cls)
     with pytest.raises(ValueError, match="at least two loops"):
         uhf_embed(1, K0Class((1,), 0))
     with pytest.raises(ValueError, match="single-vertex"):
@@ -376,10 +375,11 @@ def test_phi_additive(penrose):
 
 
 def test_phi_reports(penrose, sigma2):
-    assert verify_phi(penrose, 8).ok
-    assert semiring_check(penrose, 4).ok
-    assert verify_phi(sigma2, 6).ok
-    assert semiring_check(sigma2, 3).ok
+    pen, sig = Tower(penrose), Tower(sigma2)
+    assert pen.verify_phi(8).ok
+    assert pen.semiring_check(4).ok
+    assert sig.verify_phi(6).ok
+    assert sig.semiring_check(3).ok
 
 
 def test_phi_needs_unimodular_line_class_matrix():
@@ -388,14 +388,14 @@ def test_phi_needs_unimodular_line_class_matrix():
         phi(g, class_of_unit(g))
     assert "line-class matrix" in str(exc.value)
     with pytest.raises(NotUnimodular):
-        kk_matrix(g)
+        Tower(g).kk_matrix
 
 
 # -- the shift matrix ---------------------------------------------------------------------
 
 
 def test_kk_matrix_penrose(penrose):
-    kkm = kk_matrix(penrose)
+    kkm = Tower(penrose).kk_matrix
     assert kkm == Matrix([[0, 1], [1, -1]])
     assert kkm * adjacency(penrose) == Matrix.identity(2)
     rep = kk_report(penrose)

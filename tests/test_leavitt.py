@@ -306,12 +306,36 @@ def test_normal_form_with_sinks_is_lazy():
     # difference times P(1) is the nonzero P(1)
     assert equals((p_sink - d1 * d1.star()) * p_sink, p_sink)
     assert not is_zero(p_sink)
-    # the normal form does need that expansion, and refuses
+    # the normal form leaves the monomial at the sink where it is, and answers
+    nf = normal_form(p_sink - d1 * d1.star())
+    assert to_string(nf) == "P(1) - S(d1)S(d1)^*"
+    # an explicit one-level expansion still refuses at the sink
     with pytest.raises(SinkError, match="emits no edges"):
-        normal_form(p_sink - d1 * d1.star())
+        ck3_expand(p_sink)
     # cancellations that never touch the sink are fine
     assert is_zero(p_sink - p_sink)
     assert equals(d1.star() * d1, p_sink)  # reduces eagerly, no expansion
+
+
+@pytest.mark.parametrize("token", SINK_TOKENS)
+def test_normal_form_at_sinks_agrees_with_zero_test_and_oracle(token):
+    g = catalog.build_token(token)
+    pool = monomial_pool(g)
+    regular = [m for m in pool if not g.is_sink(m.vertex)]
+    rng = random.Random(f"leavitt-nf-sinks:{token}")
+    zero = LeavittElem.zero(g)
+    verdicts = set()
+    for _ in range(150):
+        x = random_elem(g, pool, rng)
+        if rng.random() < 0.3:  # a zero element, written with a range relation
+            m = LeavittElem(g, {rng.choice(regular): 1})
+            x = m - ck3_expand(m)
+        nf = normal_form(x)
+        verdict = not nf.terms
+        assert verdict == is_zero(x) == oracle_equal(x, zero)
+        assert oracle_equal(x, nf)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # -- work of the zero test and the tensor carrier ------------------------------------
