@@ -25,16 +25,19 @@ tree only proper prefixes of present nodes are expanded, shortest first, so
 zero tests never expand at a sink and answer exactly on every graph, as
 does :func:`normal_form`, which leaves a monomial at a sink where it is.
 
-The same reduction engine drives three carriers: plain elements
-(:class:`LeavittElem`), elementary tensors of two graph algebras
-(:class:`TensorElem`), and 2x2 integer Laurent matrices
-(:class:`LaurentMat2`).  All three expose ``+``, ``-``, ``*``, integer
-scaling, ``star()``, and ``is_zero()``, which is everything
+Three carriers are integer combinations of basis keys, and the private base
+:class:`_Combination` writes their ``+``, ``-``, ``*``, integer scaling and
+``star()`` once, from how two keys multiply and what a key's adjoint is.
+Plain elements (:class:`LeavittElem`) have monomial keys, elementary
+tensors of two graph algebras (:class:`TensorElem`) monomial pairs, and
+2x2 integer Laurent matrices (:class:`LaurentMat2`) keys ``(i, j, p)`` for
+``z^p E_ij``.  Each adds ``is_zero()``, which completes what
 :func:`ck_verify` needs.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, NamedTuple
 
 from .errors import MorphismError, ParseError, SinkError, SourceError
@@ -89,17 +92,79 @@ def _mono_mul(g: Graph, m1: Monomial, m2: Monomial):
     return Monomial(alpha, nu + gamma, v1)
 
 
-class LeavittElem:
+def _mono_star(m: Monomial) -> Monomial:
+    return Monomial(m.beta, m.alpha, m.vertex)
+
+
+class _Combination:
+    """An integer combination of basis keys: ``terms`` maps key -> nonzero int.
+
+    The ring operations are written once here.  A carrier supplies
+    ``_key_mul(k1, k2)`` (the product key, or None for zero),
+    ``_key_star(k)``, ``_new(terms)`` (a sibling over the same graphs) and
+    ``_same_graphs(other)`` (refuses an element over other graphs).
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    def _same_graphs(self, other) -> None:
+        pass
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._same_graphs(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return self._new(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._new({k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._same_graphs(other)
+        key_mul = self._key_mul
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = key_mul(k1, k2)
+                if k is not None:
+                    out[k] = out.get(k, 0) + c1 * c2
+        return self._new(out)
+
+    def __rmul__(self, other):
+        if isinstance(other, int):
+            return self * other
+        return NotImplemented
+
+    def star(self):
+        key_star = self._key_star
+        return self._new({key_star(k): c for k, c in self.terms.items()})
+
+
+class LeavittElem(_Combination):
     """An integer combination of monomials over a fixed graph.
 
     ``==`` compares representations (same graph, same term dict); use
     :func:`equals` for equality in the algebra.
     """
 
-    __slots__ = ("graph", "terms")
+    __slots__ = ("graph",)
 
     def __init__(self, graph: Graph, terms: dict):
         self.graph = graph
+        # the base's filter, inlined: the parser builds one element per atom
         self.terms = {m: c for m, c in terms.items() if c}
 
     # -- constructors ----------------------------------------------------
@@ -136,53 +201,24 @@ class LeavittElem:
     def unit(g: Graph) -> "LeavittElem":
         return LeavittElem(g, {Monomial((), (), v): 1 for v in g.vertices})
 
-    # -- ring operations -------------------------------------------------
+    # -- the carrier hooks -------------------------------------------------
 
-    def _same_graph(self, other: "LeavittElem") -> None:
+    def _new(self, terms: dict) -> "LeavittElem":
+        return LeavittElem(self.graph, terms)
+
+    def _same_graphs(self, other: "LeavittElem") -> None:
         if self.graph != other.graph:
             raise ValueError(
                 f"elements live over different graphs: "
                 f"{self.graph.name!r} vs {other.graph.name!r}"
             )
 
-    def __add__(self, other: "LeavittElem") -> "LeavittElem":
-        self._same_graph(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return LeavittElem(self.graph, out)
+    @property
+    def _key_mul(self):
+        # bound to the graph in C, so a product costs one Python call per pair
+        return partial(_mono_mul, self.graph)
 
-    def __sub__(self, other: "LeavittElem") -> "LeavittElem":
-        return self + (-other)
-
-    def __neg__(self) -> "LeavittElem":
-        return LeavittElem(self.graph, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LeavittElem(self.graph, {m: c * other for m, c in self.terms.items()})
-        if isinstance(other, LeavittElem):
-            self._same_graph(other)
-            g = self.graph
-            out: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = _mono_mul(g, m1, m2)
-                    if m is not None:
-                        out[m] = out.get(m, 0) + c1 * c2
-            return LeavittElem(g, out)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def star(self) -> "LeavittElem":
-        return LeavittElem(
-            self.graph,
-            {Monomial(m.beta, m.alpha, m.vertex): c for m, c in self.terms.items()},
-        )
+    _key_star = staticmethod(_mono_star)
 
     def is_zero(self) -> bool:
         return is_zero(self)
@@ -323,7 +359,7 @@ def is_zero(x: LeavittElem) -> bool:
 
 
 def equals(x: LeavittElem, y: LeavittElem) -> bool:
-    x._same_graph(y)
+    x._same_graphs(y)
     return is_zero(x - y)
 
 
@@ -615,9 +651,16 @@ def induced_hom(m: Morphism, x: LeavittElem) -> LeavittElem:
     return _induced_apply(m, x)
 
 
+def _inverse(mapping: dict) -> dict:
+    """``mapping`` inverted; a value with several preimages keeps the first."""
+    inv: dict = {}
+    for k, v in mapping.items():
+        inv.setdefault(v, k)
+    return inv
+
+
 def _induced_apply(m: Morphism, x: LeavittElem) -> LeavittElem:
-    inv_v = {w: v for v, w in m.vmap.items()}
-    inv_e = {f: e for e, f in m.emap.items()}
+    inv_v, inv_e = _inverse(m.vmap), _inverse(m.emap)
     out: dict = {}
     for mono, c in x.terms.items():
         if mono.vertex not in inv_v:
@@ -636,20 +679,14 @@ def induced_relations_report(m: Morphism) -> CheckReport:
     """Check that the pulled-back generators satisfy the codomain relations."""
     rep = CheckReport(f"induced relations along {m.name or 'morphism'}")
     dom, cod = m.domain, m.codomain
+    inv_v, inv_e = _inverse(m.vmap), _inverse(m.emap)
+    zero = LeavittElem.zero(dom)
     h_p = {
-        w: (
-            LeavittElem.vertex_projection(dom, v)
-            if (v := _inverse_lookup(m.vmap, w)) is not None
-            else LeavittElem.zero(dom)
-        )
+        w: LeavittElem.vertex_projection(dom, inv_v[w]) if w in inv_v else zero
         for w in cod.vertices
     }
     h_s = {
-        f.eid: (
-            LeavittElem.edge_gen(dom, e)
-            if (e := _inverse_lookup(m.emap, f.eid)) is not None
-            else LeavittElem.zero(dom)
-        )
+        f.eid: LeavittElem.edge_gen(dom, inv_e[f.eid]) if f.eid in inv_e else zero
         for f in cod.edges
     }
     for f in cod.edges:
@@ -663,13 +700,6 @@ def induced_relations_report(m: Morphism) -> CheckReport:
             total = total + h_s[f.eid] * h_s[f.eid].star()
         rep.add(f"CK3 at image of {w}", equals(total, h_p[w]))
     return rep
-
-
-def _inverse_lookup(mapping: dict, value):
-    for k, v in mapping.items():
-        if v == value:
-            return k
-    return None
 
 
 # -- generic Cuntz-Krieger family verification ---------------------------------
@@ -751,15 +781,18 @@ def evaluate_family(pmap: dict, smap: dict, x: LeavittElem):
 # -- tensor-product carrier ----------------------------------------------------
 
 
-class TensorElem:
-    """Integer combinations of elementary tensors over a pair of graphs."""
+class TensorElem(_Combination):
+    """Integer combinations of elementary tensors over a pair of graphs.
 
-    __slots__ = ("left_graph", "right_graph", "terms")
+    Keys are monomial pairs ``(left, right)``.
+    """
+
+    __slots__ = ("left_graph", "right_graph")
 
     def __init__(self, left_graph: Graph, right_graph: Graph, terms: dict):
         self.left_graph = left_graph
         self.right_graph = right_graph
-        self.terms = {mm: c for mm, c in terms.items() if c}
+        super().__init__(terms)
 
     @staticmethod
     def zero(left_graph: Graph, right_graph: Graph) -> "TensorElem":
@@ -773,61 +806,23 @@ class TensorElem:
                 terms[(ml, mr)] = terms.get((ml, mr), 0) + cl * cr
         return TensorElem(x.graph, y.graph, terms)
 
-    def _compatible(self, other: "TensorElem") -> None:
+    def _new(self, terms: dict) -> "TensorElem":
+        return TensorElem(self.left_graph, self.right_graph, terms)
+
+    def _same_graphs(self, other: "TensorElem") -> None:
         if self.left_graph != other.left_graph or self.right_graph != other.right_graph:
             raise ValueError("tensor elements live over different graph pairs")
 
-    def __add__(self, other: "TensorElem") -> "TensorElem":
-        self._compatible(other)
-        out = dict(self.terms)
-        for mm, c in other.terms.items():
-            out[mm] = out.get(mm, 0) + c
-        return TensorElem(self.left_graph, self.right_graph, out)
+    def _key_mul(self, k1: tuple, k2: tuple):
+        ml = _mono_mul(self.left_graph, k1[0], k2[0])
+        if ml is None:
+            return None
+        mr = _mono_mul(self.right_graph, k1[1], k2[1])
+        return None if mr is None else (ml, mr)
 
-    def __sub__(self, other: "TensorElem") -> "TensorElem":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorElem":
-        return TensorElem(
-            self.left_graph, self.right_graph, {mm: -c for mm, c in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TensorElem(
-                self.left_graph,
-                self.right_graph,
-                {mm: c * other for mm, c in self.terms.items()},
-            )
-        if isinstance(other, TensorElem):
-            self._compatible(other)
-            out: dict = {}
-            for (l1, r1), c1 in self.terms.items():
-                for (l2, r2), c2 in other.terms.items():
-                    ml = _mono_mul(self.left_graph, l1, l2)
-                    if ml is None:
-                        continue
-                    mr = _mono_mul(self.right_graph, r1, r2)
-                    if mr is None:
-                        continue
-                    out[(ml, mr)] = out.get((ml, mr), 0) + c1 * c2
-            return TensorElem(self.left_graph, self.right_graph, out)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def star(self) -> "TensorElem":
-        return TensorElem(
-            self.left_graph,
-            self.right_graph,
-            {
-                (Monomial(ml.beta, ml.alpha, ml.vertex), Monomial(mr.beta, mr.alpha, mr.vertex)): c
-                for (ml, mr), c in self.terms.items()
-            },
-        )
+    @staticmethod
+    def _key_star(k: tuple) -> tuple:
+        return (_mono_star(k[0]), _mono_star(k[1]))
 
     def is_zero(self) -> bool:
         # push the left factors down their trees; the final left nodes are
@@ -870,66 +865,49 @@ def product_tensor_family(e: Graph, f: Graph, within: Graph | None = None):
     return prod, pmap, smap
 
 
-# -- 2x2 integer Laurent-polynomial carrier ------------------------------------
+# -- 2x2 integer Laurent-matrix carrier ----------------------------------------
 
 
-class LaurentPoly:
-    """Integer Laurent polynomial in one variable ``z``: dict exponent -> coeff."""
+class LaurentMat2(_Combination):
+    """2x2 matrices over integer Laurent polynomials in ``z``, with *-structure.
 
-    __slots__ = ("terms",)
+    The key ``(i, j, p)`` is ``z^p E_ij`` (1-indexed): ``(i, j, p)(j, l, q)
+    = (i, l, p + q)``, the product is zero when the inner indices differ,
+    and the adjoint of ``(i, j, p)`` is ``(j, i, -p)``.
+    """
 
-    def __init__(self, terms: dict):
-        self.terms = {int(k): int(c) for k, c in terms.items() if c}
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly({})
+    __slots__ = ()
 
     @staticmethod
-    def const(c: int) -> "LaurentPoly":
-        return LaurentPoly({0: c})
+    def identity() -> "LaurentMat2":
+        return LaurentMat2({(1, 1, 0): 1, (2, 2, 0): 1})
 
     @staticmethod
-    def z(power: int = 1, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly({power: coeff})
+    def unit(i: int, j: int, z_power: int = 0, coeff: int = 1) -> "LaurentMat2":
+        """``coeff * z^z_power`` times the matrix unit ``E_ij`` (1-indexed)."""
+        if i not in (1, 2) or j not in (1, 2):
+            raise ValueError(f"no matrix unit E_{i}{j} in a 2x2 matrix")
+        return LaurentMat2({(i, j, z_power): coeff})
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return LaurentPoly(out)
+    def _new(self, terms: dict) -> "LaurentMat2":
+        return LaurentMat2(terms)
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+    @staticmethod
+    def _key_mul(k1: tuple, k2: tuple):
+        i, j, p = k1
+        j2, l, q = k2
+        return (i, l, p + q) if j == j2 else None
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly({k: c * other for k, c in self.terms.items()})
-        if isinstance(other, LaurentPoly):
-            out: dict = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-            return LaurentPoly(out)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def star(self) -> "LaurentPoly":
-        # the adjoint of z is z^-1; coefficients are integers
-        return LaurentPoly({-k: c for k, c in self.terms.items()})
+    @staticmethod
+    def _key_star(k: tuple) -> tuple:
+        i, j, p = k
+        return (j, i, -p)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, LaurentMat2):
             return NotImplemented
         return self.terms == other.terms
 
@@ -937,102 +915,7 @@ class LaurentPoly:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [
-            (f"{c}" if k == 0 else f"{c}*z^{k}")
-            for k, c in sorted(self.terms.items())
-        ]
-        return " + ".join(parts)
-
-
-class LaurentMat2:
-    """2x2 matrices over integer Laurent polynomials, with *-structure."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = tuple(tuple(row) for row in entries)
-        assert len(rows) == 2 and all(len(r) == 2 for r in rows)
-        self.entries = rows
-
-    @staticmethod
-    def zero() -> "LaurentMat2":
-        z = LaurentPoly.zero()
-        return LaurentMat2(((z, z), (z, z)))
-
-    @staticmethod
-    def identity() -> "LaurentMat2":
-        one, z = LaurentPoly.const(1), LaurentPoly.zero()
-        return LaurentMat2(((one, z), (z, one)))
-
-    @staticmethod
-    def unit(i: int, j: int, z_power: int = 0, coeff: int = 1) -> "LaurentMat2":
-        """``coeff * z^z_power`` times the matrix unit ``E_ij`` (1-indexed)."""
-        rows = [[LaurentPoly.zero(), LaurentPoly.zero()] for _ in range(2)]
-        rows[i - 1][j - 1] = LaurentPoly.z(z_power, coeff)
-        return LaurentMat2(rows)
-
-    def __add__(self, other: "LaurentMat2") -> "LaurentMat2":
-        return LaurentMat2(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def __sub__(self, other: "LaurentMat2") -> "LaurentMat2":
-        return LaurentMat2(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def __neg__(self) -> "LaurentMat2":
-        return LaurentMat2(tuple(tuple(-a for a in r) for r in self.entries))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentMat2(
-                tuple(tuple(a * other for a in r) for r in self.entries)
-            )
-        if isinstance(other, LaurentMat2):
-            a, b = self.entries, other.entries
-            return LaurentMat2(
-                tuple(
-                    tuple(
-                        a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)
-                    )
-                    for i in range(2)
-                )
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def star(self) -> "LaurentMat2":
-        a = self.entries
-        return LaurentMat2(
-            ((a[0][0].star(), a[1][0].star()), (a[0][1].star(), a[1][1].star()))
-        )
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self.entries for x in r)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentMat2):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"LaurentMat2({self.entries!r})"
+        return f"LaurentMat2({self.terms!r})"
 
 
 # -- concrete matrix models over Laurent polynomials ---------------------------

@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from afcore import catalog, leavitt
 from afcore.errors import MorphismError, ParseError, SinkError, SourceError
 from afcore.graphs import Graph
 from afcore.leavitt import (
+    LaurentMat2,
     LeavittElem,
     Monomial,
     TensorElem,
@@ -433,6 +436,112 @@ def test_tensor_zero_test_matches_level_expansion(left, right):
             assert verdict == tensor_is_zero_by_levels(u)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_tensor_ring_operations_act_factorwise():
+    lg, rg = catalog.build_token("penrose"), catalog.build_token("sigma:2")
+    lpool, rpool = monomial_pool(lg), monomial_pool(rg)
+    rng = random.Random("tensor-ring")
+    for _ in range(40):
+        x, x2 = random_elem(lg, lpool, rng), random_elem(lg, lpool, rng)
+        y, y2 = random_elem(rg, rpool, rng), random_elem(rg, rpool, rng)
+        prod = TensorElem.pure(x, y) * TensorElem.pure(x2, y2)
+        assert prod.terms == TensorElem.pure(x * x2, y * y2).terms
+        assert TensorElem.pure(x, y).star().terms == TensorElem.pure(x.star(), y.star()).terms
+
+
+def test_tensor_elements_over_different_graph_pairs_rejected(penrose, sigma2):
+    t = TensorElem.pure(LeavittElem.unit(penrose), LeavittElem.unit(sigma2))
+    u = TensorElem.pure(LeavittElem.unit(sigma2), LeavittElem.unit(penrose))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="different graph pairs"):
+            op(t, u)
+
+
+# -- the shared ring operations and the Laurent-matrix carrier ------------------------
+
+
+def test_carriers_share_the_ring_operations():
+    for name in ("__add__", "__mul__", "star"):
+        assert getattr(LeavittElem, name) is getattr(TensorElem, name)
+        assert getattr(LeavittElem, name) is getattr(LaurentMat2, name)
+
+
+# Reference: a 2x2 matrix (1-indexed in the carrier) of {power: coeff} dicts.
+
+
+def _ref_clean(m):
+    return [[{p: c for p, c in e.items() if c} for e in row] for row in m]
+
+
+def _ref_of(x: LaurentMat2):
+    m = [[{}, {}], [{}, {}]]
+    for (i, j, p), c in x.terms.items():
+        m[i - 1][j - 1][p] = c
+    return m
+
+
+def _ref_add(a, b, sign=1):
+    out = [[dict(e) for e in row] for row in a]
+    for i, j in itertools.product(range(2), repeat=2):
+        for p, c in b[i][j].items():
+            out[i][j][p] = out[i][j].get(p, 0) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_scale(a, n):
+    return _ref_clean([[{p: c * n for p, c in e.items()} for e in row] for row in a])
+
+
+def _ref_mul(a, b):
+    out = [[{}, {}], [{}, {}]]
+    for i, j, k in itertools.product(range(2), repeat=3):
+        for p, c in a[i][k].items():
+            for q, d in b[k][j].items():
+                out[i][j][p + q] = out[i][j].get(p + q, 0) + c * d
+    return _ref_clean(out)
+
+
+def _ref_star(a):
+    return [[{-p: c for p, c in a[j][i].items()} for j in range(2)] for i in range(2)]
+
+
+def _random_laurent(rng):
+    x, ref = LaurentMat2({}), [[{}, {}], [{}, {}]]
+    for _ in range(rng.randint(0, 4)):
+        i, j, p, c = rng.randint(1, 2), rng.randint(1, 2), rng.randint(-2, 2), rng.randint(-2, 2)
+        x = x + LaurentMat2.unit(i, j, z_power=p, coeff=c)
+        ref[i - 1][j - 1][p] = ref[i - 1][j - 1].get(p, 0) + c
+    return x, _ref_clean(ref)
+
+
+def test_laurent_matrices_match_the_entrywise_reference():
+    rng = random.Random("laurent-reference")
+    verdicts = set()
+    for _ in range(200):
+        (x, rx), (y, ry) = _random_laurent(rng), _random_laurent(rng)
+        assert _ref_of(x) == rx
+        assert _ref_of(x + y) == _ref_add(rx, ry)
+        assert _ref_of(x - y) == _ref_add(rx, ry, sign=-1)
+        assert _ref_of(-x) == _ref_scale(rx, -1)
+        n = rng.randint(-3, 3)
+        assert _ref_of(n * x) == _ref_of(x * n) == _ref_scale(rx, n)
+        assert _ref_of(x * y) == _ref_mul(rx, ry)
+        assert _ref_of(x.star()) == _ref_star(rx)
+        for z, rz in ((x, rx), (x * y, _ref_mul(rx, ry)), (x - x, _ref_add(rx, rx, sign=-1))):
+            verdict = z.is_zero()
+            assert verdict == (not any(e for row in rz for e in row))
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_laurent_identity_and_units():
+    one = LaurentMat2.identity()
+    x = LaurentMat2.unit(1, 2, z_power=3, coeff=-2) + LaurentMat2.unit(2, 2)
+    assert one * x == x == x * one
+    assert LaurentMat2.unit(1, 2) * LaurentMat2.unit(1, 2) == LaurentMat2({})
+    with pytest.raises(ValueError, match="E_31"):
+        LaurentMat2.unit(3, 1)
 
 
 # -- parser -------------------------------------------------------------------------
