@@ -218,6 +218,15 @@ class Tower:
         return rep
 
     def kk_report(self, depth: int) -> CheckReport:
+        """Check the shift matrix ``Gamma^-1`` on the line classes.
+
+        The report needs the line-class matrix, whose rows are
+        ``1 Gamma^-k``, to be a basis.  Then the all-ones vector is cyclic
+        for ``Gamma^-1``, and so for ``Gamma``; that is one of the seeds
+        :func:`linalg.is_non_derogatory` tries.  The two "non-derogatory"
+        items are therefore certified by the line basis, not independent
+        evidence.
+        """
         rep = CheckReport(f"shift matrix checks on {self.graph.name!r}")
         kkm = self.kk_matrix
         rep.add("shift matrix inverts the adjacency", kkm * self.gamma == Matrix.identity(self.n))

@@ -422,16 +422,24 @@ class _ExprScanner:
     def parse_element(self) -> LeavittElem:
         # NB: membership in a tuple, not a string -- peek() returns "" at
         # end of input and '"" in "+-"' would be True.
+        # The terms are summed into one dict, so a long sum parses in linear
+        # time; a key that cancels is dropped at once, as `+` would drop it.
+        terms: dict = {}
         sign = 1
         if self.peek() in ("+", "-"):
             sign = -1 if self.peek() == "-" else 1
             self.pos += 1
-        total = self.parse_term() * sign
-        while self.peek() in ("+", "-"):
+        while True:
+            for m, c in self.parse_term().terms.items():
+                c = terms.get(m, 0) + sign * c
+                if c:
+                    terms[m] = c
+                else:
+                    del terms[m]
+            if self.peek() not in ("+", "-"):
+                return LeavittElem(self.g, terms)
             sign = -1 if self.peek() == "-" else 1
             self.pos += 1
-            total = total + self.parse_term() * sign
-        return total
 
     def parse_term(self) -> LeavittElem:
         coeff = 1
@@ -827,10 +835,10 @@ class TensorElem(_Combination):
     def is_zero(self) -> bool:
         # push the left factors down their trees; the final left nodes are
         # independent, so each one's right-hand element must vanish
-        rg = self.right_graph
-        left: dict = {}
+        right: dict = {}
         for (ml, mr), c in self.terms.items():
-            left[ml] = left.get(ml, LeavittElem.zero(rg)) + LeavittElem(rg, {mr: c})
+            right.setdefault(ml, {})[mr] = c
+        left = {ml: LeavittElem(self.right_graph, ts) for ml, ts in right.items()}
         return all(is_zero(y) for _, y in _refine(self.left_graph, left))
 
     def __repr__(self) -> str:

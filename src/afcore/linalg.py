@@ -1,10 +1,15 @@
 """Exact integer matrix arithmetic and polynomial quotient rings.
 
 Everything here is exact: integer matrices with arbitrary-precision
-entries; determinants, ranks and unimodular inverses from one
-fraction-free (Bareiss) elimination, so no fraction ever arises, with
-each inverse checked against the identity before it is returned; and
-arithmetic in Z[x]/(p) for a monic-up-to-sign integer polynomial p.
+entries, whose products skip zero entries; determinants, ranks and
+unimodular inverses from one fraction-free (Bareiss) elimination, so no
+fraction ever arises, with each inverse checked against the identity
+before it is returned; characteristic polynomials and the
+non-derogatory test from a cyclic Krylov vector v, v m, ..., v m^n in
+O(n^3), falling back to the Faddeev-LeVerrier recursion and the rank of
+the powers of m when none of three fixed seed vectors is cyclic (always
+so for a derogatory m); and arithmetic in Z[x]/(p) for a
+monic-up-to-sign integer polynomial p.
 
 Polynomials are tuples of integer coefficients in ascending order with
 trailing zeros trimmed; the zero polynomial is the empty tuple.
@@ -102,10 +107,7 @@ class Matrix:
                     f"shape mismatch: ({self.n_rows}x{self.n_cols}) * "
                     f"({other.n_rows}x{other.n_cols})"
                 )
-            cols = other.transpose().rows
-            return Matrix(
-                tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in self.rows
-            )
+            return Matrix(_vec_mat(r, other) for r in self.rows)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -127,11 +129,21 @@ def trace(m: Matrix) -> int:
     return sum(m.rows[i][i] for i in range(m.n_rows))
 
 
+def _vec_mat(vec: Sequence[int], m: Matrix) -> list:
+    """``vec`` times ``m``, adding ``a * row`` only for the nonzero entries
+    ``a`` of ``vec``."""
+    out = [0] * m.n_cols
+    for a, row in zip(vec, m.rows):
+        if a:
+            out = [o + a * b for o, b in zip(out, row)]
+    return out
+
+
 def row_vec_mul(vec: Sequence[int], m: Matrix) -> tuple:
     """Row vector times matrix."""
     if len(vec) != m.n_rows:
         raise ValueError(f"vector length {len(vec)} does not match {m.n_rows} rows")
-    return tuple(sum(vec[i] * m.rows[i][j] for i in range(m.n_rows)) for j in range(m.n_cols))
+    return tuple(_vec_mat(vec, m))
 
 
 def _eliminate(a: list, n_cols: int, reduce: bool = False) -> tuple:
@@ -235,19 +247,41 @@ def rank_Q(m: Matrix) -> int:
     return _eliminate([list(r) for r in m.rows], m.n_cols)[0]
 
 
-def charpoly(m: Matrix) -> tuple:
-    """Coefficients of det(x*I - m), ascending, leading coefficient 1.
+def _krylov_charpoly(m: Matrix) -> tuple | None:
+    """Coefficients of det(x*I - m) from a cyclic vector, or None if no seed is one.
 
-    Computed by the exact Faddeev-LeVerrier recursion; every division and
-    the closing identity are checked.
+    Seeds are tried in a fixed order: e_0, the all-ones vector, (1, 2, ..., n).
+    If the rows v, v m, ..., v m^(n-1) have rank n, v is cyclic: its minimal
+    polynomial is the characteristic polynomial (Keller-Gehrig), so m is
+    non-derogatory and one Gauss-Jordan solve of ``sum c_i v m^i = -v m^n``
+    gives ``c_0 .. c_(n-1)``.  After it, row i ends in ``-pivot * c_i`` for
+    the last pivot ``pivot`` (not the row's own pivot entry, which
+    :func:`_eliminate` leaves unscaled); each division is checked to be exact.
     """
-    if not m.is_square:
-        raise ValueError("characteristic polynomial requires a square matrix")
+    n = m.n_rows
+    for seed in ((1,) + (0,) * (n - 1), (1,) * n, tuple(range(1, n + 1))):
+        krylov = [seed]
+        for _ in range(n):
+            krylov.append(row_vec_mul(krylov[-1], m))
+        a = [list(col) for col in zip(*krylov)]  # [K^T | (v m^n)^T]
+        rank, _, pivot = _eliminate(a, n, reduce=True)
+        if rank < n:
+            continue
+        coeffs = []
+        for row in a:
+            c, rem = divmod(-row[n], pivot)
+            if rem:
+                raise CertificateError(f"Krylov coefficient {-row[n]}/{pivot} is not an integer")
+            coeffs.append(c)
+        return tuple(coeffs) + (1,)
+    return None
+
+
+def _faddeev_leverrier(m: Matrix) -> tuple:
+    """Coefficients of det(x*I - m) by the exact Faddeev-LeVerrier recursion."""
     n = m.n_rows
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    if n == 0:
-        return (1,)
     ident = Matrix.identity(n)
     mk = ident
     for k in range(1, n + 1):
@@ -264,33 +298,54 @@ def charpoly(m: Matrix) -> tuple:
     return tuple(coeffs)
 
 
+def charpoly(m: Matrix) -> tuple:
+    """Coefficients of det(x*I - m), ascending, leading coefficient 1.
+
+    From a cyclic vector when one of the seeds of :func:`_krylov_charpoly`
+    is cyclic, O(n^3); otherwise (always so when m is derogatory) by the
+    exact Faddeev-LeVerrier recursion, whose divisions and closing identity
+    are checked.  Either way c_(n-1) = -trace(m) and c_0 = (-1)^n det(m)
+    are checked.
+    """
+    if not m.is_square:
+        raise ValueError("characteristic polynomial requires a square matrix")
+    n = m.n_rows
+    if n == 0:
+        return (1,)
+    coeffs = _krylov_charpoly(m) or _faddeev_leverrier(m)
+    if coeffs[n - 1] != -trace(m) or coeffs[0] != (-1) ** n * det(m):
+        raise CertificateError("characteristic polynomial disagrees with trace or determinant")
+    return coeffs
+
+
 def rev_charpoly(m: Matrix) -> IntPoly:
     """Coefficients (c_0, ..., c_n) of det(t*m - 1) in ascending order.
 
-    If det(x*I - m) = sum a_k x^k then det(t*m - 1) = sum_j (-1)^n a_{n-j} t^j.
-    Postconditions checked: c_0 = (-1)^n and c_n = det(m).
+    If det(x*I - m) = sum a_k x^k then det(t*m - 1) = sum_j (-1)^n a_{n-j} t^j,
+    so c_0 = (-1)^n and c_n = det(m), as :func:`charpoly` checks.
     """
     a = charpoly(m)
     n = m.n_rows
     sign = (-1) ** n
-    c = tuple(sign * a[n - j] for j in range(n + 1))
-    if c[0] != sign or c[n] != det(m):
-        raise CertificateError("det(t*m - 1) must run from (-1)^n to det(m)")
-    return c
+    return tuple(sign * a[n - j] for j in range(n + 1))
 
 
 def is_non_derogatory(m: Matrix) -> bool:
-    """True iff I, m, m^2, ..., m^(n-1) are linearly independent over Q."""
+    """True iff I, m, m^2, ..., m^(n-1) are linearly independent over Q.
+
+    True at once when a seed of :func:`_krylov_charpoly` is cyclic;
+    otherwise the rank of the n x n^2 matrix of flattened powers decides.
+    """
     if not m.is_square:
         raise ValueError("non-derogatory test requires a square matrix")
     n = m.n_rows
-    if n == 0:
+    if n == 0 or _krylov_charpoly(m):
         return True
     rows = []
     p = Matrix.identity(n)
     for _ in range(n):
         rows.append([x for r in p.rows for x in r])
-        p = p * m
+        p = m * p
     return rank_Q(Matrix(rows)) == n
 
 

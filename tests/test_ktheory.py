@@ -482,3 +482,22 @@ def test_invariants_report_derives_each_per_graph_datum_once(monkeypatch):
     # each colimit build ranks its stable connecting map once, and full:16
     # is not unimodular, so no other rank is taken
     assert counts["rank_Q"] == 1
+
+
+@pytest.mark.parametrize("token", ["cycle:40", "sigma:20"])
+def test_invariants_report_makes_a_constant_number_of_matrix_products(token, monkeypatch):
+    # the characteristic polynomial and the non-derogatory checks take the
+    # Krylov route on these non-derogatory adjacencies, with vector products
+    # only; what is left are the checks of the inverses of Gamma and the
+    # line-class matrix and the shift-matrix check of kk_report
+    products = []
+    real_mul = Matrix.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(b, Matrix):
+            products.append((a.n_rows, b.n_cols))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    invariants_report(catalog.build_token(token))
+    assert len(products) <= 3

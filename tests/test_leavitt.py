@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from afcore import catalog, leavitt
 from afcore.errors import MorphismError, ParseError, SinkError, SourceError
-from afcore.graphs import Graph
+from afcore.graphs import Graph, directed_walks, walk_edges
 from afcore.leavitt import (
     LaurentMat2,
     LeavittElem,
@@ -458,6 +458,35 @@ def test_tensor_elements_over_different_graph_pairs_rejected(penrose, sigma2):
             op(t, u)
 
 
+def _no_additions(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("a pairwise + ran")
+
+    monkeypatch.setattr(leavitt._Combination, "__add__", refuse)
+
+
+def test_tensor_zero_test_groups_right_factors_without_additions(monkeypatch):
+    # P(1) (x) x for x = S_mu over the 243 walks mu of length 4 in full:3, and
+    # for x = P(1) - (the ranges of the 27 length-3 walks from 1), which is 0:
+    # one left key with many right-hand terms, collected in one dict
+    lg, rg = catalog.build_token("cuntz:2"), catalog.build_token("full:3")
+    p1 = LeavittElem.vertex_projection(lg, lg.vertices[0])
+    def s_mu(mu, star=False):
+        return "".join(f"S({e})^*" if star else f"S({e})" for e in (mu[::-1] if star else mu))
+
+    walks = [walk_edges(w) for w in directed_walks(rg, 4)]
+    spans = parse_elem(rg, " + ".join(s_mu(mu) for mu in walks))
+    ranges = [walk_edges(w) for w in directed_walks(rg, 3) if w[0] == "1"]
+    cuntz_krieger = parse_elem(
+        rg, "P(1)" + "".join(f" - {s_mu(mu)}{s_mu(mu, star=True)}" for mu in ranges)
+    )
+    nonzero, zero = TensorElem.pure(p1, spans), TensorElem.pure(p1, cuntz_krieger)
+    assert len(nonzero.terms) == 243 and len(zero.terms) == 28
+    _no_additions(monkeypatch)
+    assert not nonzero.is_zero()
+    assert zero.is_zero()
+
+
 # -- the shared ring operations and the Laurent-matrix carrier ------------------------
 
 
@@ -576,6 +605,26 @@ def test_parse_forms(penrose):
     assert parse_elem(penrose, "S(a)^* P(1) S(a) + 2 P(2)") == parse_elem(
         penrose, "S(a)^*S(a) + 2P(2)"
     )
+
+
+def test_long_sums_parse_without_pairwise_additions(monkeypatch):
+    # a sum is collected in one dict; a key that cancels is dropped at once,
+    # so the term order is the one that repeated `+` gives
+    g = catalog.build_token("full:3")
+    rng = random.Random("long-sum")
+    edges = [e.eid for e in g.edges]
+    parts = [f"S({rng.choice(edges)})S({rng.choice(edges)})^*" for _ in range(200)]
+    parts += rng.sample(parts, 60)  # repeats that cancel or double
+    rng.shuffle(parts)
+    signs = [rng.choice("+-") for _ in parts]
+    text = "".join(f" {s} {x}" for s, x in zip(signs, parts))
+    reference = LeavittElem.zero(g)
+    for s, x in zip(signs, parts):
+        term = parse_elem(g, x)
+        reference = reference + term if s == "+" else reference - term
+    _no_additions(monkeypatch)
+    got = parse_elem(g, text)
+    assert list(got.terms.items()) == list(reference.terms.items())
 
 
 @pytest.mark.parametrize(

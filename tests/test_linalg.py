@@ -217,9 +217,10 @@ def test_inv_unimodular_rejects_and_reports_det():
 
 def test_certificates_survive_python_O():
     # under -O an assert is skipped; the certificates must still refuse a
-    # result built from a wrong matrix product
+    # result built from a wrong matrix or vector product, on both charpoly routes
     script = textwrap.dedent(
         """
+        from afcore import linalg
         from afcore.errors import CertificateError
         from afcore.linalg import Matrix, charpoly, inv_unimodular
 
@@ -230,12 +231,32 @@ def test_certificates_survive_python_O():
             raise SystemExit("inverse certificate skipped")
         except CertificateError:
             pass
-        Matrix.__mul__ = lambda a, b: real_mul(a, b) + Matrix.identity(a.n_rows)
+        Matrix.__mul__ = real_mul
+
+        # [[2, 1], [1, 1]] is non-derogatory: charpoly takes the Krylov route,
+        # which never multiplies matrices.  With every vector product off by
+        # one it would return x^2 - 3x: the trace agrees, the determinant not.
+        real_row_vec_mul = linalg.row_vec_mul
+        linalg.row_vec_mul = lambda v, m: tuple(x + 1 for x in real_row_vec_mul(v, m))
         try:
             charpoly(Matrix([[2, 1], [1, 1]]))
-            raise SystemExit("charpoly closing identity skipped")
+            raise SystemExit("Krylov charpoly certificate skipped")
         except CertificateError:
             pass
+        linalg.row_vec_mul = real_row_vec_mul
+
+        # 2I is derogatory: charpoly falls back to Faddeev-LeVerrier.  Adding
+        # I to each product breaks the trace; adding the nilpotent E_01 keeps
+        # the trace and the determinant right, and only the closing identity
+        # of the recursion sees it.
+        for extra in (Matrix.identity(2), Matrix([[0, 1], [0, 0]])):
+            Matrix.__mul__ = lambda a, b: real_mul(a, b) + extra
+            try:
+                charpoly(Matrix([[2, 0], [0, 2]]))
+                raise SystemExit(f"Faddeev-LeVerrier certificate skipped for {extra}")
+            except CertificateError:
+                pass
+        Matrix.__mul__ = real_mul
 
         from afcore import catalog, graphs
         graphs.directed_cycle_count = lambda g: 2
@@ -418,6 +439,120 @@ def test_is_non_derogatory():
     assert is_non_derogatory(Matrix([[1, 1], [1, 0]]))
     assert not is_non_derogatory(Matrix.identity(2))
     assert is_non_derogatory(Matrix([[5]]))
+
+
+def non_derogatory_by_power_rank(m: Matrix) -> bool:
+    """The definition: I, m, ..., m^(n-1), flattened, have rank n."""
+    n = m.n_rows
+    rows, p = [], Matrix.identity(n)
+    for _ in range(n):
+        rows.append([x for r in p.rows for x in r])
+        p = p * m
+    return rank_Q(Matrix(rows)) == n
+
+
+def adjacency_rows(token: str) -> list:
+    return [list(r) for r in graphs.adjacency(catalog.build_token(token)).rows]
+
+
+def block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, r in enumerate(b):
+            rows[at + i][at : at + len(r)] = r
+        at += len(b)
+    return rows
+
+
+def conjugate(rows, rng):
+    """u^-1 * rows * u for u a random row permutation of a unitriangular
+    matrix, so that no seed vector lines up with the block structure."""
+    n = len(rows)
+    upper = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+    u = Matrix(upper[i] for i in rng.sample(range(n), n))
+    return [list(r) for r in (inv_unimodular(u) * Matrix(rows) * u).rows]
+
+
+def derogatory_inputs():
+    rng = random.Random("derogatory")
+    out = [
+        [[2, 0], [0, 2]],
+        [[3, 0, 0], [0, -1, 0], [0, 0, 3]],
+        block_diagonal([[1, 1], [1, 0]], [[1, 1], [1, 0]]),
+        block_diagonal([[0, 1], [-1, 2]], [[0, 1], [-1, 2]], [[5]]),
+    ]
+    out += [adjacency_rows(token) for token in ("full:3", "full:4", "full:6", "lens:2", "lens:3", "lens:4")]
+    for _ in range(6):
+        d = [rng.choice((-1, 0, 2)) for _ in range(rng.randint(2, 4))]
+        d.append(d[0])  # a repeated eigenvalue with two eigenvectors
+        out.append(conjugate([[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))], rng))
+        b = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+        out.append(conjugate(block_diagonal(b, b), rng))
+    return out
+
+
+def non_derogatory_inputs():
+    rng = random.Random("non-derogatory")
+    out = [adjacency_rows(token) for token in ("cycle:1", "cycle:2", "cycle:5", "cycle:9", "sigma:3", "sigma:6")]
+    for n in range(1, 6):  # companion matrices of random monic polynomials
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        out.append([[int(j == i + 1) for j in range(n)] for i in range(n - 1)] + [[-x for x in c]])
+    return out
+
+
+# Left eigenvectors e_0, 1 and e_2 (resp. (1, 2, 3)) of eigenvalues 1, 2, 3:
+# e_0 and 1 are not cyclic, so only the third seed (resp. no seed) is.
+_P3 = Matrix([[1, 0, 0], [1, 1, 1], [0, 0, 1]])
+_P_ALL = Matrix([[1, 0, 0], [1, 1, 1], [1, 2, 3]])
+_D = Matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+THIRD_SEED_ONLY = inv_unimodular(_P3) * _D * _P3
+NO_SEED_CYCLIC = inv_unimodular(_P_ALL) * _D * _P_ALL
+
+
+def test_charpoly_on_derogatory_and_non_derogatory_inputs_matches_sympy(sympy):
+    x = sympy.Symbol("x")
+    for rows, expected in [(r, False) for r in derogatory_inputs()] + [
+        (r, True) for r in non_derogatory_inputs()
+    ]:
+        m = Matrix(rows)
+        assert list(charpoly(m)) == sympy.Matrix(rows).charpoly(x).all_coeffs()[::-1], rows
+        assert is_non_derogatory(m) is expected, rows
+
+
+def test_charpoly_does_not_depend_on_which_seed_is_cyclic(monkeypatch):
+    products = []
+    real_mul = Matrix.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(b, Matrix):
+            products.append(b)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    # the seeds e_0 and 1 are eigenvectors of both matrices, (1, 2, 3) of the second
+    for m, fallback in ((THIRD_SEED_ONLY, False), (NO_SEED_CYCLIC, True)):
+        assert row_vec_mul((1, 0, 0), m) == (1, 0, 0)
+        assert row_vec_mul((1, 1, 1), m) == (2, 2, 2)
+        products.clear()
+        assert charpoly(m) == (-6, 11, -6, 1)  # (x - 1)(x - 2)(x - 3)
+        assert len(products) == (3 if fallback else 0)
+        assert is_non_derogatory(m)
+    assert row_vec_mul((1, 2, 3), NO_SEED_CYCLIC) == (3, 6, 9)
+
+
+def test_is_non_derogatory_matches_the_power_rank_definition():
+    rng = random.Random("non-derogatory-definition")
+    cases = derogatory_inputs() + non_derogatory_inputs() + [
+        [list(r) for r in THIRD_SEED_ONLY.rows],
+        [list(r) for r in NO_SEED_CYCLIC.rows],
+    ]
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        cases.append([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
+    for rows in cases:
+        m = Matrix(rows)
+        assert is_non_derogatory(m) == non_derogatory_by_power_rank(m), rows
 
 
 # -- polynomial quotient ring -------------------------------------------------------
