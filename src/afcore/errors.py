@@ -53,4 +53,4 @@ class MorphismError(ArtifactError):
 
 
 class GuardError(ArtifactError):
-    """A brute-force enumeration exceeded its configured size guard."""
+    """An enumeration or search exceeded its configured size guard."""

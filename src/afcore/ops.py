@@ -13,12 +13,24 @@ closure conditions:
 Admissible injections are exactly the morphisms that induce unital
 algebra homomorphisms backwards between the associated algebras (see
 ``leavitt.induced_hom``).
+
+Both conditions are local.  Under an injective vertex map f, the image
+edges into f(v) are the images of the edges into v, and those out of f(v)
+the images of the edges out of v.  So f extends to an admissible edge map
+exactly when, for all domain vertices u and v,
+
+* in-degree(v) = in-degree(f(v)), and
+* the edges u -> v are as many as the edges f(u) -> f(v): together, every
+  codomain edge into f(v) starts in the image and is hit exactly once
+  (range-closed);
+* v is a sink exactly when f(v) is (emission-covered).
+
+The admissible edge maps of f are then the bijections between parallel-edge sets.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
 
@@ -98,22 +110,13 @@ def check_morphism(m: Morphism) -> AdmissibilityVerdict:
                 f"({e.dst!r} -> {m.vmap[e.dst]!r} but image edge ends at {f.dst!r})"
             )
 
-    # injectivity, with witnesses
+    # injectivity, with witnesses: (first preimage, later preimage)
     inj_witnesses = []
-    seen: dict = {}
-    for v in dom.vertices:
-        w = m.vmap[v]
-        if w in seen:
-            inj_witnesses.append((seen[w], v))
-        else:
-            seen[w] = v
-    seen_e: dict = {}
-    for e in dom.edges:
-        f = m.emap[e.eid]
-        if f in seen_e:
-            inj_witnesses.append((seen_e[f], e.eid))
-        else:
-            seen_e[f] = e.eid
+    for keys, images in ((dom.vertices, m.vmap), ([e.eid for e in dom.edges], m.emap)):
+        first: dict = {}
+        for k in keys:
+            if first.setdefault(images[k], k) != k:
+                inj_witnesses.append((first[images[k]], k))
 
     image_v = set(m.vmap.values())
     image_e = set(m.emap.values())
@@ -170,29 +173,23 @@ def product(e: Graph, f: Graph) -> Graph:
     product is the Kronecker product of the factor adjacencies.  Raises
     ``ValueError`` when the underscore pairing of identifiers is ambiguous.
     """
-    vertices = []
-    seen = set()
-    for v in e.vertices:
-        for w in f.vertices:
-            name = f"{v}_{w}"
-            if name in seen:
-                raise ValueError(
-                    f"ambiguous product vertex id {name!r}; rename factor vertices"
-                )
-            seen.add(name)
-            vertices.append(name)
-    edges = []
-    seen_e = set()
-    for a in e.edges:
-        for b in f.edges:
-            eid = f"{a.eid}_{b.eid}"
-            if eid in seen_e:
-                raise ValueError(
-                    f"ambiguous product edge id {eid!r}; rename factor edges"
-                )
-            seen_e.add(eid)
-            edges.append((eid, f"{a.src}_{b.src}", f"{a.dst}_{b.dst}"))
+    vertices = [f"{v}_{w}" for v in e.vertices for w in f.vertices]
+    _check_unique(vertices, "product vertex", "rename factor vertices")
+    edges = [
+        (f"{a.eid}_{b.eid}", f"{a.src}_{b.src}", f"{a.dst}_{b.dst}")
+        for a in e.edges
+        for b in f.edges
+    ]
+    _check_unique([x[0] for x in edges], "product edge", "rename factor edges")
     return Graph(f"{e.name}_x_{f.name}", vertices, edges)
+
+
+def _check_unique(ids: list, what: str, hint: str) -> None:
+    seen: set = set()
+    for i in ids:
+        if i in seen:
+            raise ValueError(f"ambiguous {what} id {i!r}; {hint}")
+        seen.add(i)
 
 
 def diagonal_embedding(e: Graph, within: Graph | None = None) -> Morphism:
@@ -233,47 +230,77 @@ def vertical_embedding(
     )
 
 
+def _distinct_choices(n: int, options, step, fits=None):
+    """Yield each tuple of ``n`` distinct choices, in lexicographic order.
+
+    Slot ``i`` tries ``options(i)`` in order, ``step()`` runs once per
+    candidate and ``fits(prefix, c)``, if given, prunes.  The stack is
+    explicit, so ``n`` is not bounded by the recursion limit.
+    """
+    chosen: dict = {}  # the prefix, in order; a dict for O(1) membership
+    stack = [iter(options(0))] if n else []
+    if not n:
+        yield ()
+    while stack:
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            if stack:
+                chosen.popitem()
+            continue
+        step()
+        if c in chosen or (fits is not None and not fits(chosen, c)):
+            continue
+        if len(stack) == n:
+            yield (*chosen, c)
+        else:
+            chosen[c] = None
+            stack.append(iter(options(len(stack))))
+
+
 def enumerate_admissible_embeddings(
     e: Graph, f: Graph, guard: int = 200_000
 ) -> tuple[Morphism, ...]:
     """All admissible injective morphisms ``e -> f``, deterministically ordered.
 
-    Brute force over injective vertex assignments (codomain vertices in
-    declaration order), then over compatible edge assignments.  Intended
-    for small graphs; raises :class:`GuardError` when the number of
-    injective vertex maps exceeds ``guard``.
+    A depth-first search maps ``e.vertices`` in order to ``f.vertices`` in
+    order and keeps v -> w only when the three local conditions of the
+    module docstring hold between v and every vertex mapped so far, v
+    included.  The edge maps of each vertex map are the bijections between
+    parallel-edge sets, searched over ``e.edges`` in ``f.edges`` order.
+    Raises :class:`GuardError` when the search would try more than
+    ``guard`` vertex and edge assignments.
     """
-    ne, nf = e.n_vertices, f.n_vertices
-    if ne > nf:
+    if e.n_vertices > f.n_vertices:
         return ()
-    n_vertex_maps = math.perm(nf, ne)
-    if n_vertex_maps > guard:
-        raise GuardError(
-            f"{n_vertex_maps} injective vertex maps exceed the guard of {guard}"
+    e_par: dict = {}
+    f_par: dict = {}
+    for g, par in ((e, e_par), (f, f_par)):
+        for x in g.edges:
+            par.setdefault((x.src, x.dst), []).append(x.eid)
+    tries = itertools.count(1)
+
+    def step() -> None:
+        if next(tries) > guard:
+            raise GuardError(
+                f"{guard + 1} vertex and edge assignments exceed the guard of {guard}"
+            )
+
+    def fits(image: dict, w: str) -> bool:
+        v = e.vertices[len(image)]
+        same = (e.in_degree(v), e.is_sink(v)) == (f.in_degree(w), f.is_sink(w))
+        return same and all(
+            len(e_par.get((u, v), ())) == len(f_par.get((fu, w), ()))
+            and len(e_par.get((v, u), ())) == len(f_par.get((w, fu), ()))
+            for u, fu in zip(e.vertices, [*image, w])
         )
+
     found = []
-    for image in itertools.permutations(f.vertices, ne):
+    for image in _distinct_choices(e.n_vertices, lambda i: f.vertices, step, fits):
         vmap = dict(zip(e.vertices, image))
-        candidates = []
-        ok = True
-        for x in e.edges:
-            cands = [
-                fe.eid
-                for fe in f.edges
-                if fe.src == vmap[x.src] and fe.dst == vmap[x.dst]
-            ]
-            if not cands:
-                ok = False
-                break
-            candidates.append(cands)
-        if not ok:
-            continue
-        for combo in itertools.product(*candidates):
-            if len(set(combo)) != len(combo):
-                continue
-            m = Morphism(e, f, vmap, dict(zip((x.eid for x in e.edges), combo)))
-            if check_morphism(m).admissible:
-                found.append(m)
+        pools = [f_par[vmap[x.src], vmap[x.dst]] for x in e.edges]
+        for fe in _distinct_choices(len(pools), pools.__getitem__, step):
+            found.append(Morphism(e, f, vmap, {x.eid: c for x, c in zip(e.edges, fe)}))
     return tuple(found)
 
 
@@ -298,14 +325,11 @@ def hereditary_saturated(g: Graph, vset) -> HereditarySaturated:
     for v in vs:
         g.vertex_index(v)
     hereditary = all(e.dst in vs for e in g.edges if e.src in vs)
-    saturated = True
-    for v in g.vertices:
-        if v in vs:
-            continue
-        out = g.out_edges(v)
-        if out and all(e.dst in vs for e in out):
-            saturated = False
-            break
+    saturated = not any(
+        g.out_edges(v) and all(e.dst in vs for e in g.out_edges(v))
+        for v in g.vertices
+        if v not in vs
+    )
     return HereditarySaturated(hereditary, saturated)
 
 
@@ -337,18 +361,12 @@ def line_graph(g: Graph) -> Graph:
     concatenation of edge ids collides.
     """
     vertices = [e.eid for e in g.edges]
-    edges = []
-    seen = set()
-    for a in g.edges:
-        for b in g.edges:
-            if a.dst == b.src:
-                eid = f"{a.eid}_{b.eid}"
-                if eid in seen:
-                    raise ValueError(
-                        f"ambiguous line-graph edge id {eid!r}; rename edges"
-                    )
-                seen.add(eid)
-                edges.append((eid, a.eid, b.eid))
+    edges = [
+        (f"{a.eid}_{b.eid}", a.eid, b.eid)
+        for a in g.edges
+        for b in g.out_edges(a.dst)
+    ]
+    _check_unique([x[0] for x in edges], "line-graph edge", "rename edges")
     return Graph(f"line_{g.name}", vertices, edges)
 
 
@@ -384,7 +402,7 @@ def parse_morphism_document(text: str, graph_resolver=None) -> Morphism:
     header = None
     vmap: dict = {}
     emap: dict = {}
-    for idx, raw in enumerate(lines):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -392,49 +410,37 @@ def parse_morphism_document(text: str, graph_resolver=None) -> Morphism:
         if word == "morphism":
             match = _MORPHISM_RE.match(line)
             if not match:
-                raise ParseError(
-                    "expected 'morphism name : domain -> codomain'", line=idx + 1
-                )
+                raise ParseError("expected 'morphism name : domain -> codomain'", lineno)
             if header is not None:
-                raise ParseError(
-                    "only one morphism statement per document", line=idx + 1
-                )
+                raise ParseError("only one morphism statement per document", lineno)
             header = match.groups()
-            morphism_line = idx + 1
+            morphism_line = lineno
             continue
         if word in ("vmap", "emap"):
             if header is None:
-                raise ParseError(
-                    f"{word} before the morphism statement", line=idx + 1
-                )
+                raise ParseError(f"{word} before the morphism statement", lineno)
             match = _MAP_RE.match(line)
             if not match:
-                raise ParseError(f"expected '{word} x => y'", line=idx + 1)
+                raise ParseError(f"expected '{word} x => y'", lineno)
             kind, key, value = match.groups()
             target = vmap if kind == "vmap" else emap
             if key in target:
-                raise ParseError(f"duplicate {kind} entry for {key!r}", line=idx + 1)
+                raise ParseError(f"duplicate {kind} entry for {key!r}", lineno)
             target[key] = value
             continue
         if word == "graph":
             if header is not None:
-                raise ParseError(
-                    "graph blocks must precede the morphism statement", line=idx + 1
-                )
-            blocks.append((idx, [raw]))
+                raise ParseError("graph blocks must precede the morphism statement", lineno)
+            blocks.append((lineno - 1, [raw]))
             continue
         if word in ("vertex", "edge"):
             if header is not None:
-                raise ParseError(
-                    "graph statements after the morphism statement", line=idx + 1
-                )
+                raise ParseError("graph statements after the morphism statement", lineno)
             if not blocks:
-                raise ParseError(
-                    f"{word} before any 'graph' statement", line=idx + 1
-                )
+                raise ParseError(f"{word} before any 'graph' statement", lineno)
             blocks[-1][1].append(raw)
             continue
-        raise ParseError(f"unrecognized statement {word!r}", line=idx + 1)
+        raise ParseError(f"unrecognized statement {word!r}", lineno)
     if header is None:
         raise ParseError("document has no morphism statement", line=len(lines) or 1)
 
@@ -463,10 +469,4 @@ def parse_morphism_document(text: str, graph_resolver=None) -> Morphism:
             line=morphism_line,
         )
 
-    return Morphism(
-        domain=_resolve(dom_token),
-        codomain=_resolve(cod_token),
-        vmap=vmap,
-        emap=emap,
-        name=name,
-    )
+    return Morphism(_resolve(dom_token), _resolve(cod_token), vmap, emap, name)

@@ -181,6 +181,40 @@ def test_embeddings_guard_error(capsys):
     assert "exceed the guard" in err
 
 
+def test_embeddings_sigma6_answers(capsys):
+    # the brute force refused: 36P6 injective vertex maps exceed the guard
+    code, out, err = run(capsys, "embeddings", "sigma:6")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "2 admissible embedding(s) of sigma6 into sigma6_x_sigma6"
+
+
+# sha256 of "<exit code>\n<stdout>" for ``embeddings <token> [--json]``, recorded
+# with the brute-force enumeration: the search must list the same embeddings in
+# the same order
+PINNED_EMBEDDINGS = {
+    ("sigma:2", ""): "d6b957f03c3e10a5b655fcabf727605c6c69a55a8e060cbb12eb01f3e567e6f6",
+    ("sigma:2", "--json"): "68adc8dd702e7b46468be7927f7fdf7428fabcb09c6419436868ae6c2dbf0b15",
+    ("penrose", ""): "cdf07c18f1a72cb3007029344004641b3b8e55b800f91fe71c513cfd57c2957a",
+    ("penrose", "--json"): "f1930199476bc469401accfa4943963d9413d7d420b9877f86460f2c08bcea22",
+    ("lens:2", ""): "1421e3a7922a6c5fdfde8ca65ce7c504d21322238f900b5a24fed5dafa995705",
+    ("lens:2", "--json"): "e88f1676944a0c1bdd3235573fe429df5ad5b3d0ab83cf4c3e1c6b209802d914",
+    ("cycle:4", ""): "8643d7c312f19c84622ef6245aa4232bf26163a2652da0631169deb5d6c4c425",
+    ("cycle:4", "--json"): "21db93151a6380410eb1fc105b66fa3d6bf2647bd5d00fef096427d843e23447",
+    ("lens:3", ""): "8a1f4af716761b1c9c7f93f4588e999a9325d6d40efcf3faaab116184540a807",
+    ("lens:3", "--json"): "e670cdb0a778ddf64a7ca4e1e34ce4a3da46af7140d1a10e92a74ddaa6988838",
+    ("sigma:3", ""): "aa114d8a9069934c0133fdd713fce71e379944472cdfc3d16486d051fdb6c190",
+    ("sigma:3", "--json"): "34149c0ccaae0ef4cea6c95bb7932a1c17686047213b44e6063ab8d33858c75a",
+}
+
+
+def test_embeddings_output_is_pinned(capsys):
+    got = {}
+    for token, flag in PINNED_EMBEDDINGS:
+        code, out, err = run(capsys, "embeddings", token, *([flag] if flag else []))
+        got[(token, flag)] = hashlib.sha256(f"{code}\n".encode() + out.encode()).hexdigest()
+    assert got == PINNED_EMBEDDINGS
+
+
 # -- bratteli ---------------------------------------------------------------------------
 
 

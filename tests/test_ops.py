@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from afcore import catalog
+from afcore import catalog, ops
 from afcore.errors import GuardError, MorphismError, ParseError
 from afcore.graphs import Graph, adjacency, parse_graph
 from afcore.linalg import Matrix
@@ -193,28 +194,104 @@ def test_vertical_embedding_needs_a_loop(penrose):
         vertical_embedding(penrose, penrose, "b")
 
 
+def admissible_embeddings_by_brute_force(e: Graph, f: Graph) -> list:
+    return [m for m in all_injective_morphisms(e, f) if admissible_by_definition(m)]
+
+
+def as_maps(morphisms) -> list:
+    """Ordered (vmap, emap) item lists: sequence and key order both count."""
+    return [(list(m.vmap.items()), list(m.emap.items())) for m in morphisms]
+
+
+def assert_search_matches_brute_force(e: Graph, f: Graph) -> None:
+    got = enumerate_admissible_embeddings(e, f)
+    assert as_maps(got) == as_maps(admissible_embeddings_by_brute_force(e, f))
+    assert all(m.domain is e and m.codomain is f and m.name == "" for m in got)
+    assert all(check_morphism(m).admissible for m in got)
+
+
 def test_enumerate_matches_brute_force(penrose, sigma2):
+    lens2, cycle3 = catalog.build("lens", k=2), catalog.build("cycle", n=3)
     cases = [
         (sigma2, product(sigma2, sigma2)),
         (penrose, product(penrose, penrose)),
         (catalog.build("cycle", n=2), product(sigma2, sigma2)),
+        (lens2, product(lens2, lens2)),
+        (cycle3, product(cycle3, cycle3)),
+        (Graph("empty", (), ()), penrose),
+        (Graph("bare", ("v",), ()), product(sigma2, sigma2)),
+        (Graph("bare", ("v",), ()), Graph("arrow", ("a", "b"), (("x", "a", "b"),))),
     ]
     for dom, cod in cases:
-        got = enumerate_admissible_embeddings(dom, cod)
-        expected = [
-            m for m in all_injective_morphisms(dom, cod) if admissible_by_definition(m)
-        ]
-        assert len(got) == len(expected)
-        got_keys = {(tuple(sorted(m.vmap.items())), tuple(sorted(m.emap.items()))) for m in got}
-        exp_keys = {(tuple(sorted(m.vmap.items())), tuple(sorted(m.emap.items()))) for m in expected}
-        assert got_keys == exp_keys
-        assert all(check_morphism(m).admissible for m in got)
+        assert_search_matches_brute_force(dom, cod)
+
+
+def test_enumerate_matches_brute_force_on_two_vertex_universe():
+    # all but u84, every ordered pair doubled: the brute force walks 786 432
+    # edge assignments there (2 s), and at most 58 368 on the others
+    for g in itertools.islice(catalog.small_graph_universe(), 83):
+        assert_search_matches_brute_force(g, product(g, g))
+
+
+def test_enumerate_matches_brute_force_between_two_vertex_graphs():
+    # unlike g -> g x g, these pairs reach image vertices that emit edges
+    # out of the image while their preimage is a sink
+    two_vertex = list(itertools.islice(catalog.small_graph_universe(), 84))
+    for e, f in itertools.product(two_vertex, repeat=2):
+        assert_search_matches_brute_force(e, f)
+
+
+def test_enumerate_matches_brute_force_on_three_vertex_sample():
+    # three-vertex graphs with at most one doubled vertex pair, seeded sample
+    few_parallel = [
+        g
+        for g in itertools.islice(catalog.small_graph_universe(), 84, None)
+        if g.n_edges - len({(x.src, x.dst) for x in g.edges}) <= 1
+    ]
+    for g in random.Random(20240).sample(few_parallel, 100):
+        assert_search_matches_brute_force(g, product(g, g))
+
+
+@pytest.mark.parametrize(
+    "token, count", [("sigma:5", 2), ("sigma:6", 2), ("cycle:6", 36), ("lens:3", 120)]
+)
+def test_enumerate_pinned_counts(token, count):
+    # sigma:5, sigma:6 and cycle:6 exceeded the guard under the brute force;
+    # lens:3 answers as it did then
+    g = catalog.build_token(token)
+    assert len(enumerate_admissible_embeddings(g, product(g, g))) == count
+
+
+def test_enumerate_calls_no_check_morphism(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return check_morphism(m)
+
+    monkeypatch.setattr(ops, "check_morphism", counting)
+    g = catalog.build_token("sigma:6")
+    found = enumerate_admissible_embeddings(g, product(g, g))
+    assert len(found) == 2
+    assert calls == []
 
 
 def test_enumerate_guard(penrose):
     big = product(product(penrose, penrose), product(penrose, penrose))
     with pytest.raises(GuardError, match="exceed the guard"):
         enumerate_admissible_embeddings(big, big, guard=10)
+
+
+def test_enumerate_guard_counts_assignments_tried():
+    # sigma:6 -> sigma:6 x sigma:6 has 1 402 410 240 injective vertex maps, but
+    # the search tries a few hundred assignments
+    g = catalog.build_token("sigma:6")
+    assert len(enumerate_admissible_embeddings(g, product(g, g), guard=1_000)) == 2
+    # one vertex, nine loops: 9! edge maps into itself, so the edge search
+    # hits the guard
+    b9 = catalog.build("cuntz", n=9)
+    with pytest.raises(GuardError, match="exceed the guard of 10000"):
+        enumerate_admissible_embeddings(b9, b9, guard=10_000)
 
 
 def test_enumerate_into_smaller_codomain_is_empty(penrose):
