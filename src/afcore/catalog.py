@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import graphs, ktheory, leavitt, linalg, ops, picard
 from .errors import NotUnimodular, SourceError
-from .graphs import Graph
+from .graphs import Edge, Graph
 from .linalg import Matrix
 from .report import CheckReport
 
@@ -383,17 +383,16 @@ def small_graph_universe(max_vertices: int = 3, max_multiplicity: int = 2):
     for n in range(1, max_vertices + 1):
         vertices = tuple(str(i) for i in range(1, n + 1))
         pairs = [(a, b) for a in vertices for b in vertices]
+        slots = range(1, len(pairs) * max_multiplicity + 1)
+        rows = [[Edge(f"e{i}", a, b) for i in slots] for a, b in pairs]
         for counts in itertools.product(
             range(max_multiplicity + 1), repeat=len(pairs)
         ):
             counter += 1
-            edges = []
-            eid = 0
-            for (a, b), c in zip(pairs, counts):
-                for _ in range(c):
-                    eid += 1
-                    edges.append((f"e{eid}", a, b))
-            yield Graph(f"u{counter}", vertices, edges)
+            edges: list[Edge] = []
+            for row, c in zip(rows, counts):
+                edges += row[len(edges) : len(edges) + c]
+            yield Graph._trusted(f"u{counter}", vertices, edges)
 
 
 # -- verification suites ---------------------------------------------------------

@@ -230,7 +230,12 @@ def _cmd_embeddings(args) -> int:
     return 0
 
 
+_DEPTH_GUARD = 1000  # the deepest level and farthest degree one command computes
+
+
 def _cmd_bratteli(args) -> int:
+    if args.levels > _DEPTH_GUARD:
+        raise GuardError(f"--levels {args.levels} exceeds the guard of {_DEPTH_GUARD}")
     g = resolve_graph(args.graph)
     diagram = ktheory.bratteli(g, args.levels)
     if args.dot:
@@ -300,8 +305,10 @@ def _flat_str(v) -> str:
 
 
 def _cmd_ktheory(args) -> int:
-    g = resolve_graph(args.graph)
     k_min, k_max = _parse_range(args.range)
+    if max(-k_min, k_max) > _DEPTH_GUARD:
+        raise GuardError(f"--range {args.range} leaves the guard window +-{_DEPTH_GUARD}")
+    g = resolve_graph(args.graph)
     rep = ktheory.invariants_report(g, k_min, k_max)
     if args.json:
         _emit_json(rep)

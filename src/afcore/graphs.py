@@ -18,6 +18,10 @@ Text format (line oriented, ``#`` starts a comment)::
 ``vertex`` lines may list several identifiers.  The edge name (``a :``) is
 optional; unnamed edges are assigned ``e1``, ``e2``, ... counting unnamed
 edges in declaration order.  Identifiers match ``[A-Za-z0-9_]+``.
+
+``Graph(...)`` and :func:`parse_graph` validate.  Graphs derived from valid
+ones (``transpose``, ``ops.product``, ``ops.line_graph``,
+``ops.quotient_graph``, the catalog universe) skip it: ``Graph._trusted``.
 """
 
 from __future__ import annotations
@@ -48,39 +52,54 @@ def _check_id(kind: str, name: str) -> None:
 
 
 class Graph:
-    """An immutable finite directed multigraph with ordered vertices."""
+    """An immutable finite directed multigraph with ordered vertices.
+
+    ``Graph(...)`` checks the name, each vertex (identifier, duplicate) and
+    each edge (identifier, duplicate id, source, range), in that order.
+    """
 
     __slots__ = ("name", "vertices", "edges", "_vindex", "_eindex", "_out", "_in")
 
     def __init__(self, name: str, vertices: Iterable[str], edges: Iterable[tuple]):
         _check_id("graph", name)
-        self.name = name
-        self.vertices = tuple(vertices)
-        self.edges = tuple(Edge(*e) for e in edges)
-
-        vindex: dict[str, int] = {}
-        for v in self.vertices:
+        vertices = tuple(vertices)
+        edges = tuple(Edge(*e) for e in edges)
+        seen: set[str] = set()
+        for v in vertices:
             _check_id("vertex", v)
-            if v in vindex:
+            if v in seen:
                 raise ValueError(f"duplicate vertex {v!r}")
-            vindex[v] = len(vindex)
-        self._vindex = vindex
-
-        eindex: dict[str, Edge] = {}
-        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        into: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
+            seen.add(v)
+        eids: set[str] = set()
+        for e in edges:
             _check_id("edge", e.eid)
-            if e.eid in eindex:
+            if e.eid in eids:
                 raise ValueError(f"duplicate edge identifier {e.eid!r}")
-            if e.src not in vindex:
+            if e.src not in seen:
                 raise ValueError(f"edge {e.eid!r} has undeclared source vertex {e.src!r}")
-            if e.dst not in vindex:
+            if e.dst not in seen:
                 raise ValueError(f"edge {e.eid!r} has undeclared range vertex {e.dst!r}")
-            eindex[e.eid] = e
+            eids.add(e.eid)
+        self._index(name, vertices, edges)
+
+    @classmethod
+    def _trusted(cls, name: str, vertices: Iterable[str], edges: Iterable[Edge]) -> "Graph":
+        """A graph from identifiers already known valid, unique and declared."""
+        g = cls.__new__(cls)
+        g._index(name, tuple(vertices), tuple(edges))
+        return g
+
+    def _index(self, name: str, vertices: tuple, edges: tuple) -> None:
+        self.name = name
+        self.vertices = vertices
+        self.edges = edges
+        self._vindex = {v: i for i, v in enumerate(vertices)}
+        self._eindex = {e.eid: e for e in edges}
+        out: dict[str, list[Edge]] = {v: [] for v in vertices}
+        into: dict[str, list[Edge]] = {v: [] for v in vertices}
+        for e in edges:
             out[e.src].append(e)
             into[e.dst].append(e)
-        self._eindex = eindex
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in into.items()}
 
@@ -375,7 +394,7 @@ def classify(g: Graph) -> GraphReport:
 
 def transpose(g: Graph) -> Graph:
     """Reverse every edge, keeping vertices, names, and declaration order."""
-    return Graph(g.name, g.vertices, [(e.eid, e.dst, e.src) for e in g.edges])
+    return Graph._trusted(g.name, g.vertices, [Edge(e.eid, e.dst, e.src) for e in g.edges])
 
 
 # -- walks ----------------------------------------------------------------

@@ -502,25 +502,22 @@ def quot_one(p: IntPoly) -> QuotElem:
 
 
 def lambda_pow(p: IntPoly, k: int) -> QuotElem:
-    """The class of x^k in Z[x]/(p), for any integer k.
+    """The class of x^k in Z[x]/(p), for any integer k, by repeated squaring.
 
     Negative powers exist iff the constant term of the normalized modulus
     is +-1; then x^-1 = -c_0 * (c_1 + c_2 x + ... + c_n x^(n-1)).
     """
     modulus = _normalize_modulus(tuple(p))
-    if k >= 0:
-        residue = (0,) * k + (1,)
-        return QuotElem(modulus, poly_mod_monic(residue, modulus))
     c0 = modulus[0]
-    if c0 not in (1, -1):
+    if k < 0 and c0 not in (1, -1):
         raise ValueError(
             f"x is not invertible modulo {poly_str(modulus)} (constant term {c0})"
         )
-    inv = QuotElem(
-        modulus,
-        poly_mod_monic(poly_trim(-c0 * c for c in modulus[1:]), modulus),
-    )
+    base = poly_trim(-c0 * c for c in modulus[1:]) if k < 0 else (0, 1)
+    x = QuotElem(modulus, poly_mod_monic(base, modulus))
     out = quot_one(modulus)
-    for _ in range(-k):
-        out = out * inv
+    for bit in f"{abs(k):b}":
+        out = out * out
+        if bit == "1":
+            out = out * x
     return out

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import graphs
 from .errors import GuardError, MorphismError, ParseError
-from .graphs import Graph
+from .graphs import Edge, Graph
 
 
 @dataclass
@@ -176,12 +176,12 @@ def product(e: Graph, f: Graph) -> Graph:
     vertices = [f"{v}_{w}" for v in e.vertices for w in f.vertices]
     _check_unique(vertices, "product vertex", "rename factor vertices")
     edges = [
-        (f"{a.eid}_{b.eid}", f"{a.src}_{b.src}", f"{a.dst}_{b.dst}")
+        Edge(f"{a.eid}_{b.eid}", f"{a.src}_{b.src}", f"{a.dst}_{b.dst}")
         for a in e.edges
         for b in f.edges
     ]
     _check_unique([x[0] for x in edges], "product edge", "rename factor edges")
-    return Graph(f"{e.name}_x_{f.name}", vertices, edges)
+    return Graph._trusted(f"{e.name}_x_{f.name}", vertices, edges)
 
 
 def _check_unique(ids: list, what: str, hint: str) -> None:
@@ -346,7 +346,7 @@ def quotient_graph(g: Graph, vset) -> Graph:
         g.vertex_index(v)
     vertices = [v for v in g.vertices if v not in vs]
     edges = [e for e in g.edges if e.src not in vs and e.dst not in vs]
-    return Graph(f"{g.name}_quot", vertices, edges)
+    return Graph._trusted(f"{g.name}_quot", vertices, edges)
 
 
 # -- line graph --------------------------------------------------------------
@@ -362,12 +362,12 @@ def line_graph(g: Graph) -> Graph:
     """
     vertices = [e.eid for e in g.edges]
     edges = [
-        (f"{a.eid}_{b.eid}", a.eid, b.eid)
+        Edge(f"{a.eid}_{b.eid}", a.eid, b.eid)
         for a in g.edges
         for b in g.out_edges(a.dst)
     ]
     _check_unique([x[0] for x in edges], "line-graph edge", "rename edges")
-    return Graph(f"line_{g.name}", vertices, edges)
+    return Graph._trusted(f"line_{g.name}", vertices, edges)
 
 
 # -- morphism documents --------------------------------------------------------

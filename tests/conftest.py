@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from afcore import catalog
@@ -32,3 +34,27 @@ def universe_sample() -> list:
     suite sweeps the full universe.
     """
     return [g for i, g in enumerate(catalog.small_graph_universe()) if i % 97 == 0]
+
+
+@pytest.fixture(scope="session")
+def trusted_sample() -> list:
+    """Every universe graph on at most 2 vertices (84), plus 60 seeded ones on 3."""
+    picked = set(random.Random(10).sample(range(84, 19767), 60))
+    return [
+        g
+        for i, g in enumerate(catalog.small_graph_universe())
+        if i < 84 or i in picked
+    ]
+
+
+@pytest.fixture(scope="session")
+def assert_validated_twin():
+    """Check that a graph equals its rebuild by ``Graph(...)``, index by index."""
+
+    def check(g: Graph) -> None:
+        twin = Graph(g.name, g.vertices, [tuple(e) for e in g.edges])
+        assert twin == g
+        for index in ("_vindex", "_eindex", "_out", "_in"):
+            assert list(getattr(twin, index).items()) == list(getattr(g, index).items())
+
+    return check

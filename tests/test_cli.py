@@ -244,6 +244,19 @@ def test_bratteli_sink_is_an_error(capsys):
     assert payload["error"]["type"] == "SinkError"
 
 
+def test_bratteli_levels_guard(capsys):
+    # refused before the graph is resolved: an unknown token is never looked up
+    code, out, err = run(capsys, "bratteli", "no_such_graph", "--levels", "1001")
+    assert (code, out) == (2, "")
+    assert err == "error: --levels 1001 exceeds the guard of 1000\n"
+    code, data, err = run_json(capsys, "bratteli", "penrose", "--levels", "1000")
+    assert code == 0 and len(data["levels"]) == 1000
+    a, b = 1, 1  # the level-k sizes are F(k+1) and F(k)
+    for _ in range(999):
+        a, b = a + b, a
+    assert data["levels"][-1] == [["1", a], ["2", b]]
+
+
 # -- ktheory ----------------------------------------------------------------------------
 
 
@@ -267,6 +280,19 @@ def test_ktheory_bad_range(capsys):
     code, out, err = run(capsys, "ktheory", "penrose", "--range", "3..-3")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("window", ["-1001..0", "0..1001", "-2000..2000"])
+def test_ktheory_range_guard(capsys, window):
+    code, out, err = run(capsys, "ktheory", "no_such_graph", f"--range={window}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --range {window} leaves the guard window +-1000\n"
+
+
+def test_ktheory_largest_admitted_range(capsys):
+    code, data, err = run_json(capsys, "ktheory", "penrose", "--range=-1000..1000")
+    assert code == 0 and len(data["m_table"]) == 2001
+    assert all(c["matches_power"] for c in data["phi_checks"])
 
 
 def test_ktheory_text_mode_renders(capsys):

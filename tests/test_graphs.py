@@ -135,12 +135,32 @@ def test_auto_id_collision_with_named_edge():
 
 
 def test_graph_constructor_validation():
-    with pytest.raises(ValueError, match="duplicate vertex"):
-        Graph("g", ("v", "v"), ())
-    with pytest.raises(ValueError, match="undeclared source"):
-        Graph("g", ("v",), (("a", "w", "v"),))
-    with pytest.raises(ValueError, match="invalid edge identifier"):
-        Graph("g", ("v",), (("a b", "v", "v"),))
+    cases = [
+        ("g h", ("v!",), (), "invalid graph identifier 'g h' (expected [A-Za-z0-9_]+)"),
+        ("g", ("v!",), (), "invalid vertex identifier 'v!' (expected [A-Za-z0-9_]+)"),
+        ("g", ("v", "v"), (), "duplicate vertex 'v'"),
+        ("g", ("v",), (("a b", "v", "v"),), "invalid edge identifier 'a b' (expected [A-Za-z0-9_]+)"),
+        ("g", ("v",), (("a", "v", "v"), ("a", "v", "v")), "duplicate edge identifier 'a'"),
+        ("g", ("v",), (("a", "w", "v"),), "edge 'a' has undeclared source vertex 'w'"),
+        ("g", ("v",), (("a", "v", "w"),), "edge 'a' has undeclared range vertex 'w'"),
+        # vertices before edges, edges in order, source before range
+        ("g", ("v", "v"), (("a b", "w", "w"),), "duplicate vertex 'v'"),
+        ("g", ("v",), (("a", "w", "v"), ("a b", "v", "v")), "edge 'a' has undeclared source vertex 'w'"),
+        ("g", ("v",), (("a", "w", "x"),), "edge 'a' has undeclared source vertex 'w'"),
+    ]
+    for name, vertices, edges, message in cases:
+        with pytest.raises(ValueError) as exc:
+            Graph(name, vertices, edges)
+        assert str(exc.value) == message
+
+
+def test_trusted_graphs_equal_their_validated_twins(trusted_sample, assert_validated_twin):
+    for g in trusted_sample:
+        assert_validated_twin(g)
+        assert_validated_twin(transpose(g))
+        # universe edges are numbered e1, e2, ... in vertex-pair order
+        assert [e.eid for e in g.edges] == [f"e{i}" for i in range(1, g.n_edges + 1)]
+        assert [e[1:] for e in g.edges] == sorted(e[1:] for e in g.edges)
 
 
 # -- accessors and classification --------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ from afcore import catalog, graphs
 from afcore.errors import NotUnimodular
 from afcore.linalg import (
     Matrix,
+    QuotElem,
     charpoly,
     det,
     inv_unimodular,
@@ -603,6 +605,43 @@ def test_lambda_pow_requires_invertible_constant_term():
         lambda_pow((0, -1, 1), -1)
     with pytest.raises(ValueError, match="not invertible"):
         lambda_pow((2, -1), -1)
+
+
+def lambda_pow_by_products(p, k):
+    """x^k as |k| products of x, or of x^-1 = -c_0 (c_1 + ... + c_n x^(n-1))."""
+    modulus = quot_one(p).modulus
+    x = quot_make(p, (0, 1) if k >= 0 else [-modulus[0] * c for c in modulus[1:]])
+    out = quot_one(p)
+    for _ in range(abs(k)):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize(
+    "p", [(1, -1, -1), (-1, 1, 1), (1, 0, 1), (-1, 3, 0, 1), (1, 2, -2, -1), (1, -1), (3, -1, 1)]
+)
+def test_lambda_pow_matches_repeated_products(p):
+    for k in range(-60, 61):
+        if k < 0 and quot_one(p).modulus[0] not in (1, -1):
+            with pytest.raises(ValueError, match="x is not invertible modulo"):
+                lambda_pow(p, k)
+        else:
+            assert lambda_pow(p, k) == lambda_pow_by_products(p, k)
+
+
+def test_lambda_pow_takes_logarithmically_many_products(monkeypatch):
+    calls = []
+    mul = QuotElem.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QuotElem, "__mul__", counting_mul)
+    got = lambda_pow((1, -1, -1), -1000)
+    assert len(calls) <= 2 * math.ceil(math.log2(1000)) + 2
+    monkeypatch.undo()
+    assert got == lambda_pow_by_products((1, -1, -1), -1000)
 
 
 def test_quot_positive_powers_cuntz():

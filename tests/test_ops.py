@@ -5,7 +5,7 @@ import pytest
 
 from afcore import catalog, ops
 from afcore.errors import GuardError, MorphismError, ParseError
-from afcore.graphs import Graph, adjacency, parse_graph
+from afcore.graphs import Graph, adjacency, parse_graph, transpose
 from afcore.linalg import Matrix
 from afcore.ops import (
     Morphism,
@@ -156,6 +156,11 @@ def test_product_id_ambiguity():
     h = Graph("h", ("c", "b_c"), ())
     with pytest.raises(ValueError, match="ambiguous product vertex id"):
         product(g, h)
+    g = Graph("g", ("v",), (("a_b", "v", "v"), ("a", "v", "v")))
+    h = Graph("h", ("w",), (("c", "w", "w"), ("b_c", "w", "w")))
+    with pytest.raises(ValueError) as exc:
+        product(g, h)
+    assert str(exc.value) == "ambiguous product edge id 'a_b_c'; rename factor edges"
 
 
 def test_cuntz_product_is_cuntz(penrose):
@@ -348,6 +353,44 @@ def test_quotient_graph(penrose):
     assert q2.vertices == ("1",) and [e.eid for e in q2.edges] == ["a"]
 
 
+# -- derived graphs skip validation ---------------------------------------------------
+
+
+def hereditary_closure(g: Graph, v: str) -> set:
+    closure, frontier = {v}, [v]
+    while frontier:
+        for e in g.out_edges(frontier.pop()):
+            if e.dst not in closure:
+                closure.add(e.dst)
+                frontier.append(e.dst)
+    return closure
+
+
+def test_derived_graphs_equal_their_validated_twins(trusted_sample, assert_validated_twin):
+    rng = random.Random(11)
+    for g in trusted_sample:
+        assert_validated_twin(product(g, g))
+        assert_validated_twin(line_graph(g))
+        assert_validated_twin(quotient_graph(g, hereditary_closure(g, rng.choice(g.vertices))))
+
+
+def test_derived_graphs_skip_the_validating_constructor(monkeypatch):
+    sigma4 = catalog.build("sigma", n=4)
+    init, calls = Graph.__init__, []
+
+    def counting_init(self, *args):
+        calls.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    assert sum(1 for _ in catalog.small_graph_universe()) == 19767
+    product(sigma4, sigma4)
+    line_graph(sigma4)
+    quotient_graph(sigma4, {"1"})
+    transpose(sigma4)
+    assert calls == []
+
+
 # -- line graphs ------------------------------------------------------------------------
 
 
@@ -366,8 +409,9 @@ def test_line_graph_adjacency_is_edge_matrix(penrose, sigma3, universe_sample):
 
 def test_line_graph_id_collision():
     g = Graph("g", ("v",), (("a_a", "v", "v"), ("a", "v", "v")))
-    with pytest.raises(ValueError, match="ambiguous line-graph edge id"):
+    with pytest.raises(ValueError) as exc:
         line_graph(g)
+    assert str(exc.value) == "ambiguous line-graph edge id 'a_a_a'; rename edges"
 
 
 def test_line_graph_of_penrose(penrose):
