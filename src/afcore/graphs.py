@@ -19,9 +19,10 @@ Text format (line oriented, ``#`` starts a comment)::
 optional; unnamed edges are assigned ``e1``, ``e2``, ... counting unnamed
 edges in declaration order.  Identifiers match ``[A-Za-z0-9_]+``.
 
-``Graph(...)`` and :func:`parse_graph` validate.  Graphs derived from valid
-ones (``transpose``, ``ops.product``, ``ops.line_graph``,
-``ops.quotient_graph``, the catalog universe) skip it: ``Graph._trusted``.
+``Graph(...)`` and :func:`parse_graph` validate; the parser checks each
+line as it reads it and so builds its result with ``Graph._trusted``, as
+do the graphs derived from valid ones (``transpose``, ``ops.product``,
+``ops.line_graph``, ``ops.quotient_graph``, the catalog universe).
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def parse_graph(text: str) -> Graph:
     if name is None:
         raise ParseError("missing graph declaration")
 
-    edges: list[tuple[str, str, str]] = []
+    edges: list[Edge] = []
     seen_eids: set[str] = set()
     auto_counter = 0
     for lineno, eid, src, dst in raw_edges:
@@ -241,9 +242,9 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"edge {eid!r} references undeclared vertex {src!r}", lineno)
         if dst not in seen_vertices:
             raise ParseError(f"edge {eid!r} references undeclared vertex {dst!r}", lineno)
-        edges.append((eid, src, dst))
+        edges.append(Edge(eid, src, dst))
 
-    return Graph(name, vertices, edges)
+    return Graph._trusted(name, vertices, edges)
 
 
 def serialize_graph(g: Graph) -> str:

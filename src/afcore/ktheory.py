@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import graphs, linalg
-from .errors import NotUnimodular, SinkError, SourceError
+from .errors import CertificateError, NotUnimodular, SinkError, SourceError
 from .graphs import Graph
 from .linalg import Matrix
 from .report import CheckReport
@@ -83,6 +83,10 @@ class Tower:
 
     @cached_property
     def colimit(self) -> ColimitK0:
+        """The supports of the tower, and the rank of K0: the eventual rank of
+        ``Gamma``, read off the tower's ``det(t Gamma - 1)`` as its degree.
+        No edge leaves the stable support and ``Gamma`` is nilpotent off it,
+        so this is also the eventual rank of the stable connecting map."""
         g = self.graph
         self.require_sink_free("K0 of the tower is computed for emission-complete graphs only")
         supports = [tuple(range(self.n))]
@@ -94,17 +98,10 @@ class Tower:
             if nxt == cur:
                 break
             supports.append(nxt)
-            assert len(supports) <= self.n + 1, "supports must stabilize within n steps"
-        stable = supports[-1]
-        if len(stable) == self.n and self.det:
-            rank = self.n  # Gamma is invertible over Q, and so is each power
-        else:
-            # maps x -> Gamma^T x on the stable block
-            restricted = Matrix([[self.gamma[(i, j)] for i in stable] for j in stable])
-            rank = linalg.rank_Q(linalg.power(restricted, max(len(stable), 1)))
-        return ColimitK0(
-            graph=g, supports=tuple(supports), stable_level=len(supports) - 1, rank=rank
-        )
+            if len(supports) > self.n + 1:
+                raise CertificateError(f"supports of {g.name!r} did not stabilize within n steps")
+        return ColimitK0(graph=g, supports=tuple(supports), stable_level=len(supports) - 1,
+                         rank=len(linalg.poly_trim(self.rev_charpoly)) - 1)
 
     @property
     def k0(self) -> ColimitK0:
@@ -406,10 +403,10 @@ class ColimitK0:
     ``supports[k]`` lists the vertex indices carrying level-``k`` summands
     (vertices reached by some length-``k`` walk); supports shrink with
     ``k`` and stabilize after at most ``n`` steps at ``stable_level``.
-    ``rank`` is the rank of the stable connecting map iterated until its
-    image saturates.  When ``Gamma`` is unimodular every support is full,
-    ``stable_level`` is 0 and ``rank`` is ``n``: K0 is free on the vertex
-    projections.
+    ``rank`` is the eventual rank of the stable connecting map, ``n`` less
+    the multiplicity of 0 as an eigenvalue of ``Gamma``.  When ``Gamma`` is
+    unimodular every support is full, ``stable_level`` is 0 and ``rank`` is
+    ``n``: K0 is free on the vertex projections.
     """
 
     graph: Graph

@@ -4,11 +4,11 @@ Everything here is exact: integer matrices with arbitrary-precision
 entries, whose products skip zero entries; determinants, ranks and
 unimodular inverses from one fraction-free (Bareiss) elimination, so no
 fraction ever arises, with each inverse checked against the identity
-before it is returned; characteristic polynomials and the
-non-derogatory test from a cyclic Krylov vector v, v m, ..., v m^n in
-O(n^3), falling back to the Faddeev-LeVerrier recursion and the rank of
-the powers of m when none of three fixed seed vectors is cyclic (always
-so for a derogatory m); and arithmetic in Z[x]/(p) for a
+before it is returned; characteristic polynomials in O(n^3) from Krylov
+rows v, v m, v m^2, ..., by one solve when e_0 is cyclic and by branching
+on further unit vectors (Keller-Gehrig) when it is not; the
+non-derogatory test, from three seed vectors and, when none is cyclic,
+the rank of the powers of m; and arithmetic in Z[x]/(p) for a
 monic-up-to-sign integer polynomial p.
 
 Polynomials are tuples of integer coefficients in ascending order with
@@ -247,72 +247,103 @@ def rank_Q(m: Matrix) -> int:
     return _eliminate([list(r) for r in m.rows], m.n_cols)[0]
 
 
-def _krylov_charpoly(m: Matrix) -> tuple | None:
-    """Coefficients of det(x*I - m) from a cyclic vector, or None if no seed is one.
+def _krylov(seed: tuple, m: Matrix) -> list:
+    """The rows seed, seed m, ..., seed m^n."""
+    krylov = [seed]
+    for _ in range(m.n_rows):
+        krylov.append(row_vec_mul(krylov[-1], m))
+    return krylov
 
-    Seeds are tried in a fixed order: e_0, the all-ones vector, (1, 2, ..., n).
-    If the rows v, v m, ..., v m^(n-1) have rank n, v is cyclic: its minimal
-    polynomial is the characteristic polynomial (Keller-Gehrig), so m is
-    non-derogatory and one Gauss-Jordan solve of ``sum c_i v m^i = -v m^n``
-    gives ``c_0 .. c_(n-1)``.  After it, row i ends in ``-pivot * c_i`` for
-    the last pivot ``pivot`` (not the row's own pivot entry, which
-    :func:`_eliminate` leaves unscaled); each division is checked to be exact.
+
+def _exact_quotients(values: Iterable[int], d: int) -> tuple:
+    """Each of ``values`` divided by ``d``; a remainder raises :class:`CertificateError`."""
+    out = []
+    for c in values:
+        q, rem = divmod(c, d)
+        if rem:
+            raise CertificateError(f"Krylov coefficient {c}/{d} is not an integer")
+        out.append(q)
+    return tuple(out)
+
+
+def _cyclic_charpoly(krylov: list) -> tuple | None:
+    """Coefficients of det(x*I - m) from the Krylov rows of v, or None if v is not cyclic.
+
+    If v is cyclic, one Gauss-Jordan solve of ``sum c_i v m^i = -v m^n``
+    leaves ``-pivot * c_i`` at the end of row i, for the last pivot.
+    """
+    n = len(krylov) - 1
+    a = [list(col) for col in zip(*krylov)]  # [K^T | (v m^n)^T]
+    rank, _, pivot = _eliminate(a, n, reduce=True)
+    if rank < n:
+        return None
+    return _exact_quotients((-row[n] for row in a), pivot) + (1,)
+
+
+def _branching_charpoly(m: Matrix, krylov: list) -> tuple:
+    """Coefficients of det(x*I - m) by branching Krylov (Keller-Gehrig 1985).
+
+    The Krylov rows of e_0 (``krylov``), then of each unit vector not yet in
+    their span, are reduced modulo the span so far by fraction-free steps,
+    each row carrying its coefficients on its own block's rows, up to the
+    first row that reduces to zero.  Its coefficients are the characteristic
+    polynomial of m on the quotient by the span before the block; the spans
+    are invariant under m, so the block polynomials multiply to the
+    characteristic polynomial.
     """
     n = m.n_rows
-    for seed in ((1,) + (0,) * (n - 1), (1,) * n, tuple(range(1, n + 1))):
-        krylov = [seed]
-        for _ in range(n):
-            krylov.append(row_vec_mul(krylov[-1], m))
-        a = [list(col) for col in zip(*krylov)]  # [K^T | (v m^n)^T]
-        rank, _, pivot = _eliminate(a, n, reduce=True)
-        if rank < n:
-            continue
-        coeffs = []
-        for row in a:
-            c, rem = divmod(-row[n], pivot)
-            if rem:
-                raise CertificateError(f"Krylov coefficient {-row[n]}/{pivot} is not an integer")
-            coeffs.append(c)
-        return tuple(coeffs) + (1,)
-    return None
-
-
-def _faddeev_leverrier(m: Matrix) -> tuple:
-    """Coefficients of det(x*I - m) by the exact Faddeev-LeVerrier recursion."""
-    n = m.n_rows
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    ident = Matrix.identity(n)
-    mk = ident
-    for k in range(1, n + 1):
-        amk = m * mk
-        t = trace(amk)
-        if t % k:
-            raise CertificateError(f"Faddeev-LeVerrier trace {t} is not divisible by {k}")
-        c = -(t // k)
-        coeffs[n - k] = c
-        mk = amk + c * ident
-    # closing identity of the recursion: M_(n+1) = A*M_n + c_0*I = 0
-    if mk != Matrix.zeros(n, n):
-        raise CertificateError("Faddeev-LeVerrier closing identity failed")
-    return tuple(coeffs)
+    basis: list = []  # (pivot column, reduced row + block coefficients)
+    chi: IntPoly = (1,)
+    while len(basis) < n:
+        width = n + 1 - len(basis)  # at most width - 1 rows of the block are independent
+        # rows of earlier blocks have no coefficients on this block's rows
+        basis = [(k, row[:n] + [0] * width) for k, row in basis]
+        j = min(set(range(n)).difference(k for k, _ in basis))
+        w = tuple(int(i == j) for i in range(n))
+        for i in range(width):
+            if i:
+                w = krylov[i] if j == 0 else row_vec_mul(w, m)
+            r, prev = list(w) + [int(t == i) for t in range(width)], 1
+            for k, row in basis:  # Bareiss steps: entries stay minors, divisions are exact
+                pivot, f = row[k], r[k]
+                if f or pivot != prev:
+                    r = [(x * pivot - f * y) // prev for x, y in zip(r, row)]
+                prev = pivot
+            k = next(k for k, x in enumerate(r) if x)
+            if k >= n:
+                break
+            basis.append((k, r))
+        chi = poly_mul(chi, _exact_quotients(r[n : n + i + 1], r[n + i]))
+    return chi
 
 
 def charpoly(m: Matrix) -> tuple:
-    """Coefficients of det(x*I - m), ascending, leading coefficient 1.
+    """Coefficients of det(x*I - m), ascending, leading coefficient 1, in O(n^3).
 
-    From a cyclic vector when one of the seeds of :func:`_krylov_charpoly`
-    is cyclic, O(n^3); otherwise (always so when m is derogatory) by the
-    exact Faddeev-LeVerrier recursion, whose divisions and closing identity
-    are checked.  Either way c_(n-1) = -trace(m) and c_0 = (-1)^n det(m)
-    are checked.
+    From the Krylov rows of e_0: by one solve when e_0 is cyclic
+    (:func:`_cyclic_charpoly`), else (always so when m is derogatory) by
+    branching on further unit vectors (:func:`_branching_charpoly`), whose
+    result must also annihilate the column vector e_0.  Either way
+    c_(n-1) = -trace(m) and c_0 = (-1)^n det(m) are checked.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = m.n_rows
     if n == 0:
         return (1,)
-    coeffs = _krylov_charpoly(m) or _faddeev_leverrier(m)
+    krylov = _krylov((1,) + (0,) * (n - 1), m)
+    coeffs = _cyclic_charpoly(krylov)
+    if coeffs is None:
+        coeffs = _branching_charpoly(m, krylov)
+        # Cayley-Hamilton on e_0 by Horner's rule, m acting on columns through
+        # the nonzero entries of its rows: no Krylov (row) product is involved
+        rows = [[(j, a) for j, a in enumerate(r) if a] for r in m.rows]
+        acc = [0] * n
+        for c in reversed(coeffs):
+            acc = [sum(a * acc[j] for j, a in row) for row in rows]
+            acc[0] += c
+        if any(acc):
+            raise CertificateError("characteristic polynomial does not annihilate e_0")
     if coeffs[n - 1] != -trace(m) or coeffs[0] != (-1) ** n * det(m):
         raise CertificateError("characteristic polynomial disagrees with trace or determinant")
     return coeffs
@@ -333,13 +364,15 @@ def rev_charpoly(m: Matrix) -> IntPoly:
 def is_non_derogatory(m: Matrix) -> bool:
     """True iff I, m, m^2, ..., m^(n-1) are linearly independent over Q.
 
-    True at once when a seed of :func:`_krylov_charpoly` is cyclic;
-    otherwise the rank of the n x n^2 matrix of flattened powers decides.
+    True at once when one of the seeds e_0, the all-ones vector or
+    (1, 2, ..., n) is cyclic; otherwise the rank of the n x n^2 matrix of
+    flattened powers decides.
     """
     if not m.is_square:
         raise ValueError("non-derogatory test requires a square matrix")
     n = m.n_rows
-    if n == 0 or _krylov_charpoly(m):
+    seeds = ((1,) + (0,) * (n - 1), (1,) * n, tuple(range(1, n + 1)))
+    if n == 0 or any(_cyclic_charpoly(_krylov(seed, m)) for seed in seeds):
         return True
     rows = []
     p = Matrix.identity(n)
@@ -396,7 +429,8 @@ def poly_scale(c: int, p: IntPoly) -> IntPoly:
 
 def poly_mod_monic(p: IntPoly, modulus: IntPoly) -> IntPoly:
     """Remainder of p modulo a monic modulus (integer long division)."""
-    assert modulus and modulus[-1] == 1, "modulus must be monic"
+    if not modulus or modulus[-1] != 1:
+        raise ValueError(f"modulus must be monic, got {modulus!r}")
     d = poly_deg(modulus)
     rem = list(p)
     while len(rem) - 1 >= d and len(rem) > 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import GuardError
+from .errors import CertificateError, GuardError
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ def pic_tensor(x: PermBimodule, y: PermBimodule) -> PermBimodule:
     tau = tuple(y.tau[x.tau[i]] for i in range(n))
     for i in range(n):
         # (d_i x d_x(i)) tensor (d_x(i) x d_yx(i)): inner sizes must agree
-        assert x.shapes[i][1] == y.shapes[x.tau[i]][0]
+        if x.shapes[i][1] != y.shapes[x.tau[i]][0]:
+            raise CertificateError(f"inner sizes of block {i} do not agree")
     return PermBimodule(x.dims, tau)
 
 

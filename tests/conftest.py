@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import afcore
 from afcore import catalog
 from afcore.graphs import Graph
 
@@ -58,3 +63,22 @@ def assert_validated_twin():
             assert list(getattr(twin, index).items()) == list(getattr(g, index).items())
 
     return check
+
+
+@pytest.fixture(scope="session")
+def run_python_O():
+    """Run a script under ``python -O``, which strips asserts, and require exit 0."""
+    src = os.path.dirname(os.path.dirname(afcore.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(script: str) -> None:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", textwrap.dedent(script)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    return run

@@ -336,7 +336,8 @@ PINNED_KTHEORY_JSON = {
     ("chambers:2", ""): "9ec68d55eeb90942a0ed2d21e3393b293ae1f17de0dc547098cf44099910e285",
     ("chambers:2", "--range=-8..8"): "e406b9f986fa721bfb18b5de87e96eeee7418bce40b679451f3e191da0e1c239",
     # recorded before the Krylov characteristic polynomial; full:30 and lens:12
-    # are derogatory and take the Faddeev-LeVerrier fallback
+    # are derogatory, so e_0 is not cyclic and charpoly branches on further
+    # unit vectors
     ("cycle:40", ""): "9800f736b0506ffcc176d6888e483cf9daf281949f2f4519ad9ce0d2508cc6e5",
     ("sigma:20", ""): "58217658a7d0933ff2df3cf3d90c0a1da8e60e3d3b7f491cf2207bf6ccb41c79",
     ("lens:12", ""): "50cad5609abccb7e70ce5d05a726a7ecfb352e04575903a4577dc45c4b2a9662",

@@ -128,6 +128,40 @@ def test_parse_error_line_numbers():
     assert str(exc.value).startswith("line 4:")
 
 
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("vertex v\n", "missing graph declaration", None),
+        ("graph g h\n", "line 1: malformed graph declaration", 1),
+        ("graph g\nvertex v!\n", "line 2: invalid vertex identifier 'v!'", 2),
+        ("graph g\nvertex v\nedge a : v -> v\nvertex v\n", "line 4: duplicate vertex 'v'", 4),
+        ("graph g\nvertex v\nedge a b : v -> v\n", "line 3: malformed edge declaration", 3),
+        ("graph g\nvertex v\nedge a : v -> v\nedge a : v -> v\n", "line 4: duplicate edge identifier 'a'", 4),
+        ("graph g\nvertex v\n\nedge a : w -> v\n", "line 4: edge 'a' references undeclared vertex 'w'", 4),
+        ("graph g\nvertex v\nedge a : v -> w\n", "line 3: edge 'a' references undeclared vertex 'w'", 3),
+    ],
+)
+def test_parse_error_messages_are_exact(text, message, line):
+    with pytest.raises(ParseError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message and exc.value.line == line
+
+
+def test_parse_validates_once(monkeypatch, assert_validated_twin):
+    # the parser checks every identifier, duplicate and endpoint as it reads,
+    # so it builds the graph without the validating constructor
+    docs = [serialize_graph(catalog.build_token(t)) for t in ("full:6", "chambers:2", "lens:3")]
+    docs.append("graph demo\nvertex a b\nedge a -> b\nedge x : b -> b\nedge b -> a\n")
+    calls = []
+    real_init = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda *args: calls.append(args) or real_init(*args))
+    parsed = [parse_graph(doc) for doc in docs]
+    assert calls == []
+    monkeypatch.undo()
+    for g in parsed:
+        assert_validated_twin(g)
+
+
 def test_auto_id_collision_with_named_edge():
     # a named edge may claim 'e1'; the first unnamed edge then collides
     with pytest.raises(ParseError, match="duplicate edge identifier 'e1'"):

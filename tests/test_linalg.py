@@ -1,15 +1,10 @@
 import math
-import os
 import random
-import subprocess
-import sys
-import textwrap
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import afcore
-from afcore import catalog, graphs
+from afcore import catalog, graphs, linalg
 from afcore.errors import NotUnimodular
 from afcore.linalg import (
     Matrix,
@@ -65,6 +60,8 @@ def charpoly_by_laplace(m: Matrix) -> tuple:
             return rows[0][0]
         total = (0,)
         for j in range(n):
+            if not any(rows[0][j]):
+                continue
             minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
             term = poly_mul(rows[0][j], pdet(minor))
             if j % 2:
@@ -217,10 +214,10 @@ def test_inv_unimodular_rejects_and_reports_det():
     assert exc.value.det == -2
 
 
-def test_certificates_survive_python_O():
+def test_certificates_survive_python_O(run_python_O):
     # under -O an assert is skipped; the certificates must still refuse a
     # result built from a wrong matrix or vector product, on both charpoly routes
-    script = textwrap.dedent(
+    run_python_O(
         """
         from afcore import linalg
         from afcore.errors import CertificateError
@@ -245,20 +242,20 @@ def test_certificates_survive_python_O():
             raise SystemExit("Krylov charpoly certificate skipped")
         except CertificateError:
             pass
-        linalg.row_vec_mul = real_row_vec_mul
 
-        # 2I is derogatory: charpoly falls back to Faddeev-LeVerrier.  Adding
-        # I to each product breaks the trace; adding the nilpotent E_01 keeps
-        # the trace and the determinant right, and only the closing identity
-        # of the recursion sees it.
-        for extra in (Matrix.identity(2), Matrix([[0, 1], [0, 0]])):
-            Matrix.__mul__ = lambda a, b: real_mul(a, b) + extra
-            try:
-                charpoly(Matrix([[2, 0], [0, 2]]))
-                raise SystemExit(f"Faddeev-LeVerrier certificate skipped for {extra}")
-            except CertificateError:
-                pass
-        Matrix.__mul__ = real_mul
+        # 2I is derogatory: e_0 is not cyclic, so charpoly branches.  Taking
+        # every vector product with diag(-1, -1, 8) instead gives
+        # (x + 1)^2 (x - 8): trace 6 and determinant 8 agree with 2I, and only
+        # the Cayley-Hamilton check on e_0 sees the fault.
+        fake = Matrix([[-1, 0, 0], [0, -1, 0], [0, 0, 8]])
+        linalg.row_vec_mul = lambda v, m: real_row_vec_mul(v, fake)
+        try:
+            charpoly(Matrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+            raise SystemExit("branching charpoly certificate skipped")
+        except CertificateError as err:
+            if "annihilate" not in str(err):
+                raise SystemExit(f"branching fault caught by the wrong check: {err}")
+        linalg.row_vec_mul = real_row_vec_mul
 
         from afcore import catalog, graphs
         graphs.directed_cycle_count = lambda g: 2
@@ -269,12 +266,23 @@ def test_certificates_survive_python_O():
             pass
         """
     )
-    src = os.path.dirname(os.path.dirname(afcore.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+
+
+def test_poly_mod_monic_refuses_a_non_monic_modulus_under_python_O(run_python_O):
+    # the long division assumes a leading 1; 2x - 1 would leave a wrong remainder
+    run_python_O(
+        """
+        from afcore.linalg import poly_mod_monic
+
+        for modulus in ((-1, 2), (), (1, 0, -1)):
+            try:
+                poly_mod_monic((1, 0, 1), modulus)
+                raise SystemExit(f"non-monic modulus {modulus} accepted")
+            except ValueError as err:
+                if "monic" not in str(err):
+                    raise
+        """
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_power_negative_exponents():
@@ -532,15 +540,61 @@ def test_charpoly_does_not_depend_on_which_seed_is_cyclic(monkeypatch):
         return real_mul(a, b)
 
     monkeypatch.setattr(Matrix, "__mul__", counting_mul)
-    # the seeds e_0 and 1 are eigenvectors of both matrices, (1, 2, 3) of the second
-    for m, fallback in ((THIRD_SEED_ONLY, False), (NO_SEED_CYCLIC, True)):
+    # the seeds e_0 and 1 are eigenvectors of both matrices, (1, 2, 3) of the
+    # second; charpoly branches from e_0 on both, with vector products only
+    for m in (THIRD_SEED_ONLY, NO_SEED_CYCLIC):
         assert row_vec_mul((1, 0, 0), m) == (1, 0, 0)
         assert row_vec_mul((1, 1, 1), m) == (2, 2, 2)
         products.clear()
         assert charpoly(m) == (-6, 11, -6, 1)  # (x - 1)(x - 2)(x - 3)
-        assert len(products) == (3 if fallback else 0)
+        assert products == []
         assert is_non_derogatory(m)
     assert row_vec_mul((1, 2, 3), NO_SEED_CYCLIC) == (3, 6, 9)
+
+
+def jordan_block(eigenvalue, k):
+    return [[eigenvalue if i == j else int(j == i + 1) for j in range(k)] for i in range(k)]
+
+
+def branching_inputs():
+    """Seeded matrices up to 8 x 8 on which e_0 is not cyclic.
+
+    The dense ones stop at 7 x 7, where Laplace expansion is still quick.
+    """
+    rng = random.Random("branching")
+    out = [[list(r) for r in m.rows] for m in (THIRD_SEED_ONLY, NO_SEED_CYCLIC)]
+    for n in range(2, 9):  # scalar matrices
+        c = rng.randint(-3, 3)
+        out.append([[c * (i == j) for j in range(n)] for i in range(n)])
+    for n in range(3, 8):  # the rank-1 all-ones matrix J_n
+        out.append([[1] * n for _ in range(n)])
+    for k, copies in ((2, 2), (2, 3), (3, 2), (4, 2), (2, 4)):  # repeated Jordan blocks
+        eigenvalue = rng.randint(-2, 2)
+        out.append(block_diagonal(*[jordan_block(eigenvalue, k)] * copies))
+    out.append(block_diagonal(jordan_block(1, 3), jordan_block(1, 2), jordan_block(1, 3)))
+    for k in (2, 3, 3):  # block-diagonal repeats, conjugated
+        b = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        out.append(conjugate(block_diagonal(b, b), rng))
+    out.append(block_diagonal(*[[[1, 1], [1, 0]]] * 4))
+    out += [adjacency_rows(f"lens:{k}") for k in range(2, 8)]
+    return out
+
+
+def test_branching_charpoly_against_laplace_oracle(monkeypatch):
+    branched = []
+    real = linalg._branching_charpoly
+    monkeypatch.setattr(linalg, "_branching_charpoly", lambda m, k: branched.append(m) or real(m, k))
+    inputs = branching_inputs()
+    for rows in inputs:
+        m = Matrix(rows)
+        assert charpoly(m) == charpoly_by_laplace(m), rows
+    assert len(branched) == len(inputs)
+
+
+def test_branching_charpoly_matches_sympy(sympy):
+    x = sympy.Symbol("x")
+    for rows in branching_inputs():
+        assert list(charpoly(Matrix(rows))) == sympy.Matrix(rows).charpoly(x).all_coeffs()[::-1], rows
 
 
 def test_is_non_derogatory_matches_the_power_rank_definition():

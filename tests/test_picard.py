@@ -161,3 +161,22 @@ def test_end_check_validation():
         end_check(a, (1, 0))
     assert not end_check(a, (1, 3))
     assert end_check(a, (2, 1))
+
+
+def test_pic_tensor_refuses_mismatched_inner_sizes_under_python_O(run_python_O):
+    # the inner sizes of composed rectangles always agree for honest shapes;
+    # a fault that reports every rectangle as square must still be refused
+    run_python_O(
+        """
+        from afcore.errors import CertificateError
+        from afcore.picard import PermBimodule, pic_tensor
+
+        x = PermBimodule((1, 2), (1, 0))
+        PermBimodule.shapes = property(lambda self: tuple((d, d) for d in self.dims))
+        try:
+            pic_tensor(x, x)
+            raise SystemExit("inner-size check skipped")
+        except CertificateError:
+            pass
+        """
+    )
