@@ -384,6 +384,158 @@ def test_suite_output_is_pinned(capsys):
     assert got == PINNED_SUITES
 
 
+# -- rendered output --------------------------------------------------------------------
+
+# sha256 of "<exit code>\n<stdout>\0<stderr>" for every output path of ``ktheory``
+# (plain text), ``bratteli`` (plain, --json, --dot, --dot --json), ``analyze`` (text and
+# --json), ``leavitt eval --json`` and the --json error payload, recorded before the
+# one-pass output writer: rendering must not move a byte
+PINNED_OUTPUTS = {
+    ("ktheory", "cycle:1"): "013f732839c75c66a59ee65f14142f7d20fc0a4132e8ba0c763003775c184e2e",
+    ("ktheory", "cycle:1", "--range=-8..8"): "df87ee11eb76cd41fef7b145e0d1ef512fc0e44130bb26c56d6309254f179d81",
+    ("ktheory", "cycle:5"): "ccca964cfbb383afed440492da840020df7d98190a243a201c780d6fa12a8490",
+    ("ktheory", "cycle:5", "--range=-8..8"): "2425e81102d894a77747070e1eb816f18f6ffd753ba1c675830b4d5f50f7e57f",
+    ("ktheory", "cycle:24"): "32f4c2b1455d4a550f19af2d61a8167e01dc2ed31004bf5bd3321406f88c1bc8",
+    ("ktheory", "cycle:24", "--range=-8..8"): "23602f5b3c578f22a14051a3a0f2b22933b4e6e78eb3d8c973b0442bda797011",
+    ("ktheory", "sigma:3"): "1fda693552723d90f7bd8714ca563bba3db7e5c969eff6e56928e75002b3159d",
+    ("ktheory", "sigma:3", "--range=-8..8"): "aa524fc833338082bf18064f16e11e7d1b4d64dce913f4d7196d30a64ceb163c",
+    ("ktheory", "sigma:12"): "bc52e038c4554a6a85cb0659c84d08a27b429776f7ea8cc8e5b6dee80bb44dfc",
+    ("ktheory", "sigma:12", "--range=-8..8"): "68d87828a6c366ba9663ad03679aa17fb6ea2ce2982a460f48c91bddeb1c0da3",
+    ("ktheory", "lens:0"): "e3ec8182a766d619b21b1e05e3ab158005ff44db5160515a8d92816f88878ec4",
+    ("ktheory", "lens:0", "--range=-8..8"): "cd07da4306ffda140424805c6ad6ff680eee1d43d59b30c9183bb13416d72866",
+    ("ktheory", "lens:2"): "6b0a2a8277e3f98bafaf96f9b1e4dc22d11701ff63de7795863732d402ca9f1a",
+    ("ktheory", "lens:2", "--range=-8..8"): "719066770743096615b3564f6fcb353296720ad095472c1414dc39d18969d476",
+    ("ktheory", "lens:8"): "369400ebe5094d7a5b54041c2648780f9396efa611107215ace34d7ef6325329",
+    ("ktheory", "lens:8", "--range=-8..8"): "f696170d69216b89ee4cd5903116b358125441c993e913fe2496513a03d53ed6",
+    ("ktheory", "full:2"): "eec84384366ad63f8ef2ef0a434850f5c4c86860d51fe1c236858235c2437b94",
+    ("ktheory", "full:2", "--range=-8..8"): "5446701b075624601fd903ed9e004133167911568949ce684bdcfc7868633964",
+    ("ktheory", "full:5"): "c0bf133ef75fed8c7f36871a130ea72cd2c51b70d0d34b78440e24eebad3a4b6",
+    ("ktheory", "full:5", "--range=-8..8"): "f2ebfe03ef0e314bd3e71b68cae08908975ba711f0ff57e7f442c90f2fb859df",
+    ("ktheory", "full:16"): "7e4cb47c2b8cb4c6feb6adf3d8a64bcc1cead5ebf77ad2be992dc4dd5f1d86a6",
+    ("ktheory", "full:16", "--range=-8..8"): "bcd80a49363adb6a5a7c089a18bb375e7d2b8406bab9252d48f5f8aa80e02242",
+    ("ktheory", "cuntz:2"): "02f6ffc6b8191734273c17f2a49c5e259a6c3df7405d31c6cfbb5b9b82fa900a",
+    ("ktheory", "cuntz:2", "--range=-8..8"): "746b28e19a867aa19b8b5c2838b24b19edaa60f4bcb85c08f6e8f292a3059a15",
+    ("ktheory", "chambers:2"): "a83276bb9cb98c271b10b69be36c1babbffc85f36e260942ca50595cdb454dae",
+    ("ktheory", "chambers:2", "--range=-8..8"): "608e7c566d2925b62b0f6966e1f0482fac9a330799de4531251eaa1a2986148f",
+    ("ktheory", "penrose"): "0a97483a3640d6c770e86839f787878a462ec23358d139b905136370d90ecded",
+    ("ktheory", "penrose", "--range=-8..8"): "959c30192d562980a191e42fb191792a8dcb825f6d9b31ae2d4a3386c4186b19",
+    ("ktheory", "tadpole"): "b9542b40c88f7df0dcf828acaf2105ef96a0b3ed50463baa3651f08ff1189287",
+    ("ktheory", "tadpole", "--range=-8..8"): "28fceaceb548cccf31ba9c30f578cef850c7b0cf070ce9f9aefb51eb8ce2c409",
+    ("bratteli", "cycle:1", "--levels", "8"): "d8cfa6c12827ccbdf05d4f9433f9854cf39d8220170e28b57f925c6554f43ffc",
+    ("bratteli", "cycle:1", "--levels", "8", "--json"): "efe19c34913923808ca9401eb928795e4f4935dbd9791718fb615d89adb53572",
+    ("bratteli", "cycle:1", "--levels", "8", "--dot"): "6979c262caee746d6e7f3e723eb0e25697995c991a6eaddec2c09dfe7e0178dc",
+    ("bratteli", "cycle:1", "--levels", "8", "--dot", "--json"): "e9b844532cb35fb6afcb08067a1e031bc478bdf47dbbda7b68d34fa61bf82ca7",
+    ("bratteli", "cycle:5", "--levels", "8"): "3e395f417ab066fc4f5ac58451c431a202f0644b21988952aac9feb3fb526a9b",
+    ("bratteli", "cycle:5", "--levels", "8", "--json"): "a88091d7eb0cca6973edd2a8cf10f94ea5f98f8c86e853aeaaffd8ffb7ff8517",
+    ("bratteli", "cycle:5", "--levels", "8", "--dot"): "303329d4a7f6a250c048d9bb0a663e8ca1355e723c616d26e109b5e6f2f722c3",
+    ("bratteli", "cycle:5", "--levels", "8", "--dot", "--json"): "98d7a713c9afc9e7bdad70ccf2dff13fab102c1995d32219668f06a226ef11c1",
+    ("bratteli", "cycle:24", "--levels", "8"): "745f5764891822afe9f6b74166b8c0b137cd220968c20dcc396a270ba9153a62",
+    ("bratteli", "cycle:24", "--levels", "8", "--json"): "2531e217a1df7396df97db78eb26486084c4451692e2587644c3c9e065163c84",
+    ("bratteli", "cycle:24", "--levels", "8", "--dot"): "419ea7175c25e1d136b51d9b20e373c15bf07842c6a3c2acb76f7e2332aae8bc",
+    ("bratteli", "cycle:24", "--levels", "8", "--dot", "--json"): "9fcbaaf37f412c716d455bb6c9b7d0ee4d291494d00a346317231daf22e5cd56",
+    ("bratteli", "sigma:3", "--levels", "8"): "5487b6732b337c97539cdd5d83004da86f67e68f8bd7575d095518cc9532ca2b",
+    ("bratteli", "sigma:3", "--levels", "8", "--json"): "f9fb8d65606c7e40b858d7ae1c28d3833b5b86d26c67eca474dad6ad8796f7c2",
+    ("bratteli", "sigma:3", "--levels", "8", "--dot"): "522934334f0703c76c5b74d971700f3e465bff9a66c48d5e8974766e4cdc5ebd",
+    ("bratteli", "sigma:3", "--levels", "8", "--dot", "--json"): "2a7f0ea2bca102f46ee2471ae57fb3aae65a9f53c4f64f66faf772485751a8cb",
+    ("bratteli", "sigma:12", "--levels", "8"): "e3595a27e18181375fcf1ea887dfb2e1434a250469c7bd3b438260de49476c86",
+    ("bratteli", "sigma:12", "--levels", "8", "--json"): "7f87c4e6225517202cdca06ed085109975364d2a742b11def00850782414e1a0",
+    ("bratteli", "sigma:12", "--levels", "8", "--dot"): "a5c5fab2276fedc1ff0350a40c4459ecf22624834d57b9c1a7f21816acf276fa",
+    ("bratteli", "sigma:12", "--levels", "8", "--dot", "--json"): "6f63893caa6b3e10c0347ca142878bb059dc7da966a2714ad63b9932bdb88b8b",
+    ("bratteli", "lens:0", "--levels", "8"): "dd98d141b84b451526f85b0b2213b9912c37e062ffb2e9339bfaf58569549188",
+    ("bratteli", "lens:0", "--levels", "8", "--json"): "c69b2f0dd02f0b1d8a8433e978d69843f5b142ea581b97de8223be2a9dff8492",
+    ("bratteli", "lens:0", "--levels", "8", "--dot"): "95017d8606a8443efb7a86ec88e4cdfb80ec17570762bfb76169ec6a2ba6e314",
+    ("bratteli", "lens:0", "--levels", "8", "--dot", "--json"): "7649d5d4b14e688d210ec56017ff364cf2ad8a54098b06c70d7ce243e7a2cce5",
+    ("bratteli", "lens:2", "--levels", "8"): "07fb6db66af5a3a74bc991308f35f724d133e3cba00e11d9cc1d8567f48b3749",
+    ("bratteli", "lens:2", "--levels", "8", "--json"): "1350780d19d258a6b3f7b80b2aa89e5272687ce6d0e686cf95c5c698257e698d",
+    ("bratteli", "lens:2", "--levels", "8", "--dot"): "00512ff8e4b4a657abb75984b65ae33525b4fc9ea477478b360f5066ffbc58b0",
+    ("bratteli", "lens:2", "--levels", "8", "--dot", "--json"): "b966fd76e748ae79f08f84d47d839415efa1aeda4113e5242b61bd825145f350",
+    ("bratteli", "lens:8", "--levels", "8"): "b40c304a29af6079db6c8a0834431435cda24c437d9a80aeafc60130826a6bde",
+    ("bratteli", "lens:8", "--levels", "8", "--json"): "4cbacbc64bc5aafcd17b454e24d284dd6743dbe2f9696f16603b60a53755b07d",
+    ("bratteli", "lens:8", "--levels", "8", "--dot"): "98360178ff01e212c047df368eb20456332b1dc2ba47d763ae9ef932a80902b4",
+    ("bratteli", "lens:8", "--levels", "8", "--dot", "--json"): "714c84874deb5c7cc9ceb405fb3fa5718273b3d83f2a5690dd7eee6092a12e7b",
+    ("bratteli", "full:2", "--levels", "8"): "ed8edba64fd3c349cbb35d8f1cb3ac3ce232a78ee3e27cda97a313e9bba71da4",
+    ("bratteli", "full:2", "--levels", "8", "--json"): "a5fc2d5648ee4daa84933dc094ac4e08f0034f1a15d7086a7fc81a599b04df5c",
+    ("bratteli", "full:2", "--levels", "8", "--dot"): "b3bf3a3ce6f8b275d1d0592ff245cd979164ec7b434d3a0dbdafa01ace8c9cb3",
+    ("bratteli", "full:2", "--levels", "8", "--dot", "--json"): "4d09b032842cdecfe69de0ef05232bb76e5f7ea14a27d1f25e053377b41e2998",
+    ("bratteli", "full:5", "--levels", "8"): "613bb1c54a2ea0b7cab4c5a5e0d368c63fe117496fea80abb94f62f5ae82168c",
+    ("bratteli", "full:5", "--levels", "8", "--json"): "982eb26c440d0fe83eccb59ffdc66d0f25838c3c67401a1edadda1651345927e",
+    ("bratteli", "full:5", "--levels", "8", "--dot"): "7c627bb9481d0451cc88fb4ae4c024e818b7f1ae5a6f499cfd8bf6734ec99bcc",
+    ("bratteli", "full:5", "--levels", "8", "--dot", "--json"): "0198f1e36153c352b3ab7c0a5462c87f7903204045b1125e5044fae8fcab2019",
+    ("bratteli", "full:16", "--levels", "8"): "f2553a114cbcd44e67483c357c473cd680e3f66a1b6bbe2a4304a50e2aee10a4",
+    ("bratteli", "full:16", "--levels", "8", "--json"): "0daad68e731cfd496144ae8f85da89c11f5f7289152d95025894e3f4216f5c5a",
+    ("bratteli", "full:16", "--levels", "8", "--dot"): "557b199d97215f071fa139dd181faa89d7e129e2fc8e2f68236735e7072a7392",
+    ("bratteli", "full:16", "--levels", "8", "--dot", "--json"): "10d4616f30da53aad61e5122f5904a187fdfe5d819015d6f9cfead29a3b5d2d8",
+    ("bratteli", "cuntz:2", "--levels", "8"): "ed3b9737360e23857b88395e1d432eba0f5c40bd1b1e6b74e26f7c95beef3ef6",
+    ("bratteli", "cuntz:2", "--levels", "8", "--json"): "bc427a4642effb6eb9f6b3a86239f44bf6cc0289f34756ce234442b834797c21",
+    ("bratteli", "cuntz:2", "--levels", "8", "--dot"): "853f62b4ef95fde6dfd39e3762f2e424b4047ded5acae2986a36a415475f14a5",
+    ("bratteli", "cuntz:2", "--levels", "8", "--dot", "--json"): "99d9cbae46e7b47c0631cd5aeefeb8e3484fa22570cdb38b203af170328c3438",
+    ("bratteli", "chambers:2", "--levels", "8"): "ccc3b4c19511df1be757e3499ebe885032197f591f6a24faaa3480c966cc65b1",
+    ("bratteli", "chambers:2", "--levels", "8", "--json"): "b57690e345e294512240622c7b2febf77dbca77addf129313e53a75664a7b6cb",
+    ("bratteli", "chambers:2", "--levels", "8", "--dot"): "ccc3b4c19511df1be757e3499ebe885032197f591f6a24faaa3480c966cc65b1",
+    ("bratteli", "chambers:2", "--levels", "8", "--dot", "--json"): "b57690e345e294512240622c7b2febf77dbca77addf129313e53a75664a7b6cb",
+    ("bratteli", "penrose", "--levels", "8"): "1ab21596b461ed403e354e6cbf020495870cfefb9a0cc512e56876edd8da9149",
+    ("bratteli", "penrose", "--levels", "8", "--json"): "b6feb1de0cceba4745076016c84d02dc86f9d5de5d949f7237f1cdbbab59ff61",
+    ("bratteli", "penrose", "--levels", "8", "--dot"): "0e1f9fd3aa2a08001020d49111ff3ff1f11f2e4ea121cc6f4a93e453005f1d6f",
+    ("bratteli", "penrose", "--levels", "8", "--dot", "--json"): "e5eb716ff7e5bf8abfb1ab3dc2b99c9a7e831cea2a615e3445725cafe6b6d285",
+    ("bratteli", "tadpole", "--levels", "8"): "0e3a74673360fd05267f00bceea21ff32cecef9940dcf39dfb6e7dd4611abf0f",
+    ("bratteli", "tadpole", "--levels", "8", "--json"): "32d8f1f940ddf1be8f851d9fc09e3582c927320da6f2694ba7dabaea0b49ee65",
+    ("bratteli", "tadpole", "--levels", "8", "--dot"): "4700a7b0979fa6cb5a5019394bf985cf6cd6827e2bbd7a6dbb8d325a979a037d",
+    ("bratteli", "tadpole", "--levels", "8", "--dot", "--json"): "a6f01691de24ce1cdebe1f6d1f7b702c55e17272e5f055eb891b5b0dcfdcbae6",
+    ("analyze", "cycle:1"): "e12861ac08f1a492f7dda83f3be4552247754e6ea40d0c642fac3a75d5db0985",
+    ("analyze", "cycle:1", "--json"): "a58577a8b2146f7c990960cc1faf209f2fb19b227609126a36d6111336f74262",
+    ("analyze", "cycle:5"): "a93143827ea495eada444df5ff03fe2682144bfbe4d573f9dc70d41d7b823a47",
+    ("analyze", "cycle:5", "--json"): "62be55b9f0f147915f8ea9d2b3b3e9728b3b41a9de2957a5b67df9736b006a9c",
+    ("analyze", "cycle:24"): "f0511dea0cd1370ee3ee2d1c1410f3b9a098fafd1b89a978af642020f4b27d7c",
+    ("analyze", "cycle:24", "--json"): "001c70eb5c7a7904cadaf21aaa781c0c2bbdd40759ba268f3d0a9a15af74d9a9",
+    ("analyze", "sigma:3"): "fc40b99e17c0037f64e047aa7f03172bb99d2de049b5540eab4eee43e11478d3",
+    ("analyze", "sigma:3", "--json"): "61aa240e6a38ae7a5e3451dad20b1e751bf87e6d11423c430afee00a67b4bf09",
+    ("analyze", "sigma:12"): "c181c765971bb944a7bf974d586b2d8d48086e517ef0d7efc650fa45d1d2fe9d",
+    ("analyze", "sigma:12", "--json"): "9925e25bddd2b4d1d36bdc8dd3fe77b4749bfc6f2bb37c18897336ad7e1c6124",
+    ("analyze", "lens:0"): "1df62b6d64e11556554ed94b4be1c0229ab6a90cfcd33660b5b8b6500f270ef7",
+    ("analyze", "lens:0", "--json"): "1c23b808569d6d8a2af81da4f02f592f90f9a1edeee1ea0220f705123a36bae2",
+    ("analyze", "lens:2"): "e9fe7a8c4e99f5b02fbedbcbab617e6508e56daa0cfdff577c2445c43eef3d09",
+    ("analyze", "lens:2", "--json"): "7ab7c210a39f3c12bd514298f978bb7f73894e7b4130a7d34df8fc34c83e8ab0",
+    ("analyze", "lens:8"): "80390eb174a74841d0ae460abfc4a36fc3fc80f7ff002164d7fdd25d3e60d436",
+    ("analyze", "lens:8", "--json"): "0d84af66ea4fb31eecba026da545a2bcf5d8e8db99780c8fd50467d7691c2f33",
+    ("analyze", "full:2"): "932f07f857fd8884ddddda2470a2283000bdae3c71cfa30f9435a8b08c6759af",
+    ("analyze", "full:2", "--json"): "bd14ad0516cdc5b484776212d7b0b5f682122bbeab9314aea3e57799c450c927",
+    ("analyze", "full:5"): "72fabdec327f480d3c638e890dffa7e9c53d83df1bc07affa328f6b3ea63d325",
+    ("analyze", "full:5", "--json"): "6f358489edc72c4a5c5161e905daad4b1c26bd4dc8cf70dbb13eae884fee5893",
+    ("analyze", "cuntz:2"): "5f8c66b2081b55eb4e22e8876739aa8549f748344f1d05ee198a37800e8db8ed",
+    ("analyze", "cuntz:2", "--json"): "931557b9ddce622cae822a424b817755f2bc1fe6cfec41128d04d807e871f9f5",
+    ("analyze", "chambers:2"): "a07acf40495a8035d5c65cb418d325bccad73fe36f9229794b133e2fa66e4ff3",
+    ("analyze", "chambers:2", "--json"): "c1e35be1d8e857b9984fc8923c1dc66646a0d2648a7b848d4feddbea853d87b8",
+    ("analyze", "penrose"): "0a00700e67d4c3f73b9c975068d64e5c9d39cb791d88d4d4673af92bd8d3a7e3",
+    ("analyze", "penrose", "--json"): "2ae3aa63b6ea4d326c4f3ec76749355dc068f128ff3834462f34745d7dfba095",
+    ("analyze", "tadpole"): "cf824ed37a74bda83d646ef32d1dac6eb0c60048cd384cd93979bf213389dbb0",
+    ("analyze", "tadpole", "--json"): "e8a82ad1213530a59e33404b2800f077312e253d2f2674f1f7a4b1671cf95cfb",
+    ("analyze", "cycle:60"): "4eefa20c14eef939606bc3e1a405105a64546846b14055c5e9b3e5b9d1c5a6b8",
+    ("analyze", "cycle:60", "--json"): "1101d91a2ae4397d08dfbb9dbdb9750a4372275c9b2c594a4f9773336fe22b8e",
+    ("analyze", "sigma:18"): "9a7d2c0c42073c4309fb303e7dc91a076fd2871ac5c3c6afde9a45a2582b9a34",
+    ("analyze", "sigma:18", "--json"): "daae3637e784b4447196197c509964afe33dd260e800110c8be3b3276d664396",
+    ("leavitt", "penrose", "eval", "S(a)^* P(1) S(a) + 2 P(2)", "--json"): "60641dd10b59a33e91cbe391b39b6fdd51dc761822fa8b8088b9c776e3af77a9",
+    ("leavitt", "penrose", "eval", "P(1)\u3000+ P(2)", "--json"): "29167461540cf3de13d41178fad1cc3c2b83ab40abc3ced7d38acee0e02f620e",
+    ("leavitt", "penrose", "eval", "P(é)", "--json"): "21116089f507e24eedc6015e14f4780a29be09c2c5b8bbd41f1c4d2b3ddd2259",
+    ("leavitt", "penrose", "eval", 'P(\x07)\t"\\', "--json"): "68a1a0956300a1d434a4ec5fd5f2468f07079705e043921df8fef44cec01017c",
+    ("leavitt", "cuntz:2", "eval", "S(g1)^* S(g1) - P(1)", "--json"): "8c9bdadf49555489a48bfb4c862e96ad0e4c2888bb4bbb6ce192340174e47e52",
+    ("leavitt", "sigma:3", "eval", "0", "--json"): "e7802507c9b80fe8e20b7128db716e823c96989e755d1a19b340d703de4027dd",
+    ("ktheory", "nosuch:1", "--json"): "95e1e8ebf5f7523e06e42ffe098b5b1c7569c568a4a480d22aa7b0bff903566d",
+    ("ktheory", "nosuch:1"): "721cfc3cb28208f486b08e5bf871770a80ffb4fb1e6335daaec90d5f9601b4fc",
+    ("ktheory", "penrose", "--range=1..é", "--json"): "8e3eb492175e5b8bcf6db98dcd79a288a6e60b604a60c43522b32ad4edd6bf5f",
+    ("analyze", "cycle:é", "--json"): "c40778d05aa4a972579405a90f013d7e2a5a33506cbe23ae8189d3fe9ec958d3",
+}
+
+
+def _digest(code, out, err) -> str:
+    return hashlib.sha256(f"{code}\n{out}\0{err}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["ktheory", "bratteli", "analyze", "leavitt"])
+def test_rendered_output_is_pinned(capsys, command):
+    pinned = {argv: h for argv, h in PINNED_OUTPUTS.items() if argv[0] == command}
+    assert {argv: _digest(*run(capsys, *argv)) for argv in pinned} == pinned
+
+
 # -- the parser --------------------------------------------------------------------------
 
 
