@@ -2,7 +2,12 @@
 
 Every subcommand takes graphs either as a path to a graph file or as a
 catalog token (``penrose``, ``sigma:3``, ``cuntz:n=2`` ...).  ``--json``
-switches any subcommand to machine-readable output with sorted keys.
+switches any subcommand to machine-readable output: exactly the text of
+``json.dumps(jsonable(x), indent=2, sort_keys=True)`` and a newline, i.e. a
+two-space indent, keys sorted as strings after conversion (degree keys come
+out ``"-1" < "-2" < "0"``), non-ASCII and control characters as ``\\uXXXX``
+escapes, and exact integers.  One writer renders every payload, the error
+payload on stderr included.
 
 Exit codes: 0 success; 1 a verification answered "no" (non-admissible
 morphism, unequal elements, failed suite); 2 usage, parse, or data errors.
@@ -71,8 +76,56 @@ def jsonable(x):
     raise TypeError(f"cannot convert {type(x).__name__} to JSON data")
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _put(x, out: list, nl: str) -> None:
+    """Append the JSON text of ``x`` to ``out``, converting package values on
+    the way.  ``nl`` is a newline and the current indent, or ``""`` for one
+    line with ``", "`` separators."""
+    if isinstance(x, str):
+        out.append(_escape(x))
+    elif x is None or isinstance(x, bool):
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (list, tuple, dict)):
+        if not x:
+            out.append("{}" if isinstance(x, dict) else "[]")
+            return
+        inner = nl and nl + "  "
+        sep = "," + inner if nl else ", "
+        if isinstance(x, dict):
+            out.append("{" + inner)
+            for i, (k, v) in enumerate(sorted({_key_str(k): v for k, v in x.items()}.items())):
+                out.append(f"{sep if i else ''}{_escape(k)}: ")
+                _put(v, out, inner)
+            out.append(nl + "}")
+            return
+        out.append("[" + inner)
+        kinds = set(map(type, x))
+        if kinds <= {int, str}:  # a row of numbers and names: one join
+            out.append(sep.join(map(str, x) if str not in kinds
+                                else [_escape(v) if type(v) is str else str(v) for v in x]))
+        else:
+            for i, v in enumerate(x):
+                if i:
+                    out.append(sep)
+                _put(v, out, inner)
+        out.append(nl + "]")
+    else:
+        _put(jsonable(x), out, nl)
+
+
+def _json_text(x) -> str:
+    """``json.dumps(jsonable(x), indent=2, sort_keys=True)`` in one walk and one join."""
+    out: list = []
+    _put(x, out, "\n")
+    return "".join(out)
+
+
 def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _yesno(flag: bool) -> str:
@@ -140,7 +193,7 @@ def _cmd_analyze(args) -> int:
     print(f"cycle graph: {_yesno(info.is_cycle_graph)}")
     for i, row in enumerate(gamma.rows):
         label = "adjacency" if i == 0 else " " * len("adjacency")
-        print(f"{label}  [{' '.join(str(x) for x in row)}]")
+        print(f"{label}  [{' '.join(map(str, row))}]")
     print(f"det: {linalg.det(gamma)}")
     return 0
 
@@ -148,7 +201,7 @@ def _cmd_analyze(args) -> int:
 def _graph_out(g: Graph, args) -> int:
     text = graphs.serialize_graph(g)
     if args.json:
-        _emit_json({"graph": jsonable(g), "serialized": text})
+        _emit_json({"graph": g, "serialized": text})
         return 0
     _write_or_print(text, args.output)
     return 0
@@ -272,36 +325,25 @@ def _parse_range(text: str) -> tuple:
         raise ValueError(f"expected a range like -3..3, got {text!r}") from None
 
 
-def _render_plain(value, indent: str = "") -> None:
+def _render_plain(value, out: list, indent: str = "") -> None:
+    """Append an indented outline of a dict or list; flat values go on one line."""
     if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                print(f"{indent}{_key_str(k)}:")
-                _render_plain(v, indent + "  ")
-            else:
-                print(f"{indent}{_key_str(k)}: {_flat_str(v)}")
-        return
-    if isinstance(value, list):
-        for v in value:
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                print(f"{indent}-")
-                _render_plain(v, indent + "  ")
-            else:
-                print(f"{indent}- {_flat_str(v)}")
-        return
-    print(f"{indent}{_flat_str(value)}")
+        entries = ((f"{_key_str(k)}:", v) for k, v in value.items())
+    else:
+        entries = (("-", v) for v in value)
+    for head, v in entries:
+        if isinstance(v, (dict, list)) and v and not _is_flat(v):
+            out.append(f"{indent}{head}\n")
+            _render_plain(v, out, indent + "  ")
+        else:
+            out.append(f"{indent}{head} ")
+            _put(v, out, "")
+            out.append("\n")
 
 
 def _is_flat(v) -> bool:
-    if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v)
-    if isinstance(v, dict):
-        return all(not isinstance(x, (dict, list)) for x in v.values())
-    return True
-
-
-def _flat_str(v) -> str:
-    return json.dumps(jsonable(v), sort_keys=True)
+    kinds = set(map(type, v.values() if isinstance(v, dict) else v))
+    return not any(issubclass(t, (dict, list)) for t in kinds)
 
 
 def _cmd_ktheory(args) -> int:
@@ -313,7 +355,9 @@ def _cmd_ktheory(args) -> int:
     if args.json:
         _emit_json(rep)
         return 0
-    _render_plain(rep)
+    out: list = []
+    _render_plain(rep, out)
+    sys.stdout.write("".join(out))
     return 0
 
 
@@ -571,7 +615,7 @@ def main(argv=None) -> int:
     ) as err:
         if getattr(args, "json", False):
             payload = {"error": {"type": type(err).__name__, "message": str(err)}}
-            sys.stderr.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            sys.stderr.write(_json_text(payload) + "\n")
         else:
             sys.stderr.write(f"error: {err}\n")
         return 2

@@ -346,25 +346,20 @@ def emit_dot(d: BratteliDiagram) -> str:
     labelled ``xM``.
     """
     g = d.graph
-    gamma = graphs.adjacency(g)
+    # each vertex's successors in vertex order, with their edge labels
+    succ = {
+        v: [(w, f' [label="x{m}"]' if m > 1 else "") for w, m in zip(g.vertices, row) if m]
+        for v, row in zip(g.vertices, graphs.adjacency(g).rows)
+    }
     lines = ["digraph bratteli {", "  rankdir=LR;", '  root [label="1"];']
     for k, level in enumerate(d.levels, start=1):
-        for v, size in level:
-            lines.append(f'  v{v}_{k} [label="{size}"];')
-    for v, _ in d.levels[0]:
-        lines.append(f"  root -> v{v}_1;")
+        lines.extend(f'  v{v}_{k} [label="{size}"];' for v, size in level)
+    lines.extend(f"  root -> v{v}_1;" for v, _ in d.levels[0])
     for k in range(1, d.depth):
-        present_next = {v for v, _ in d.levels[k]}
+        present_next, tail = {v for v, _ in d.levels[k]}, f"_{k + 1}"
         for v, _ in d.levels[k - 1]:
-            i = g.vertex_index(v)
-            for w in g.vertices:
-                if w not in present_next:
-                    continue
-                mult = gamma[(i, g.vertex_index(w))]
-                if mult == 0:
-                    continue
-                suffix = f' [label="x{mult}"]' if mult > 1 else ""
-                lines.append(f"  v{v}_{k} -> v{w}_{k + 1}{suffix};")
+            head = f"  v{v}_{k} -> v"
+            lines.extend(f"{head}{w}{tail}{label};" for w, label in succ[v] if w in present_next)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

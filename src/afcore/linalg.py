@@ -31,7 +31,7 @@ class Matrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rs = tuple(tuple(int(x) for x in row) for row in rows)
+        rs = tuple(tuple(map(int, row)) for row in rows)
         if rs:
             width = len(rs[0])
             if any(len(r) != width for r in rs):

@@ -1,13 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import afcore
-from afcore import catalog
+from afcore import catalog, cli
 from afcore.cli import jsonable, main
 from afcore.graphs import parse_graph, serialize_graph
 from afcore.leavitt import MAX_NESTING
@@ -52,6 +56,62 @@ def test_jsonable_scalars_and_containers(penrose):
     }
     with pytest.raises(TypeError):
         jsonable(object())
+
+
+# -- the JSON writer ---------------------------------------------------------------------
+
+_TRICKY_CHARS = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "é", "\U0001f600"])
+_TEXT = st.text(st.one_of(st.characters(), _TRICKY_CHARS), max_size=6)
+_MATRICES = st.integers(0, 3).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-5, 5), min_size=c, max_size=c), max_size=3)
+).map(Matrix)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**200), 2**200), _TEXT,
+    st.fractions(), _MATRICES, st.just(Matrix([])),
+)
+# int keys whose string order is not their numeric order (2 < 10 but "10" < "2";
+# "-1" < "-2"), bool keys, and strings, which may collide with them after conversion
+_KEYS = st.one_of(st.integers(-12, 12), st.booleans(), _TEXT, st.sampled_from(["2", "true"]))
+_DATA = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _one_line(x) -> str:
+    out = []
+    cli._put(x, out, "")
+    return "".join(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DATA)
+def test_json_writer_matches_json_dumps(x):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(x)
+    assert out.getvalue() == json.dumps(jsonable(x), indent=2, sort_keys=True) + "\n"
+    # the one-line form is how the plain renderer prints a flat value
+    assert _one_line(x) == json.dumps(jsonable(x), sort_keys=True)
+
+
+def test_json_writer_package_values_and_refusals(penrose):
+    rep = CheckReport("t")
+    rep.add("x", False, "d\u00e9tail")
+    for x in (
+        {-1: [1], -2: [2], 0: [3], 10: [4], 2: [5], True: "t", False: Fraction(-3, 4)},
+        [penrose, rep, Matrix([]), Matrix([[], []]), (), {}, [[]], 2**100, -(2**100)],
+    ):
+        assert cli._json_text(x) == json.dumps(jsonable(x), indent=2, sort_keys=True)
+        assert _one_line(x) == json.dumps(jsonable(x), sort_keys=True)
+    assert _one_line({-1: 0, -2: 0, 0: 0}) == '{"-1": 0, "-2": 0, "0": 0}'
+    for bad in (object(), 1.5, {"k": [1, 2.0]}):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
 
 
 # -- analyze -----------------------------------------------------------------------
