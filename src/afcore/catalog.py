@@ -580,7 +580,7 @@ def suite_uhf(n: int | None = None, **_ignored) -> CheckReport:
         g = build("cuntz", n=nn)
         rep.extend(verify_entry("cuntz", n=nn), prefix=f"n={nn} facts: ")
         t = ktheory.Tower(g)
-        rep.add(f"n={nn}: K0 is a colimit of rank 1", not t.unimodular and t.k0.rank == 1)
+        rep.add(f"n={nn}: K0 is a colimit of rank 1", not t.unimodular and t.colimit.rank == 1)
         ok_embed = True
         for k in range(-6, 7):
             cls = t.line_class(k)
@@ -839,7 +839,7 @@ def suite_k0(**_ignored) -> CheckReport:
     rep.add("tadpole: positive line classes refuse (source present)", raised)
 
     cyc = tower("cycle:2")
-    rep.add("two-cycle: K0 free of rank 2", cyc.unimodular and cyc.k0.rank == 2)
+    rep.add("two-cycle: K0 free of rank 2", cyc.unimodular and cyc.colimit.rank == 2)
     rep.add(
         "two-cycle: every line class is the unit class (|k| <= 6)",
         all(

@@ -23,15 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, graphs, ktheory, leavitt, linalg, ops, picard
-from .errors import (
-    ArtifactError,
-    GuardError,
-    MorphismError,
-    NotUnimodular,
-    ParseError,
-    SinkError,
-    SourceError,
-)
+from .errors import ArtifactError, GuardError
 from .graphs import Graph
 from .report import CheckReport
 
@@ -602,17 +594,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (
-        ParseError,
-        NotUnimodular,
-        SinkError,
-        SourceError,
-        MorphismError,
-        GuardError,
-        ArtifactError,
-        ValueError,
-        OSError,
-    ) as err:
+    except (ArtifactError, ValueError, OSError) as err:
         if getattr(args, "json", False):
             payload = {"error": {"type": type(err).__name__, "message": str(err)}}
             sys.stderr.write(_json_text(payload) + "\n")

@@ -86,7 +86,9 @@ class Tower:
         """The supports of the tower, and the rank of K0: the eventual rank of
         ``Gamma``, read off the tower's ``det(t Gamma - 1)`` as its degree.
         No edge leaves the stable support and ``Gamma`` is nilpotent off it,
-        so this is also the eventual rank of the stable connecting map."""
+        so this is also the eventual rank of the stable connecting map.  It is
+        free on the vertex projections exactly when ``Gamma`` is unimodular:
+        then every support is full, ``stable_level == 0`` and ``rank == n``."""
         g = self.graph
         self.require_sink_free("K0 of the tower is computed for emission-complete graphs only")
         supports = [tuple(range(self.n))]
@@ -102,16 +104,6 @@ class Tower:
                 raise CertificateError(f"supports of {g.name!r} did not stabilize within n steps")
         return ColimitK0(graph=g, supports=tuple(supports), stable_level=len(supports) - 1,
                          rank=len(linalg.poly_trim(self.rev_charpoly)) - 1)
-
-    @property
-    def k0(self) -> ColimitK0:
-        """The K0 presentation, :attr:`colimit`.
-
-        It is free on the vertex projections exactly when ``Gamma`` is
-        unimodular: then every support is full, ``stable_level == 0`` and
-        ``rank == n``.
-        """
-        return self.colimit
 
     def q_class(self, v: str, k: int) -> K0Class:
         """The class of the distinguished projection built from a length-``k``
@@ -436,7 +428,7 @@ def colimit_presentation(g: Graph) -> ColimitK0:
 
 def k0(g: Graph) -> ColimitK0:
     """The K0 presentation; free on the vertex projections when ``|det Gamma| = 1``."""
-    return Tower(g).k0
+    return Tower(g).colimit
 
 
 def class_of_unit(g: Graph) -> K0Class:

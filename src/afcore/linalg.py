@@ -5,11 +5,12 @@ entries, whose products skip zero entries; determinants, ranks and
 unimodular inverses from one fraction-free (Bareiss) elimination, so no
 fraction ever arises, with each inverse checked against the identity
 before it is returned; characteristic polynomials in O(n^3) from Krylov
-rows v, v m, v m^2, ..., by one solve when e_0 is cyclic and by branching
-on further unit vectors (Keller-Gehrig) when it is not; the
-non-derogatory test, from three seed vectors and, when none is cyclic,
-the rank of the powers of m; and arithmetic in Z[x]/(p) for a
-monic-up-to-sign integer polynomial p.
+blocks v, v m, v m^2, ..., each row computed on demand and reduced modulo
+the span so far up to the first dependent one, with v = e_0 and then each
+unit vector not yet in the span (Keller-Gehrig); the non-derogatory test,
+from the blocks of three seed vectors and, when none is cyclic, the rank
+of the powers of m; and arithmetic in Z[x]/(p) for a monic-up-to-sign
+integer polynomial p.
 
 Polynomials are tuples of integer coefficients in ascending order with
 trailing zeros trimmed; the zero polynomial is the empty tuple.
@@ -18,6 +19,7 @@ trailing zeros trimmed; the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Sequence
 
 from .errors import CertificateError, NotUnimodular
@@ -247,14 +249,6 @@ def rank_Q(m: Matrix) -> int:
     return _eliminate([list(r) for r in m.rows], m.n_cols)[0]
 
 
-def _krylov(seed: tuple, m: Matrix) -> list:
-    """The rows seed, seed m, ..., seed m^n."""
-    krylov = [seed]
-    for _ in range(m.n_rows):
-        krylov.append(row_vec_mul(krylov[-1], m))
-    return krylov
-
-
 def _exact_quotients(values: Iterable[int], d: int) -> tuple:
     """Each of ``values`` divided by ``d``; a remainder raises :class:`CertificateError`."""
     out = []
@@ -266,75 +260,57 @@ def _exact_quotients(values: Iterable[int], d: int) -> tuple:
     return tuple(out)
 
 
-def _cyclic_charpoly(krylov: list) -> tuple | None:
-    """Coefficients of det(x*I - m) from the Krylov rows of v, or None if v is not cyclic.
+def _block(m: Matrix, seed: tuple, basis: list) -> IntPoly:
+    """The Krylov block of ``seed`` modulo the span of ``basis`` (Keller-Gehrig 1985).
 
-    If v is cyclic, one Gauss-Jordan solve of ``sum c_i v m^i = -v m^n``
-    leaves ``-pivot * c_i`` at the end of row i, for the last pivot.
-    """
-    n = len(krylov) - 1
-    a = [list(col) for col in zip(*krylov)]  # [K^T | (v m^n)^T]
-    rank, _, pivot = _eliminate(a, n, reduce=True)
-    if rank < n:
-        return None
-    return _exact_quotients((-row[n] for row in a), pivot) + (1,)
-
-
-def _branching_charpoly(m: Matrix, krylov: list) -> tuple:
-    """Coefficients of det(x*I - m) by branching Krylov (Keller-Gehrig 1985).
-
-    The Krylov rows of e_0 (``krylov``), then of each unit vector not yet in
-    their span, are reduced modulo the span so far by fraction-free steps,
-    each row carrying its coefficients on its own block's rows, up to the
-    first row that reduces to zero.  Its coefficients are the characteristic
-    polynomial of m on the quotient by the span before the block; the spans
-    are invariant under m, so the block polynomials multiply to the
-    characteristic polynomial.
+    The rows seed, seed m, seed m^2, ... are computed one at a time and
+    reduced modulo the span so far by fraction-free steps, each row carrying
+    its coefficients on its own block's rows; each independent row is
+    appended to ``basis`` as (pivot column, reduced row + coefficients).  The
+    first row that reduces to zero ends the block: its coefficients are the
+    characteristic polynomial of m on the quotient by the span before the
+    block, which is returned.
     """
     n = m.n_rows
-    basis: list = []  # (pivot column, reduced row + block coefficients)
-    chi: IntPoly = (1,)
-    while len(basis) < n:
-        width = n + 1 - len(basis)  # at most width - 1 rows of the block are independent
-        # rows of earlier blocks have no coefficients on this block's rows
-        basis = [(k, row[:n] + [0] * width) for k, row in basis]
-        j = min(set(range(n)).difference(k for k, _ in basis))
-        w = tuple(int(i == j) for i in range(n))
-        for i in range(width):
-            if i:
-                w = krylov[i] if j == 0 else row_vec_mul(w, m)
-            r, prev = list(w) + [int(t == i) for t in range(width)], 1
-            for k, row in basis:  # Bareiss steps: entries stay minors, divisions are exact
-                pivot, f = row[k], r[k]
-                if f or pivot != prev:
-                    r = [(x * pivot - f * y) // prev for x, y in zip(r, row)]
-                prev = pivot
-            k = next(k for k, x in enumerate(r) if x)
-            if k >= n:
-                break
-            basis.append((k, r))
-        chi = poly_mul(chi, _exact_quotients(r[n : n + i + 1], r[n + i]))
-    return chi
+    width = n + 1 - len(basis)  # at most width - 1 rows of the block are independent
+    # rows of earlier blocks have no coefficients on this block's rows
+    basis[:] = [(k, row[:n] + [0] * width) for k, row in basis]
+    w = seed
+    for i in count():
+        r, prev = [*w, *(0,) * i, 1, *(0,) * (width - i - 1)], 1
+        for k, row in basis:  # Bareiss steps: entries stay minors, divisions are exact
+            pivot, f = row[k], r[k]
+            if f or pivot != prev:
+                r = [(x * pivot - f * y) // prev for x, y in zip(r, row)]
+            prev = pivot
+        k = next(k for k, x in enumerate(r) if x)
+        if k >= n:
+            return _exact_quotients(r[n : n + i + 1], r[n + i])
+        basis.append((k, r))
+        w = row_vec_mul(w, m)
 
 
 def charpoly(m: Matrix) -> tuple:
     """Coefficients of det(x*I - m), ascending, leading coefficient 1, in O(n^3).
 
-    From the Krylov rows of e_0: by one solve when e_0 is cyclic
-    (:func:`_cyclic_charpoly`), else (always so when m is derogatory) by
-    branching on further unit vectors (:func:`_branching_charpoly`), whose
-    result must also annihilate the column vector e_0.  Either way
-    c_(n-1) = -trace(m) and c_0 = (-1)^n det(m) are checked.
+    The product of the polynomials of the Krylov blocks (:func:`_block`) of
+    e_0, then of each unit vector not yet in their span; the spans are
+    invariant under m.  When e_0 is cyclic there is one block; with more
+    than one (always so when m is derogatory) the result must also
+    annihilate the column vector e_0.  Every result is checked against
+    c_(n-1) = -trace(m) and c_0 = (-1)^n det(m).
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = m.n_rows
     if n == 0:
         return (1,)
-    krylov = _krylov((1,) + (0,) * (n - 1), m)
-    coeffs = _cyclic_charpoly(krylov)
-    if coeffs is None:
-        coeffs = _branching_charpoly(m, krylov)
+    basis: list = []
+    coeffs: IntPoly = (1,)
+    while len(basis) < n:
+        start = min(set(range(n)).difference(k for k, _ in basis))
+        coeffs = poly_mul(coeffs, _block(m, tuple(int(i == start) for i in range(n)), basis))
+    if start:  # the last block did not start at e_0, so there was more than one
         # Cayley-Hamilton on e_0 by Horner's rule, m acting on columns through
         # the nonzero entries of its rows: no Krylov (row) product is involved
         rows = [[(j, a) for j, a in enumerate(r) if a] for r in m.rows]
@@ -364,15 +340,15 @@ def rev_charpoly(m: Matrix) -> IntPoly:
 def is_non_derogatory(m: Matrix) -> bool:
     """True iff I, m, m^2, ..., m^(n-1) are linearly independent over Q.
 
-    True at once when one of the seeds e_0, the all-ones vector or
-    (1, 2, ..., n) is cyclic; otherwise the rank of the n x n^2 matrix of
-    flattened powers decides.
+    True at once when the Krylov block (:func:`_block`) of one of the seeds
+    e_0, the all-ones vector or (1, 2, ..., n) reaches n rows; otherwise the
+    rank of the n x n^2 matrix of flattened powers decides.
     """
     if not m.is_square:
         raise ValueError("non-derogatory test requires a square matrix")
     n = m.n_rows
     seeds = ((1,) + (0,) * (n - 1), (1,) * n, tuple(range(1, n + 1)))
-    if n == 0 or any(_cyclic_charpoly(_krylov(seed, m)) for seed in seeds):
+    if n == 0 or any(len(_block(m, seed, [])) > n for seed in seeds):
         return True
     rows = []
     p = Matrix.identity(n)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import afcore
 from afcore import catalog, cli
 from afcore.cli import jsonable, main
+from afcore.errors import ArtifactError
 from afcore.graphs import parse_graph, serialize_graph
 from afcore.leavitt import MAX_NESTING
 from afcore.linalg import Matrix
@@ -221,6 +222,17 @@ def test_check_morphism_invalid_is_an_error(capsys, tmp_path):
     code, out, err = run(capsys, "check-morphism", str(path))
     assert code == 2
     assert "error:" in err and "no image" in err
+
+
+@pytest.mark.parametrize("error", ArtifactError.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_every_artifact_error_from_a_handler_is_a_typed_refusal(capsys, monkeypatch, error):
+    def refuse():
+        raise error("refused")
+
+    monkeypatch.setattr(catalog, "list_entries", refuse)  # called by the `catalog list` handler
+    code, out, err = run(capsys, "catalog", "list", "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {"type": error.__name__, "message": str(error("refused"))}}
 
 
 # -- embeddings ---------------------------------------------------------------------------

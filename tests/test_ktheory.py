@@ -175,8 +175,8 @@ def test_unimodular_colimit_is_free(token):
     # |det Gamma| = 1: full support from level 0 on and rank n
     t = Tower(catalog.build_token(token))
     assert t.unimodular
-    assert t.k0.supports == (tuple(range(t.n)),)
-    assert t.k0.stable_level == 0 and t.k0.rank == t.n == rank_Q(power(t.gamma, t.n))
+    assert t.colimit.supports == (tuple(range(t.n)),)
+    assert t.colimit.stable_level == 0 and t.colimit.rank == t.n == rank_Q(power(t.gamma, t.n))
 
 
 def colimit_rank_by_power(t: Tower) -> int:
@@ -282,7 +282,7 @@ def test_colimit_vs_free_cross_oracle(penrose, sigma2):
     rng = random.Random("colimit-vs-free")
     for g in (penrose, sigma2, catalog.build("cycle", n=3)):
         t = Tower(g)
-        assert t.unimodular and colimit_presentation(g) == t.k0
+        assert t.unimodular and colimit_presentation(g) == t.colimit
         n = g.n_vertices
         for _ in range(60):
             ka, kb = rng.randint(0, 3), rng.randint(0, 3)

@@ -216,7 +216,8 @@ def test_inv_unimodular_rejects_and_reports_det():
 
 def test_certificates_survive_python_O(run_python_O):
     # under -O an assert is skipped; the certificates must still refuse a
-    # result built from a wrong matrix or vector product, on both charpoly routes
+    # result built from a wrong matrix or vector product, whether charpoly
+    # needs one Krylov block or several
     run_python_O(
         """
         from afcore import linalg
@@ -232,29 +233,30 @@ def test_certificates_survive_python_O(run_python_O):
             pass
         Matrix.__mul__ = real_mul
 
-        # [[2, 1], [1, 1]] is non-derogatory: charpoly takes the Krylov route,
-        # which never multiplies matrices.  With every vector product off by
-        # one it would return x^2 - 3x: the trace agrees, the determinant not.
+        # e_0 is cyclic for [[2, 1], [1, 1]]: charpoly reduces one Krylov
+        # block, which never multiplies matrices.  With every vector product
+        # off by one it would return x^2 - 3x: the trace agrees, the
+        # determinant not.
         real_row_vec_mul = linalg.row_vec_mul
         linalg.row_vec_mul = lambda v, m: tuple(x + 1 for x in real_row_vec_mul(v, m))
         try:
             charpoly(Matrix([[2, 1], [1, 1]]))
-            raise SystemExit("Krylov charpoly certificate skipped")
+            raise SystemExit("one-block charpoly certificate skipped")
         except CertificateError:
             pass
 
-        # 2I is derogatory: e_0 is not cyclic, so charpoly branches.  Taking
-        # every vector product with diag(-1, -1, 8) instead gives
+        # 2I is derogatory: e_0 is not cyclic, so charpoly reduces several
+        # blocks.  Taking every vector product with diag(-1, -1, 8) instead gives
         # (x + 1)^2 (x - 8): trace 6 and determinant 8 agree with 2I, and only
         # the Cayley-Hamilton check on e_0 sees the fault.
         fake = Matrix([[-1, 0, 0], [0, -1, 0], [0, 0, 8]])
         linalg.row_vec_mul = lambda v, m: real_row_vec_mul(v, fake)
         try:
             charpoly(Matrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
-            raise SystemExit("branching charpoly certificate skipped")
+            raise SystemExit("several-block charpoly certificate skipped")
         except CertificateError as err:
             if "annihilate" not in str(err):
-                raise SystemExit(f"branching fault caught by the wrong check: {err}")
+                raise SystemExit(f"several-block fault caught by the wrong check: {err}")
         linalg.row_vec_mul = real_row_vec_mul
 
         from afcore import catalog, graphs
@@ -552,6 +554,27 @@ def test_charpoly_does_not_depend_on_which_seed_is_cyclic(monkeypatch):
     assert row_vec_mul((1, 2, 3), NO_SEED_CYCLIC) == (3, 6, 9)
 
 
+def test_krylov_rows_are_computed_only_until_the_first_dependent_one(monkeypatch):
+    products = []
+    real_row_vec_mul = linalg.row_vec_mul
+    monkeypatch.setattr(
+        linalg, "row_vec_mul", lambda v, m: products.append(v) or real_row_vec_mul(v, m)
+    )
+    # e_0 is not cyclic for full:n or lens:k.  A block's first row is its seed
+    # and each later row costs one vector product; every block stops at its
+    # first dependent row, so charpoly makes one product per independent row.
+    # is_non_derogatory(full:n) gives up on each seed within two products.
+    for token in [f"full:{n}" for n in range(4, 17)] + [f"lens:{k}" for k in range(3, 16)]:
+        m = graphs.adjacency(catalog.build_token(token))
+        products.clear()
+        charpoly(m)
+        assert len(products) == m.n_rows, token
+        if token.startswith("full:"):
+            products.clear()
+            assert not is_non_derogatory(m)
+            assert len(products) <= 5, token
+
+
 def jordan_block(eigenvalue, k):
     return [[eigenvalue if i == j else int(j == i + 1) for j in range(k)] for i in range(k)]
 
@@ -580,15 +603,15 @@ def branching_inputs():
     return out
 
 
-def test_branching_charpoly_against_laplace_oracle(monkeypatch):
-    branched = []
-    real = linalg._branching_charpoly
-    monkeypatch.setattr(linalg, "_branching_charpoly", lambda m, k: branched.append(m) or real(m, k))
-    inputs = branching_inputs()
-    for rows in inputs:
+def test_branching_charpoly_against_laplace_oracle():
+    for rows in branching_inputs():
         m = Matrix(rows)
+        # e_0 is not cyclic, so charpoly needs more than one Krylov block
+        krylov = [(1,) + (0,) * (m.n_rows - 1)]
+        while len(krylov) < m.n_rows:
+            krylov.append(row_vec_mul(krylov[-1], m))
+        assert rank_Q(Matrix(krylov)) < m.n_rows, rows
         assert charpoly(m) == charpoly_by_laplace(m), rows
-    assert len(branched) == len(inputs)
 
 
 def test_branching_charpoly_matches_sympy(sympy):
