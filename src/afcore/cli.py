@@ -455,10 +455,7 @@ def _cmd_catalog_suite(args) -> int:
         key, sep, value = piece.partition("=")
         if not sep or not key:
             raise ValueError(f"suite parameters look like k=v, got {piece!r}")
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = value
+        params[key] = value
     rep = catalog.run_suite(args.suite, **params)
     if args.json:
         _emit_json(rep)

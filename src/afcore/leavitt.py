@@ -42,7 +42,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import MorphismError, ParseError, SinkError, SourceError
 from .graphs import Graph, walk_edges
-from .ops import Morphism, check_morphism, line_graph
+from .ops import Morphism, check_morphism, line_graph  # noqa: F401 (traced here by perfbench)
 from .report import CheckReport
 
 
@@ -924,127 +924,3 @@ class LaurentMat2(_Combination):
 
     def __repr__(self) -> str:
         return f"LaurentMat2({self.terms!r})"
-
-
-# -- concrete matrix models over Laurent polynomials ---------------------------
-
-
-def _derive_vertex_images(g: Graph, smap: dict, unit, rep: CheckReport) -> dict:
-    """Recover vertex images from edge images: ``P_(r(e)) = S_e^* S_e``.
-
-    Vertices receiving several edges must give consistent answers, and a
-    single uncovered vertex (a source) gets the complement of the unit.
-    """
-    pmap: dict = {}
-    for v in g.vertices:
-        incoming = g.in_edges(v)
-        if not incoming:
-            continue
-        first = smap[incoming[0].eid].star() * smap[incoming[0].eid]
-        for e in incoming[1:]:
-            cand = smap[e.eid].star() * smap[e.eid]
-            rep.add(
-                f"vertex image at {v} consistent via {e.eid}",
-                (cand - first).is_zero(),
-            )
-        pmap[v] = first
-    uncovered = [v for v in g.vertices if v not in pmap]
-    if len(uncovered) > 1:
-        raise ValueError(
-            f"cannot derive vertex images: several source vertices {uncovered}"
-        )
-    if uncovered:
-        total = unit
-        for el in pmap.values():
-            total = total - el
-        pmap[uncovered[0]] = total
-        rep.add(f"vertex image at source {uncovered[0]} set to unit complement", True)
-    return pmap
-
-
-def laurent_model_report() -> CheckReport:
-    """Verify the two 2x2 Laurent-matrix models of the circle algebra.
-
-    Model one realizes the graph with an edge ``1 -> 2`` plus a loop at
-    ``2``; model two realizes the two-cycle.  Edge images are fixed data;
-    vertex images are derived from the relations and cross-checked.
-    """
-    rep = CheckReport("2x2 Laurent matrix models")
-    unit = LaurentMat2.identity()
-
-    tadpole = Graph("tadpole", ("1", "2"), (("e12", "1", "2"), ("e22", "2", "2")))
-    smap_e = {
-        "e12": LaurentMat2.unit(2, 1),
-        "e22": LaurentMat2.unit(1, 1, z_power=1),
-    }
-    pmap_e = _derive_vertex_images(tadpole, smap_e, unit, rep)
-    rep.extend(ck_verify(tadpole, pmap_e, smap_e, unit=unit), prefix="model E: ")
-
-    two_cycle = Graph("cycle2", ("1", "2"), (("c1", "1", "2"), ("c2", "2", "1")))
-    smap_f = {
-        "c1": LaurentMat2.unit(2, 1),
-        "c2": LaurentMat2.unit(1, 2, z_power=1),
-    }
-    pmap_f = _derive_vertex_images(two_cycle, smap_f, unit, rep)
-    rep.extend(ck_verify(two_cycle, pmap_f, smap_f, unit=unit), prefix="model F: ")
-    return rep
-
-
-def cuntz_to_penrose_report() -> CheckReport:
-    """Verify the factorization of the two-generator Cuntz family.
-
-    Stage one maps the one-vertex two-loop graph into its line graph
-    (each generator becomes the sum of the line-graph generators leaving
-    the matching vertex).  Stage two maps the line graph into the
-    two-vertex graph with edges a: 1->1, b: 1->2, c: 2->1 by walk
-    substitution.  The composite sends the three distinguished products
-    back to the single generators a, b, c.
-    """
-    rep = CheckReport("Cuntz family factorization")
-
-    b2 = Graph("twoloops", ("1",), (("g1", "1", "1"), ("g2", "1", "1")))
-    lb2 = line_graph(b2)
-    pen = Graph("penrose", ("1", "2"), (("a", "1", "1"), ("b", "1", "2"), ("c", "2", "1")))
-
-    # stage one: generators of the two-loop graph inside the line-graph algebra
-    f_pmap = {
-        "1": LeavittElem.unit(lb2),
-    }
-    f_smap = {
-        "g1": LeavittElem.edge_gen(lb2, "g1_g1") + LeavittElem.edge_gen(lb2, "g1_g2"),
-        "g2": LeavittElem.edge_gen(lb2, "g2_g1") + LeavittElem.edge_gen(lb2, "g2_g2"),
-    }
-    rep.extend(
-        ck_verify(b2, f_pmap, f_smap, unit=LeavittElem.unit(lb2)), prefix="stage 1: "
-    )
-
-    # stage two: line-graph generators inside the two-vertex algebra
-    g_pmap = {
-        "g1": LeavittElem.vertex_projection(pen, "1"),
-        "g2": LeavittElem.vertex_projection(pen, "2"),
-    }
-    g_smap = {
-        "g1_g1": LeavittElem.edge_gen(pen, "a"),
-        "g1_g2": LeavittElem.edge_gen(pen, "b"),
-        "g2_g1": LeavittElem.monomial_elem(pen, ("c", "a"), ()),
-        "g2_g2": LeavittElem.monomial_elem(pen, ("c", "b"), ()),
-    }
-    rep.extend(
-        ck_verify(lb2, g_pmap, g_smap, unit=LeavittElem.unit(pen)), prefix="stage 2: "
-    )
-
-    # composite identities: the distinguished products land on the generators
-    def composite(x: LeavittElem) -> LeavittElem:
-        mid = evaluate_family(f_pmap, f_smap, x)
-        return evaluate_family(g_pmap, g_smap, mid)
-
-    s1 = LeavittElem.edge_gen(b2, "g1")
-    s2 = LeavittElem.edge_gen(b2, "g2")
-    targets = [
-        ("(S1)^2 S1^* -> a", s1 * s1 * s1.star(), LeavittElem.edge_gen(pen, "a")),
-        ("S1 S2 S2^* -> b", s1 * s2 * s2.star(), LeavittElem.edge_gen(pen, "b")),
-        ("S2 S1^* -> c", s2 * s1.star(), LeavittElem.edge_gen(pen, "c")),
-    ]
-    for label, source, expected in targets:
-        rep.add(f"composite sends {label}", equals(composite(source), expected))
-    return rep

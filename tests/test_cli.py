@@ -594,7 +594,8 @@ PINNED_OUTPUTS = {
     ("ktheory", "nosuch:1", "--json"): "95e1e8ebf5f7523e06e42ffe098b5b1c7569c568a4a480d22aa7b0bff903566d",
     ("ktheory", "nosuch:1"): "721cfc3cb28208f486b08e5bf871770a80ffb4fb1e6335daaec90d5f9601b4fc",
     ("ktheory", "penrose", "--range=1..é", "--json"): "8e3eb492175e5b8bcf6db98dcd79a288a6e60b604a60c43522b32ad4edd6bf5f",
-    ("analyze", "cycle:é", "--json"): "c40778d05aa4a972579405a90f013d7e2a5a33506cbe23ae8189d3fe9ec958d3",
+    # re-recorded when a non-integer catalog parameter got the message naming family and parameter
+    ("analyze", "cycle:é", "--json"): "5e87f1d22da89ca9fbb063c5499354f96631b8668e8583d1ddd41403a512d105",
 }
 
 
@@ -718,6 +719,17 @@ def test_catalog_suite_bad_param_shape(capsys):
     code, out, err = run(capsys, "catalog", "suite", "cpq", "n:3")
     assert code == 2
     assert "k=v" in err
+
+
+def test_catalog_suite_undeclared_or_non_int_param(capsys):
+    for argv, message in (
+        (("penrose", "foo=1"), "suite 'penrose' takes parameters (), got unexpected 'foo'"),
+        (("cpq", "m=3"), "suite 'cpq' takes parameters (n:int=None), got unexpected 'm'"),
+        (("cpq", "n=abc"), "suite 'cpq' parameter 'n' must be an int, got 'abc'"),
+    ):
+        code, out, err = run(capsys, "catalog", "suite", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 def test_catalog_suite_unknown(capsys):

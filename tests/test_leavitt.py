@@ -721,11 +721,18 @@ def test_walk_unit_identity(token):
 # -- induced homomorphisms --------------------------------------------------------
 
 
+def inclusion(small: Graph, large: Graph) -> Morphism:
+    """The identity-on-names map from one sigma instance into a larger one."""
+    return Morphism(
+        small, large, {v: v for v in small.vertices}, {e.eid: e.eid for e in small.edges}
+    )
+
+
 def test_induced_hom_on_inclusion_chain(sigma2, sigma3):
     sigma4 = catalog.build("sigma", n=4)
-    inc23 = catalog.family_inclusion(sigma2, sigma3)
-    inc34 = catalog.family_inclusion(sigma3, sigma4)
-    inc24 = catalog.family_inclusion(sigma2, sigma4)
+    inc23 = inclusion(sigma2, sigma3)
+    inc34 = inclusion(sigma3, sigma4)
+    inc24 = inclusion(sigma2, sigma4)
     rng = random.Random("induced-chain")
     pool4 = monomial_pool(sigma4)
     for _ in range(40):
@@ -741,7 +748,7 @@ def test_induced_hom_on_inclusion_chain(sigma2, sigma3):
 
 
 def test_induced_hom_multiplicative_on_samples(sigma2, sigma3):
-    inc = catalog.family_inclusion(sigma2, sigma3)
+    inc = inclusion(sigma2, sigma3)
     rng = random.Random("induced-mult")
     pool = monomial_pool(sigma3)
     for _ in range(40):
@@ -761,13 +768,13 @@ def test_induced_hom_rejects_bad_input(penrose, sigma2):
     )
     with pytest.raises(MorphismError, match="not admissible"):
         induced_hom(not_admissible, LeavittElem.unit(penrose))
-    inc = catalog.family_inclusion(sigma2, catalog.build("sigma", n=3))
+    inc = inclusion(sigma2, catalog.build("sigma", n=3))
     with pytest.raises(ValueError, match="codomain"):
         induced_hom(inc, LeavittElem.unit(sigma2))
 
 
 def test_induced_relations_report_labels(sigma2, sigma3):
-    rep = induced_relations_report(catalog.family_inclusion(sigma2, sigma3))
+    rep = induced_relations_report(inclusion(sigma2, sigma3))
     assert rep.ok
     labels = [item.label for item in rep.items]
     assert any(label.startswith("CK1 at image of") for label in labels)
