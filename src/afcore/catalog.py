@@ -277,20 +277,24 @@ def build(name: str, **params) -> Graph:
 
 
 def build_token(token: str) -> Graph:
-    """Build from a compact token: ``name``, ``name:3``, or ``name:k=3,labels=01``."""
+    """Build from a compact token: ``name``, ``name:3``, or ``name:k=3,labels=01``;
+    a parameter given twice is refused."""
     name, _, argstr = token.partition(":")
     entry = _lookup(name.strip())
     params: dict = {}
     for piece in argstr.split(","):
         key, sep, value = piece.strip().partition("=")
         if sep:
-            params[key.strip()] = value.strip()
+            key, value = key.strip(), value.strip()
         elif not key:
             continue
         elif not entry.params:
             raise ValueError(f"{entry.name!r} takes no parameters")
         else:
-            params[entry.params[0][0]] = key
+            key, value = entry.params[0][0], key
+        if key in params:
+            raise ValueError(f"{entry.name!r} parameter {key!r} is given more than once")
+        params[key] = value
     return entry.build(**_resolve(repr(entry.name), entry.params, params))
 
 

@@ -49,10 +49,13 @@ class Tower:
         self._up = [(1,) * self.n]
         self._down = [(1,) * self.n]
 
+    @cached_property
+    def sinks(self) -> tuple:
+        return self.graph.sinks()
+
     def require_sink_free(self, why: str) -> None:
-        g = self.graph
-        if g.sinks():
-            raise SinkError(f"graph {g.name!r} has sinks {list(g.sinks())}; {why}")
+        if self.sinks:
+            raise SinkError(f"graph {self.graph.name!r} has sinks {list(self.sinks)}; {why}")
 
     @cached_property
     def det(self) -> int:
@@ -550,9 +553,9 @@ def invariants_report(g: Graph, k_min: int = -3, k_max: int = 3) -> dict:
         "m_table": {k: list(t.orbit(k)) for k in ks if k >= 0 or t.unimodular},
     }
 
-    sink_free = not g.sinks()
+    sink_free = not t.sinks
     if not sink_free:
-        out["k0"] = {"available": False, "reason": f"graph has sinks {list(g.sinks())}"}
+        out["k0"] = {"available": False, "reason": f"graph has sinks {list(t.sinks)}"}
     elif t.unimodular:
         out["k0"] = {"kind": "free", "rank": t.n, "basis": list(g.vertices)}
     else:

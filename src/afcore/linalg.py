@@ -1,7 +1,8 @@
 """Exact integer matrix arithmetic and polynomial quotient rings.
 
 Everything here is exact: integer matrices with arbitrary-precision
-entries, whose products skip zero entries; determinants, ranks and
+entries, whose products walk only the nonzero entries of the right
+factor, listed once per matrix on first use; determinants, ranks and
 unimodular inverses from one fraction-free (Bareiss) elimination, so no
 fraction ever arises, with each inverse checked against the identity
 before it is returned; characteristic polynomials in O(n^3) from Krylov
@@ -30,7 +31,9 @@ IntPoly = tuple  # ascending integer coefficients, trailing zeros trimmed
 class Matrix:
     """Immutable matrix of Python integers."""
 
-    __slots__ = ("rows",)
+    # _nonzero: each row's (column, entry) pairs with a nonzero entry, set by
+    # the first product with this matrix on the right (:func:`_vec_mat`)
+    __slots__ = ("rows", "_nonzero")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rs = tuple(tuple(map(int, row)) for row in rows)
@@ -132,12 +135,19 @@ def trace(m: Matrix) -> int:
 
 
 def _vec_mat(vec: Sequence[int], m: Matrix) -> list:
-    """``vec`` times ``m``, adding ``a * row`` only for the nonzero entries
-    ``a`` of ``vec``."""
+    """``vec`` times ``m``: ``a * b`` for each nonzero entry ``a`` of ``vec``
+    and each nonzero ``b`` of its row of ``m``, added in place."""
+    try:
+        nonzero = m._nonzero
+    except AttributeError:
+        nonzero = m._nonzero = tuple(
+            tuple((j, b) for j, b in enumerate(row) if b) for row in m.rows
+        )
     out = [0] * m.n_cols
-    for a, row in zip(vec, m.rows):
+    for a, row in zip(vec, nonzero):
         if a:
-            out = [o + a * b for o, b in zip(out, row)]
+            for j, b in row:
+                out[j] += a * b
     return out
 
 

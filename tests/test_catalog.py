@@ -73,6 +73,11 @@ def test_build_errors():
         assert str(info.value) == f"'{family}' parameter 'n' must be an int, got {value}"
     with pytest.raises(ValueError, match="'lens' parameter 'k' must be an int, got None"):
         catalog.build("lens", k=None)
+    for token in ("sigma:3,4", "sigma:n=3,4", "sigma:3,n=4", "sigma:n=3,n=3", "cuntz:2,5"):
+        family = token.partition(":")[0]
+        with pytest.raises(ValueError) as info:
+            catalog.build_token(token)
+        assert str(info.value) == f"'{family}' parameter 'n' is given more than once"
 
 
 def test_build_token_forms(penrose, sigma3):

@@ -168,6 +168,13 @@ def test_catalog_build_matches_library(capsys, sigma3):
     assert parse_graph(out) == sigma3
 
 
+@pytest.mark.parametrize("token", ["sigma:3,4", "sigma:n=3,4", "sigma:3,n=4", "cuntz:2,5"])
+def test_catalog_build_refuses_a_parameter_given_twice(capsys, token):
+    code, out, err = run(capsys, "catalog", "build", token)
+    assert code == 2 and out == ""
+    assert f"'{token.partition(':')[0]}' parameter 'n' is given more than once" in err
+
+
 # -- morphism checking ------------------------------------------------------------------
 
 

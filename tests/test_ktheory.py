@@ -7,7 +7,7 @@ import pytest
 
 from afcore import catalog, cli, linalg
 from afcore.errors import NotUnimodular, SinkError, SourceError
-from afcore.graphs import adjacency
+from afcore.graphs import Graph, adjacency
 from afcore.ktheory import (
     K0Class,
     Tower,
@@ -537,6 +537,22 @@ def test_invariants_report_derives_each_per_graph_datum_once(monkeypatch):
     # instead of ranking a power of Gamma
     assert counts["rank_Q"] == 0
     assert counts["charpoly"] <= 1
+
+
+def test_a_tower_looks_for_sinks_once(monkeypatch):
+    calls = []
+    real_sinks = Graph.sinks
+    monkeypatch.setattr(Graph, "sinks", lambda g: calls.append(g) or real_sinks(g))
+    invariants_report(catalog.build_token("sigma:12"))
+    assert len(calls) == 1
+    t = Tower(catalog.build("chambers", k=2))
+    for _ in range(2):
+        with pytest.raises(SinkError) as info:
+            t.line_class(1)
+        assert str(info.value) == (
+            "graph 'chambers2' has sinks ['1', '2']; line classes live over emission-complete graphs"
+        )
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("token", ["cycle:40", "sigma:20"])

@@ -140,6 +140,77 @@ def test_matrix_arithmetic():
         a + Matrix.zeros(3, 3)
 
 
+def product_by_triple_loop(a_rows, b_rows, n_cols):
+    return [
+        [sum(a[k] * b_rows[k][j] for k in range(len(b_rows))) for j in range(n_cols)]
+        for a in a_rows
+    ]
+
+
+def sparse_rows(rng, n_rows, n_cols, density):
+    entries = [-(2**70), -7, -1, 1, 3, 2**70]
+    return [
+        [rng.choice(entries) if rng.random() < density else 0 for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
+
+
+@pytest.mark.parametrize("density", [0.0, 0.1, 0.3, 0.7, 1.0])
+def test_products_match_a_triple_loop(density):
+    rng = random.Random(f"products-{density}")
+    shapes = [(0, 0, 0), (1, 6, 6), (1, 6, 1), (6, 1, 6), (3, 5, 2), (2, 5, 3)]
+    shapes += [(n, n, n) for n in (1, 2, 4, 9)]
+    for n_rows, inner, n_cols in shapes:
+        for _ in range(4):
+            a_rows = sparse_rows(rng, n_rows, inner, density)
+            b_rows = sparse_rows(rng, inner, n_cols, density)
+            a, b = Matrix(a_rows), Matrix(b_rows)
+            expected = product_by_triple_loop(a_rows, b_rows, n_cols)
+            assert (a * b).rows == tuple(map(tuple, expected))
+            for vec, row in zip(a_rows, expected):
+                assert row_vec_mul(vec, b) == tuple(row)
+
+
+def test_being_a_right_factor_leaves_eq_hash_and_repr_unchanged():
+    rows = [[0, 2, 0], [-1, 0, 2**70], [0, 0, 0]]
+    m = Matrix(rows)
+    before = (hash(m), repr(m))
+    # the nonzero view is built by the first product, not by det or the constructor
+    assert det(m) == 0 and not hasattr(m, "_nonzero")
+    assert row_vec_mul((1, 1, 1), m) == (-1, 2, 2**70)
+    assert m * m == Matrix(product_by_triple_loop(rows, rows, 3))
+    assert (hash(m), repr(m)) == before
+    assert m == Matrix(rows) and Matrix(rows) == m
+    assert {m: 1}[Matrix(rows)] == 1
+
+
+class CountingInt(int):
+    """An int that counts the multiplications it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingInt.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def test_a_vector_product_multiplies_only_nonzero_entry_pairs():
+    n = 50
+    # 1 times the cycle's adjacency meets n nonzero entries, one per row;
+    # e_0 times full:n meets the n entries of the first row
+    cycle = graphs.adjacency(catalog.build_token(f"cycle:{n}"))
+    CountingInt.products = 0
+    assert row_vec_mul(tuple(CountingInt(1) for _ in range(n)), cycle) == (1,) * n
+    assert CountingInt.products == n
+    full = graphs.adjacency(catalog.build_token(f"full:{n}"))
+    CountingInt.products = 0
+    e_0 = tuple(CountingInt(int(i == 0)) for i in range(n))
+    assert row_vec_mul(e_0, full) == (1,) * n
+    assert CountingInt.products == n
+
+
 # -- determinants and inverses ----------------------------------------------------
 
 
