@@ -3,7 +3,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from afcore import catalog, leavitt
 from afcore.errors import MorphismError, ParseError, SinkError, SourceError
@@ -625,6 +625,81 @@ def test_long_sums_parse_without_pairwise_additions(monkeypatch):
     _no_additions(monkeypatch)
     got = parse_elem(g, text)
     assert list(got.terms.items()) == list(reference.terms.items())
+
+
+# -- parser oracle: random expression trees, rendered to text and evaluated with
+# the ring operations; the parse must give the same terms in the same order
+
+
+_PARSE_GRAPHS = [catalog.build_token(t) for t in ("penrose", "full:2", "chambers:2")]
+_WS = st.sampled_from(["", "", " ", "\t", "\n", " \t\n "])
+
+
+@st.composite
+def _sum_expr(draw, g, depth=0):
+    text, value = "", None
+    for i in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(["", "+", "-"] if i == 0 else ["+", "-"]))
+        t_text, t_value = draw(_term_expr(g, depth))
+        text += f"{draw(_WS)}{sign}{t_text}"
+        if value is None:
+            value = -t_value if sign == "-" else t_value
+        else:
+            value = value - t_value if sign == "-" else value + t_value
+    return text, value
+
+
+@st.composite
+def _term_expr(draw, g, depth):
+    coeff = draw(st.none() | st.integers(0, 3))
+    if coeff is not None and draw(st.booleans()):  # a bare integer is coeff * 1
+        return f"{draw(_WS)}{coeff}", coeff * LeavittElem.unit(g)
+    text, value = draw(_factor_expr(g, depth))
+    for _ in range(draw(st.integers(0, 2))):
+        f_text, f_value = draw(_factor_expr(g, depth))
+        text += f"{draw(_WS)}{draw(st.sampled_from(['', '.']))}{f_text}"
+        value = value * f_value
+    if coeff is None:
+        return text, value
+    return f"{draw(_WS)}{coeff}{text}", coeff * value
+
+
+@st.composite
+def _factor_expr(draw, g, depth):
+    kind = draw(st.sampled_from("PSPS(" if depth < 4 else "PS"))
+    if kind == "(":
+        inner, value = draw(_sum_expr(g, depth + 1))
+        text = f"{draw(_WS)}({inner}{draw(_WS)})"
+    else:
+        ids = g.vertices if kind == "P" else [e.eid for e in g.edges]
+        name = draw(st.sampled_from(ids))
+        text = f"{draw(_WS)}{kind}{draw(_WS)}({draw(_WS)}{name}{draw(_WS)})"
+        if kind == "P":
+            value = LeavittElem.vertex_projection(g, name)
+        else:
+            value = LeavittElem.edge_gen(g, name)
+    for _ in range(draw(st.integers(0, 2))):
+        text += f"{draw(_WS)}^{draw(_WS)}*"
+        value = value.star()
+    return text, value
+
+
+_PENROSE = _PARSE_GRAPHS[0]
+_S = {e: LeavittElem.edge_gen(_PENROSE, e) for e in "abc"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_PARSE_GRAPHS).flatmap(lambda g: st.tuples(st.just(g), _sum_expr(g))))
+@example((_PENROSE, ("0S(a)", 0 * _S["a"])))
+# S(a)^*S(a) and S(c)^*S(c) are both P(1): the product cancels to zero, and in
+# the second the key P(1) goes to 0 and back within one product
+@example((_PENROSE, ("(S(a)^* - S(c)^*)(S(a) + S(c))", (_S["a"].star() - _S["c"].star()) * (_S["a"] + _S["c"]))))
+@example((_PENROSE, ("(S(a)^* - S(c)^* + S(a)^*) S(a)", (_S["a"].star() - _S["c"].star() + _S["a"].star()) * _S["a"])))
+def test_parse_matches_the_ring_operations(case):
+    g, (text, value) = case
+    got = parse_elem(g, text)
+    assert got.graph is g
+    assert list(got.terms.items()) == list(value.terms.items())
 
 
 @pytest.mark.parametrize(
