@@ -91,12 +91,17 @@ class CatalogEntry:
         return _param_help(self.params)
 
 
+# The family builders make every identifier from integers and fixed
+# literals, so once their parameters are checked they build with
+# ``Graph._trusted``.
+
+
 def _build_penrose(labels: str) -> Graph:
     if labels not in ("12", "01"):
         raise ValueError(f"labels must be '12' or '01', got {labels!r}")
     lo, hi = labels
-    return Graph(
-        "penrose", (lo, hi), (("a", lo, lo), ("b", lo, hi), ("c", hi, lo))
+    return Graph._trusted(
+        "penrose", (lo, hi), (Edge("a", lo, lo), Edge("b", lo, hi), Edge("c", hi, lo))
     )
 
 
@@ -104,14 +109,16 @@ def _numbered(family: str, n: int, edges) -> Graph:
     """``family{n}`` on vertices ``1..n``, one edge per ``(eid, i, j)`` of ``edges``."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    vertices = tuple(str(i) for i in range(1, n + 1))
-    return Graph(f"{family}{n}", vertices, ((e, str(i), str(j)) for e, i, j in edges))
+    names = tuple(str(i) for i in range(1, n + 1))
+    return Graph._trusted(
+        f"{family}{n}", names, [Edge(e, names[i - 1], names[j - 1]) for e, i, j in edges]
+    )
 
 
 def _build_cuntz(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return Graph(f"cuntz{n}", ("1",), ((f"g{i}", "1", "1") for i in range(1, n + 1)))
+    return Graph._trusted(f"cuntz{n}", ("1",), [Edge(f"g{i}", "1", "1") for i in range(1, n + 1)])
 
 
 def _build_chambers(k: int, loops: bool = False) -> Graph:
@@ -120,10 +127,10 @@ def _build_chambers(k: int, loops: bool = False) -> Graph:
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     chambers = tuple(str(i) for i in range(1, k + 1))
-    edges = [("ell", "v0", "v0")] + [(f"d{c}", "v0", c) for c in chambers]
+    edges = [Edge("ell", "v0", "v0")] + [Edge(f"d{c}", "v0", c) for c in chambers]
     if loops:
-        edges += [(f"m{c}", c, c) for c in chambers]
-    return Graph(f"{'lens' if loops else 'chambers'}{k}", ("v0",) + chambers, edges)
+        edges += [Edge(f"m{c}", c, c) for c in chambers]
+    return Graph._trusted(f"{'lens' if loops else 'chambers'}{k}", ("v0",) + chambers, edges)
 
 
 def _t_minus_one_power(m: int) -> tuple:
@@ -236,7 +243,9 @@ _ENTRIES = (
         "tadpole",
         "an edge feeding a loop (source at the tail)",
         (),
-        lambda: Graph("tadpole", ("1", "2"), (("e12", "1", "2"), ("e22", "2", "2"))),
+        lambda: Graph._trusted(
+            "tadpole", ("1", "2"), (Edge("e12", "1", "2"), Edge("e22", "2", "2"))
+        ),
         lambda: {
             "n_vertices": 2,
             "n_edges": 2,

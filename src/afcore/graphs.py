@@ -22,7 +22,8 @@ edges in declaration order.  Identifiers match ``[A-Za-z0-9_]+``.
 ``Graph(...)`` and :func:`parse_graph` validate; the parser checks each
 line as it reads it and so builds its result with ``Graph._trusted``, as
 do the graphs derived from valid ones (``transpose``, ``ops.product``,
-``ops.line_graph``, ``ops.quotient_graph``, the catalog universe).
+``ops.line_graph``, ``ops.quotient_graph``) and the catalog's families and
+universe, whose identifiers are made from integers and fixed literals.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ tensors of two graph algebras (:class:`TensorElem`) monomial pairs, and
 
 from __future__ import annotations
 
+import re
 from functools import partial
 from typing import Iterable, NamedTuple
 
@@ -96,6 +97,18 @@ def _mono_star(m: Monomial) -> Monomial:
     return Monomial(m.beta, m.alpha, m.vertex)
 
 
+def _product(key_mul, left: dict, right: dict) -> dict:
+    """The product of two term dicts, keys multiplied by ``key_mul`` (the
+    product key, or None for zero); a coefficient may come out 0."""
+    out: dict = {}
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            k = key_mul(k1, k2)
+            if k is not None:
+                out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
 class _Combination:
     """An integer combination of basis keys: ``terms`` maps key -> nonzero int.
 
@@ -134,14 +147,7 @@ class _Combination:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._same_graphs(other)
-        key_mul = self._key_mul
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = key_mul(k1, k2)
-                if k is not None:
-                    out[k] = out.get(k, 0) + c1 * c2
-        return self._new(out)
+        return self._new(_product(self._key_mul, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -164,7 +170,6 @@ class LeavittElem(_Combination):
 
     def __init__(self, graph: Graph, terms: dict):
         self.graph = graph
-        # the base's filter, inlined: the parser builds one element per atom
         self.terms = {m: c for m, c in terms.items() if c}
 
     # -- constructors ----------------------------------------------------
@@ -366,149 +371,122 @@ def equals(x: LeavittElem, y: LeavittElem) -> bool:
 # -- expression parser --------------------------------------------------------
 #
 # element := ['+'|'-'] term (('+'|'-') term)*
-# term    := [INTEGER] factor ('.'? factor)*
+# term    := INTEGER | [INTEGER] factor ('.'? factor)*
 # factor  := atom ('^' '*')*
 # atom    := 'P' '(' ID ')' | 'S' '(' ID ')' | '(' element ')'
 #
-# Whitespace is insignificant; juxtaposition multiplies.
+# An ID is a run of characters that are str.isalnum() or '_', an INTEGER a
+# run of decimal digits, and a bare INTEGER that multiple of the unit (so
+# "0" reads back as zero).  Whitespace (str.isspace()) is insignificant;
+# '.' and juxtaposition multiply.
 
 
 # Deepest parenthesis nesting the recursive-descent parser accepts; each
-# level costs four Python frames, so this stays far below the stack limit.
+# level costs two Python frames (element and term), so this stays far below
+# the stack limit.
 MAX_NESTING = 100
 
-
-class _ExprScanner:
-    def __init__(self, g: Graph, text: str):
-        self.g = g
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(f"position {self.pos}: {message}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}, found {self.peek()!r}")
-        self.pos += 1
-
-    def read_id(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an identifier")
-        return self.text[start:self.pos]
-
-    def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start:self.pos])
-
-    def parse_element(self) -> LeavittElem:
-        # NB: membership in a tuple, not a string -- peek() returns "" at
-        # end of input and '"" in "+-"' would be True.
-        # The terms are summed into one dict, so a long sum parses in linear
-        # time; a key that cancels is dropped at once, as `+` would drop it.
-        terms: dict = {}
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
-        while True:
-            for m, c in self.parse_term().terms.items():
-                c = terms.get(m, 0) + sign * c
-                if c:
-                    terms[m] = c
-                else:
-                    del terms[m]
-            if self.peek() not in ("+", "-"):
-                return LeavittElem(self.g, terms)
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
-
-    def parse_term(self) -> LeavittElem:
-        coeff = 1
-        if self.peek().isdigit():
-            coeff = self.read_int()
-            if self.peek() not in ("P", "S", "(", "."):
-                # a bare integer is coeff * 1 (so "0" reads back as zero)
-                return coeff * LeavittElem.unit(self.g)
-        factors = [self.parse_factor()]
-        while True:
-            nxt = self.peek()
-            if nxt == ".":
-                self.pos += 1
-                factors.append(self.parse_factor())
-            elif nxt in ("P", "S", "("):
-                factors.append(self.parse_factor())
-            else:
-                break
-        out = factors[0]
-        for f in factors[1:]:
-            out = out * f
-        return out * coeff
-
-    def parse_factor(self) -> LeavittElem:
-        out = self.parse_atom()
-        while self.peek() == "^":
-            self.pos += 1
-            self.expect("*")
-            out = out.star()
-        return out
-
-    def parse_atom(self) -> LeavittElem:
-        ch = self.peek()
-        if ch == "(":
-            if self.depth == MAX_NESTING:
-                raise self.error(f"parentheses nested deeper than {MAX_NESTING}")
-            self.pos += 1
-            self.depth += 1
-            inner = self.parse_element()
-            self.expect(")")
-            self.depth -= 1
-            return inner
-        if ch == "P":
-            self.pos += 1
-            self.expect("(")
-            name = self.read_id()
-            self.expect(")")
-            if not self.g.has_vertex(name):
-                raise self.error(f"unknown vertex id {name!r}")
-            return LeavittElem.vertex_projection(self.g, name)
-        if ch == "S":
-            self.pos += 1
-            self.expect("(")
-            name = self.read_id()
-            self.expect(")")
-            if not self.g.has_edge(name):
-                raise self.error(f"unknown edge id {name!r}")
-            return LeavittElem.edge_gen(self.g, name)
-        raise self.error(f"expected 'P', 'S', or '(', found {ch!r}")
+# One token after optional whitespace, as group 1: an atom 'P(ID)' or
+# 'S(ID)' (groups 2-5: the letter, '(', the ID, ')', each matched only after
+# all before it, so a partial atom shows what is missing), an INTEGER
+# (group 6), or any other one character ('' at the end of the input).
+_TOKEN = re.compile(r"\s*(([PS])(?:\s*(\()(?:\s*(\w+)(?:\s*(\)))?)?)?|(\d+)|.?)")
 
 
 def parse_elem(g: Graph, text: str) -> LeavittElem:
-    """Parse an element expression like ``S(a)S(b)^* - 2P(1)``."""
-    sc = _ExprScanner(g, text)
-    out = sc.parse_element()
-    sc.skip_ws()
-    if sc.pos != len(text):
-        raise sc.error(f"unexpected trailing input {text[sc.pos:]!r}")
-    return out
+    """Parse an element expression like ``S(a)S(b)^* - 2P(1)``.
+
+    One pass from left to right: each token is matched when the descent
+    reaches it, every sub-expression is a ``{Monomial: coeff}`` dict, and
+    one element is built at the end.
+    """
+    match = _TOKEN.match
+    mul = partial(_mono_mul, g)
+
+    def error(pos: int, message: str) -> ParseError:
+        return ParseError(f"position {pos}: {message}")
+
+    def expected(what: str, m) -> ParseError:
+        pos = m.start(1)
+        return error(pos, f"expected {what}, found {text[pos:pos + 1]!r}")
+
+    def element(m, depth: int):
+        # the terms are summed into one dict, so a long sum parses in linear
+        # time; a key that cancels is dropped at once, as `+` would drop it
+        terms: dict = {}
+        sign = 1
+        if m[1] in ("+", "-"):  # a tuple: m[1] is '' at the end of the input
+            sign = -1 if m[1] == "-" else 1
+            m = match(text, m.end())
+        while True:
+            part, m = term(m, depth)
+            for k, c in part.items():
+                c = terms.get(k, 0) + sign * c
+                if c:
+                    terms[k] = c
+                else:
+                    del terms[k]
+            if m[1] not in ("+", "-"):
+                return terms, m
+            sign = -1 if m[1] == "-" else 1
+            m = match(text, m.end())
+
+    def term(m, depth: int):
+        coeff = 1
+        if m[6]:
+            coeff = int(m[6])
+            m = match(text, m.end())
+            if not m[2] and m[1] not in ("(", "."):
+                return ({Monomial((), (), v): coeff for v in g.vertices} if coeff else {}), m
+        terms = None
+        while True:
+            kind = m[2]
+            if kind:
+                name = m[4]
+                if m[5] is None:  # an atom cut short: say what is missing
+                    rest = match(text, m.end())
+                    if m[3] is None:
+                        raise expected("'('", rest)
+                    if name is None:
+                        raise error(rest.start(1), "expected an identifier")
+                    raise expected("')'", rest)
+                if kind == "P":
+                    if not g.has_vertex(name):
+                        raise error(m.end(), f"unknown vertex id {name!r}")
+                    f = {Monomial((), (), name): 1}
+                else:
+                    if not g.has_edge(name):
+                        raise error(m.end(), f"unknown edge id {name!r}")
+                    f = {Monomial((name,), (), g.edge(name).dst): 1}
+            elif m[1] == "(":
+                if depth == MAX_NESTING:
+                    raise error(m.start(1), f"parentheses nested deeper than {MAX_NESTING}")
+                f, m = element(match(text, m.end()), depth + 1)
+                if m[1] != ")":
+                    raise expected("')'", m)
+            else:
+                raise expected("'P', 'S', or '('", m)
+            m = match(text, m.end())
+            while m[1] == "^":
+                m = match(text, m.end())
+                if m[1] != "*":
+                    raise expected("'*'", m)
+                f = {_mono_star(k): c for k, c in f.items()}
+                m = match(text, m.end())
+            terms = f if terms is None else {k: c for k, c in _product(mul, terms, f).items() if c}
+            if m[1] == ".":
+                m = match(text, m.end())
+            elif not m[2] and m[1] != "(":
+                break
+        if coeff != 1:
+            terms = {k: c * coeff for k, c in terms.items()} if coeff else {}
+        return terms, m
+
+    terms, m = element(match(text), 0)
+    if m[1]:
+        pos = m.start(1)
+        raise error(pos, f"unexpected trailing input {text[pos:]!r}")
+    return LeavittElem(g, terms)
 
 
 # -- distinguished projections and isometries ---------------------------------

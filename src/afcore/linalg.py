@@ -43,6 +43,14 @@ class Matrix:
                 raise ValueError("ragged rows in matrix")
         self.rows = rs
 
+    @classmethod
+    def _trusted(cls, rows: tuple) -> "Matrix":
+        """A matrix from a tuple of equal-width tuples of ints, as products of
+        valid matrices make them; ``Matrix(...)`` converts and checks."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        return m
+
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
@@ -112,7 +120,7 @@ class Matrix:
                     f"shape mismatch: ({self.n_rows}x{self.n_cols}) * "
                     f"({other.n_rows}x{other.n_cols})"
                 )
-            return Matrix(_vec_mat(r, other) for r in self.rows)
+            return Matrix._trusted(tuple(tuple(_vec_mat(r, other)) for r in self.rows))
         return NotImplemented
 
     def __rmul__(self, other):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from afcore import catalog, graphs, linalg
-from afcore.graphs import adjacency, directed_walks, walk_edges
+from afcore.graphs import Graph, adjacency, directed_walks, walk_edges
 from afcore.linalg import det, rev_charpoly
 from afcore.ops import Morphism, check_morphism
 
@@ -28,6 +28,21 @@ ALL_INSTANCES = (
 def test_verify_entry(name, params):
     rep = catalog.verify_entry(name, **params)
     assert rep.ok, rep.render()
+
+
+def test_builds_validate_once(monkeypatch, assert_validated_twin):
+    # the builders make every identifier from integers and literals, so they
+    # build without the validating constructor
+    calls = []
+    real_init = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda *args: calls.append(args) or real_init(*args))
+    built = [catalog.build(name, **params) for name, params in ALL_INSTANCES]
+    assert calls == []
+    monkeypatch.undo()
+    families = {g.name.rstrip("0123456789") for g in built}
+    assert families == {e.name for e in catalog.list_entries()}
+    for g in built:
+        assert_validated_twin(g)
 
 
 def test_expected_facts_are_literal():

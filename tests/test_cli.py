@@ -667,6 +667,19 @@ def test_leavitt_parse_error(capsys):
     assert "position" in payload["error"]["message"]
 
 
+def test_leavitt_coefficients_are_decimal_digits(capsys):
+    # '²' is str.isdigit() but no decimal digit, so int() would refuse it
+    for text, message in (
+        ("²P(1)", "position 0: expected 'P', 'S', or '(', found '²'"),
+        ("1²", "position 1: unexpected trailing input '²'"),
+    ):
+        code, data, err = run_json(capsys, "leavitt", "penrose", "eval", text)
+        assert (code, data) == (2, None)
+        assert json.loads(err)["error"] == {"type": "ParseError", "message": message}
+    code, data, err = run_json(capsys, "leavitt", "penrose", "eval", "٣P(1)")  # Arabic-Indic 3
+    assert code == 0 and data["normal"] == "3P(1)"
+
+
 def test_leavitt_nesting_limit():
     # past the limit a typed refusal, not a RecursionError traceback
     deep = "(" * 2000 + "P(1)" + ")" * 2000

@@ -171,6 +171,26 @@ def test_products_match_a_triple_loop(density):
                 assert row_vec_mul(vec, b) == tuple(row)
 
 
+def test_products_build_their_result_without_revalidation(monkeypatch):
+    # a product of valid matrices has equal-width rows of ints, so it skips
+    # the converting constructor; the result equals its rebuild by Matrix(...)
+    rng = random.Random("trusted-products")
+    shapes = ((0, 0, 0), (2, 3, 0), (3, 3, 3), (4, 2, 5))
+    pairs = [
+        (Matrix(sparse_rows(rng, r, k, 0.5)), Matrix(sparse_rows(rng, k, c, 0.5)))
+        for r, k, c in shapes
+    ]
+    calls = []
+    real_init = Matrix.__init__
+    monkeypatch.setattr(Matrix, "__init__", lambda *args: calls.append(args) or real_init(*args))
+    products = [a * b for a, b in pairs]
+    assert calls == []
+    monkeypatch.undo()
+    for p in products:
+        assert Matrix(p.rows) == p
+        assert all(type(x) is int for row in p.rows for x in row)
+
+
 def test_being_a_right_factor_leaves_eq_hash_and_repr_unchanged():
     rows = [[0, 2, 0], [-1, 0, 2**70], [0, 0, 0]]
     m = Matrix(rows)
