@@ -170,6 +170,7 @@ class LeavittElem(_Combination):
 
     def __init__(self, graph: Graph, terms: dict):
         self.graph = graph
+        # the base's filter, inlined: every ring operation builds an element
         self.terms = {m: c for m, c in terms.items() if c}
 
     # -- constructors ----------------------------------------------------
