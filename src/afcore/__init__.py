@@ -28,7 +28,6 @@ from .graphs import (
     directed_walks,
     parse_graph,
     serialize_graph,
-    transpose,
 )
 from .linalg import Matrix
 from .ops import (
@@ -68,7 +67,6 @@ __all__ = [
     "directed_walks",
     "parse_graph",
     "serialize_graph",
-    "transpose",
     "Matrix",
     "AdmissibilityVerdict",
     "Morphism",

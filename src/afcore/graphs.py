@@ -21,9 +21,9 @@ edges in declaration order.  Identifiers match ``[A-Za-z0-9_]+``.
 
 ``Graph(...)`` and :func:`parse_graph` validate; the parser checks each
 line as it reads it and so builds its result with ``Graph._trusted``, as
-do the graphs derived from valid ones (``transpose``, ``ops.product``,
-``ops.line_graph``, ``ops.quotient_graph``) and the catalog's families and
-universe, whose identifiers are made from integers and fixed literals.
+do the graphs derived from valid ones (``ops.product``, ``ops.line_graph``,
+``ops.quotient_graph``) and the catalog's families and universe, whose
+identifiers are made from integers and fixed literals.
 """
 
 from __future__ import annotations
@@ -392,11 +392,6 @@ def classify(g: Graph) -> GraphReport:
         directed_cycle_count=cycles,
         is_cycle_graph=cycle_graph,
     )
-
-
-def transpose(g: Graph) -> Graph:
-    """Reverse every edge, keeping vertices, names, and declaration order."""
-    return Graph._trusted(g.name, g.vertices, [Edge(e.eid, e.dst, e.src) for e in g.edges])
 
 
 # -- walks ----------------------------------------------------------------

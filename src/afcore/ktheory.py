@@ -27,6 +27,7 @@ declaration order, and matrices act on the right.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -342,10 +343,13 @@ def emit_dot(d: BratteliDiagram) -> str:
     """
     g = d.graph
     # each vertex's successors in vertex order, with their edge labels
-    succ = {
-        v: [(w, f' [label="x{m}"]' if m > 1 else "") for w, m in zip(g.vertices, row) if m]
-        for v, row in zip(g.vertices, graphs.adjacency(g).rows)
-    }
+    succ = {}
+    for v in g.vertices:
+        mult = Counter(e.dst for e in g.out_edges(v))
+        succ[v] = [
+            (w, f' [label="x{mult[w]}"]' if mult[w] > 1 else "")
+            for w in sorted(mult, key=g.vertex_index)
+        ]
     lines = ["digraph bratteli {", "  rankdir=LR;", '  root [label="1"];']
     for k, level in enumerate(d.levels, start=1):
         lines.extend(f'  v{v}_{k} [label="{size}"];' for v, size in level)

@@ -33,6 +33,11 @@ tensors of two graph algebras (:class:`TensorElem`) monomial pairs, and
 2x2 integer Laurent matrices (:class:`LaurentMat2`) keys ``(i, j, p)`` for
 ``z^p E_ij``.  Each adds ``is_zero()``, which completes what
 :func:`ck_verify` needs.
+
+Every algebra map is a generator family: an element of a carrier for each
+vertex and edge, checked against the graph's relations by :func:`ck_verify`
+and applied by :func:`evaluate_family`.  :func:`induced_hom` is the family
+pulled back along an admissible embedding.
 """
 
 from __future__ import annotations
@@ -229,9 +234,6 @@ class LeavittElem(_Combination):
     def is_zero(self) -> bool:
         return is_zero(self)
 
-    def equals(self, other: "LeavittElem") -> bool:
-        return equals(self, other)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LeavittElem):
             return NotImplemented
@@ -281,21 +283,6 @@ def _expand(g: Graph, m: Monomial) -> list:
     if not outgoing:
         raise SinkError(f"cannot expand at vertex {m.vertex!r}: it emits no edges")
     return [Monomial(m.alpha + (e.eid,), m.beta + (e.eid,), e.dst) for e in outgoing]
-
-
-def ck3_expand(x: LeavittElem) -> LeavittElem:
-    """Expand every monomial one level at its base vertex.
-
-    ``S_alpha S_beta^* = sum_e S_(alpha.e) S_(beta.e)^*`` over the edges
-    leaving the base vertex.  Raises :class:`SinkError` if some monomial's
-    base vertex emits no edges.
-    """
-    g = x.graph
-    out: dict = {}
-    for m, c in x.terms.items():
-        for key in _expand(g, m):
-            out[key] = out.get(key, 0) + c
-    return LeavittElem(g, out)
 
 
 def normal_form(x: LeavittElem) -> LeavittElem:
@@ -614,11 +601,12 @@ def walk_unit_identity(g: Graph, k: int) -> bool:
 def induced_hom(m: Morphism, x: LeavittElem) -> LeavittElem:
     """Pull an element of the codomain algebra back along an admissible embedding.
 
-    Generators map by ``S_f -> S_e`` when ``f`` is the image of ``e`` (zero
-    when ``f`` is outside the image), and ``P_w -> P_v`` when ``w`` is the
-    image of ``v`` (zero otherwise); monomials map factorwise.  The
-    morphism must be admissible, and the generator relations are verified
-    to be preserved on every call (raising :class:`MorphismError` if not).
+    The pulled-back family sends ``P_w`` to ``P_v`` when ``w`` is the image
+    of ``v``, ``S_f`` to ``S_e`` when ``f`` is the image of ``e``, and every
+    vertex or edge outside the image to zero.  On every call the morphism
+    must be admissible and the family must satisfy the codomain relations
+    (:func:`ck_verify`), or :class:`MorphismError` is raised; the element
+    is then mapped by :func:`evaluate_family`.
     """
     verdict = check_morphism(m)
     if not verdict.admissible:
@@ -629,64 +617,19 @@ def induced_hom(m: Morphism, x: LeavittElem) -> LeavittElem:
         )
     if x.graph != m.codomain:
         raise ValueError("element does not live over the morphism codomain")
-    rep = induced_relations_report(m)
+    dom, cod = m.domain, m.codomain
+    zero = LeavittElem.zero(dom)
+    pmap = dict.fromkeys(cod.vertices, zero)
+    pmap.update({w: LeavittElem.vertex_projection(dom, v) for v, w in m.vmap.items()})
+    smap = dict.fromkeys((f.eid for f in cod.edges), zero)
+    smap.update({f: LeavittElem.edge_gen(dom, e) for e, f in m.emap.items()})
+    rep = ck_verify(cod, pmap, smap)
     if not rep.ok:
         raise MorphismError(
             "induced map does not preserve the generator relations: "
             + "; ".join(item.label for item in rep.failures())
         )
-    return _induced_apply(m, x)
-
-
-def _inverse(mapping: dict) -> dict:
-    """``mapping`` inverted; a value with several preimages keeps the first."""
-    inv: dict = {}
-    for k, v in mapping.items():
-        inv.setdefault(v, k)
-    return inv
-
-
-def _induced_apply(m: Morphism, x: LeavittElem) -> LeavittElem:
-    inv_v, inv_e = _inverse(m.vmap), _inverse(m.emap)
-    out: dict = {}
-    for mono, c in x.terms.items():
-        if mono.vertex not in inv_v:
-            continue
-        try:
-            alpha = tuple(inv_e[f] for f in mono.alpha)
-            beta = tuple(inv_e[f] for f in mono.beta)
-        except KeyError:
-            continue
-        key = Monomial(alpha, beta, inv_v[mono.vertex])
-        out[key] = out.get(key, 0) + c
-    return LeavittElem(m.domain, out)
-
-
-def induced_relations_report(m: Morphism) -> CheckReport:
-    """Check that the pulled-back generators satisfy the codomain relations."""
-    rep = CheckReport(f"induced relations along {m.name or 'morphism'}")
-    dom, cod = m.domain, m.codomain
-    inv_v, inv_e = _inverse(m.vmap), _inverse(m.emap)
-    zero = LeavittElem.zero(dom)
-    h_p = {
-        w: LeavittElem.vertex_projection(dom, inv_v[w]) if w in inv_v else zero
-        for w in cod.vertices
-    }
-    h_s = {
-        f.eid: LeavittElem.edge_gen(dom, inv_e[f.eid]) if f.eid in inv_e else zero
-        for f in cod.edges
-    }
-    for f in cod.edges:
-        lhs = h_s[f.eid].star() * h_s[f.eid]
-        rep.add(f"CK1 at image of {f.eid}", equals(lhs, h_p[f.dst]))
-    for w in cod.vertices:
-        if cod.is_sink(w):
-            continue
-        total = LeavittElem.zero(dom)
-        for f in cod.out_edges(w):
-            total = total + h_s[f.eid] * h_s[f.eid].star()
-        rep.add(f"CK3 at image of {w}", equals(total, h_p[w]))
-    return rep
+    return evaluate_family(pmap, smap, x) if x.terms else zero
 
 
 # -- generic Cuntz-Krieger family verification ---------------------------------
@@ -748,6 +691,8 @@ def evaluate_family(pmap: dict, smap: dict, x: LeavittElem):
 
     Extends the family multiplicatively and linearly:
     ``S_alpha S_beta^* -> smap(a_1)...smap(a_k) pmap(v) smap(b_l)^*...smap(b_1)^*``.
+    An element with no terms maps to the carrier's zero, which an empty
+    family cannot give: :class:`ValueError`.
     """
     total = None
     for mono, c in x.terms.items():
@@ -760,6 +705,8 @@ def evaluate_family(pmap: dict, smap: dict, x: LeavittElem):
         el = c * el
         total = el if total is None else total + el
     if total is None:
+        if not pmap:
+            raise ValueError("an element with no terms has no value in an empty family")
         some = next(iter(pmap.values()))
         total = some - some
     return total
@@ -787,11 +734,7 @@ class TensorElem(_Combination):
 
     @staticmethod
     def pure(x: LeavittElem, y: LeavittElem) -> "TensorElem":
-        terms: dict = {}
-        for ml, cl in x.terms.items():
-            for mr, cr in y.terms.items():
-                terms[(ml, mr)] = terms.get((ml, mr), 0) + cl * cr
-        return TensorElem(x.graph, y.graph, terms)
+        return TensorElem(x.graph, y.graph, _product(lambda ml, mr: (ml, mr), x.terms, y.terms))
 
     def _new(self, terms: dict) -> "TensorElem":
         return TensorElem(self.left_graph, self.right_graph, terms)

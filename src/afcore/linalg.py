@@ -1,8 +1,9 @@
 """Exact integer matrix arithmetic and polynomial quotient rings.
 
 Everything here is exact: integer matrices with arbitrary-precision
-entries, whose products walk only the nonzero entries of the right
-factor, listed once per matrix on first use; determinants, ranks and
+entries, which offer indexing and products and no other arithmetic, the
+products walking only the nonzero entries of the right factor, listed
+once per matrix on first use; determinants, ranks and
 unimodular inverses from one fraction-free (Bareiss) elimination, so no
 fraction ever arises, with each inverse checked against the identity
 before it is returned; characteristic polynomials in O(n^3) from Krylov
@@ -55,10 +56,6 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zeros(n_rows: int, n_cols: int) -> "Matrix":
-        return Matrix([[0] * n_cols for _ in range(n_rows)])
-
     @property
     def n_rows(self) -> int:
         return len(self.rows)
@@ -71,18 +68,9 @@ class Matrix:
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
     def __getitem__(self, ij: tuple) -> int:
         i, j = ij
         return self.rows[i][j]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows)) if self.rows else Matrix(())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
@@ -96,44 +84,15 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"Matrix[{body}]"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
-        return Matrix(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
-        return Matrix(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(tuple(-a for a in r) for r in self.rows)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Matrix(tuple(a * other for a in r) for r in self.rows)
-        if isinstance(other, Matrix):
-            if self.n_cols != other.n_rows:
-                raise ValueError(
-                    f"shape mismatch: ({self.n_rows}x{self.n_cols}) * "
-                    f"({other.n_rows}x{other.n_cols})"
-                )
-            return Matrix._trusted(tuple(tuple(_vec_mat(r, other)) for r in self.rows))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def _shape_check(self, other: "Matrix") -> None:
-        if self.n_rows != other.n_rows or self.n_cols != other.n_cols:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.n_cols != other.n_rows:
             raise ValueError(
-                f"shape mismatch: ({self.n_rows}x{self.n_cols}) vs "
+                f"shape mismatch: ({self.n_rows}x{self.n_cols}) * "
                 f"({other.n_rows}x{other.n_cols})"
             )
+        return Matrix._trusted(tuple(tuple(_vec_mat(r, other)) for r in self.rows))
 
 
 def trace(m: Matrix) -> int:

@@ -11,7 +11,6 @@ from afcore.graphs import (
     directed_walks,
     parse_graph,
     serialize_graph,
-    transpose,
     walk_edges,
     walks_into,
 )
@@ -191,7 +190,6 @@ def test_graph_constructor_validation():
 def test_trusted_graphs_equal_their_validated_twins(trusted_sample, assert_validated_twin):
     for g in trusted_sample:
         assert_validated_twin(g)
-        assert_validated_twin(transpose(g))
         # universe edges are numbered e1, e2, ... in vertex-pair order
         assert [e.eid for e in g.edges] == [f"e{i}" for i in range(1, g.n_edges + 1)]
         assert [e[1:] for e in g.edges] == sorted(e[1:] for e in g.edges)
@@ -335,13 +333,6 @@ def test_classify_degree_flags_match_definitions(universe_sample):
         )
 
 
-def test_transpose(penrose):
-    t = transpose(penrose)
-    assert adjacency(t) == adjacency(penrose).transpose()
-    assert transpose(t) == penrose
-    assert [e.eid for e in t.edges] == [e.eid for e in penrose.edges]
-
-
 # -- property tests ----------------------------------------------------------------
 
 
@@ -367,12 +358,6 @@ def small_graphs(draw):
 @given(small_graphs())
 def test_round_trip_property(g):
     assert parse_graph(serialize_graph(g)) == g
-
-
-@given(small_graphs())
-def test_transpose_involution_property(g):
-    assert transpose(transpose(g)) == g
-    assert adjacency(transpose(g)) == adjacency(g).transpose()
 
 
 @given(small_graphs(), st.integers(min_value=0, max_value=3))

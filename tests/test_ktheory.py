@@ -300,7 +300,7 @@ def test_q_class_free_and_colimit(penrose):
     t = Tower(penrose)
     assert t.q_class("1", 0).vector == (1, 0)
     assert t.q_class("1", 2) == K0Class((1, 0), 2)
-    assert t.to_free(t.q_class("1", 2)).vector == power(adjacency(penrose), -2).row(0)
+    assert t.to_free(t.q_class("1", 2)).vector == power(adjacency(penrose), -2).rows[0]
     g = catalog.build("cuntz", n=2)
     assert Tower(g).q_class(g.vertices[0], 3) == K0Class((1,), 3)
     with pytest.raises(ValueError, match="nonnegative"):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from afcore import catalog, leavitt
+from afcore import catalog, leavitt, ops
 from afcore.errors import MorphismError, ParseError, SinkError, SourceError
 from afcore.graphs import Graph, directed_walks, walk_edges
 from afcore.leavitt import (
@@ -15,14 +15,12 @@ from afcore.leavitt import (
     TensorElem,
     build_Q,
     build_Z,
-    ck3_expand,
     ck_verify,
     equals,
     eta_walk,
     evaluate_family,
     incoming_edge_choice,
     induced_hom,
-    induced_relations_report,
     is_zero,
     normal_form,
     parse_elem,
@@ -31,6 +29,7 @@ from afcore.leavitt import (
     z_isometry_report,
 )
 from afcore.ops import Morphism, compose
+from afcore.report import CheckReport
 
 # -- independent oracle: the action on walks of one fixed length -----------------
 #
@@ -106,6 +105,13 @@ def monomial_pool(g: Graph, max_len: int = 2):
             for b in by_range[v]:
                 pool.append(Monomial(a, b, v))
     return pool
+
+
+def ck3_expand(x: LeavittElem) -> LeavittElem:
+    """Every monomial rewritten one level down by the range relation; distinct
+    monomials expand to distinct children, so no coefficients merge."""
+    g = x.graph
+    return LeavittElem(g, {k: c for m, c in x.terms.items() for k in leavitt._expand(g, m)})
 
 
 def random_elem(g: Graph, pool, rng, n_terms=3) -> LeavittElem:
@@ -864,12 +870,78 @@ def test_induced_hom_rejects_bad_input(penrose, sigma2):
         induced_hom(inc, LeavittElem.unit(sigma2))
 
 
-def test_induced_relations_report_labels(sigma2, sigma3):
-    rep = induced_relations_report(inclusion(sigma2, sigma3))
-    assert rep.ok
-    labels = [item.label for item in rep.items]
-    assert any(label.startswith("CK1 at image of") for label in labels)
-    assert any(label.startswith("CK3 at image of") for label in labels)
+def pullback_oracle(m: Morphism, x: LeavittElem) -> LeavittElem:
+    """The direct monomial pullback: a monomial goes to the monomial of the
+    preimages of its walks and base vertex, or to zero if one is missing."""
+    inv_v = {w: v for v, w in m.vmap.items()}
+    inv_e = {f: e for e, f in m.emap.items()}
+    out: dict = {}
+    for (alpha, beta, w), c in x.terms.items():
+        if w in inv_v and all(f in inv_e for f in alpha + beta):
+            key = Monomial(tuple(inv_e[f] for f in alpha), tuple(inv_e[f] for f in beta), inv_v[w])
+            out[key] = out.get(key, 0) + c
+    return LeavittElem(m.domain, out)
+
+
+def _random_walk_into(g: Graph, v: str, rng) -> tuple:
+    edges: list = []
+    for _ in range(rng.randint(0, 2)):
+        into = g.in_edges(v)
+        if not into:
+            break
+        e = rng.choice(into)
+        edges.append(e.eid)
+        v = e.src
+    return tuple(reversed(edges))
+
+
+def _random_codomain_elem(m: Morphism, rng) -> LeavittElem:
+    """Monomials pushed forward from the domain, mixed with arbitrary ones."""
+    terms: dict = {}
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            v = rng.choice(m.domain.vertices)
+            a, b = (_random_walk_into(m.domain, v, rng) for _ in range(2))
+            mono = Monomial(tuple(m.emap[e] for e in a), tuple(m.emap[e] for e in b), m.vmap[v])
+        else:
+            w = rng.choice(m.codomain.vertices)
+            mono = Monomial(*(_random_walk_into(m.codomain, w, rng) for _ in range(2)), w)
+        terms[mono] = terms.get(mono, 0) + rng.randint(-3, 3)
+    return LeavittElem(m.codomain, terms)
+
+
+def test_induced_hom_matches_direct_pullback_on_universe_squares():
+    rng = random.Random("induced-universe")
+    calls = 0
+    for g in itertools.islice(catalog.small_graph_universe(), 84):
+        assert g.n_vertices <= 2
+        square = ops.product(g, g)
+        for m in ops.enumerate_admissible_embeddings(g, square):
+            for _ in range(6):
+                x = _random_codomain_elem(m, rng)
+                assert induced_hom(m, x) == pullback_oracle(m, x)
+                calls += 1
+    assert calls == 576
+
+
+def test_induced_hom_names_the_failing_relation(monkeypatch, sigma2, sigma3):
+    def failing(g, pmap, smap):
+        rep = CheckReport("relations")
+        rep.add("CK1 for e1", True)
+        rep.add("CK2 for e2", False)
+        return rep
+
+    monkeypatch.setattr(leavitt, "ck_verify", failing)
+    with pytest.raises(MorphismError, match=r"generator relations: CK2 for e2$"):
+        induced_hom(inclusion(sigma2, sigma3), LeavittElem.unit(sigma3))
+
+
+def test_induced_hom_of_an_element_with_no_terms(sigma2, sigma3):
+    zero = induced_hom(inclusion(sigma2, sigma3), LeavittElem.zero(sigma3))
+    assert zero == LeavittElem.zero(sigma2)
+    empty = Graph("empty", [], [])
+    m = ops.identity_morphism(empty)
+    assert induced_hom(m, LeavittElem.zero(empty)) == LeavittElem.zero(empty)
 
 
 # -- generic family verification ------------------------------------------------------
@@ -910,3 +982,10 @@ def test_evaluate_family_canonical_is_identity(penrose):
     for _ in range(40):
         x = random_elem(_G, _POOL, rng)
         assert equals(evaluate_family(pmap, smap, x), x)
+
+
+def test_evaluate_family_of_no_terms(penrose):
+    pmap, smap = canonical_family(penrose)
+    assert evaluate_family(pmap, smap, LeavittElem.zero(penrose)) == LeavittElem.zero(penrose)
+    with pytest.raises(ValueError, match="empty family"):
+        evaluate_family({}, {}, LeavittElem.zero(Graph("empty", [], [])))

@@ -119,25 +119,14 @@ def test_matrix_construction_and_access():
     m = Matrix([[1, 2], [3, 4]])
     assert m.rows == ((1, 2), (3, 4))
     assert m[(1, 0)] == 3
-    assert m.row(0) == (1, 2) and m.col(1) == (2, 4)
-    assert m.transpose().rows == ((1, 3), (2, 4))
     assert trace(m) == 5
     with pytest.raises(ValueError, match="ragged"):
         Matrix([[1, 2], [3]])
-
-
-def test_matrix_arithmetic():
-    a = Matrix([[1, 2], [3, 4]])
-    b = Matrix([[0, 1], [1, 0]])
-    assert (a + b).rows == ((1, 3), (4, 4))
-    assert (a - a) == Matrix.zeros(2, 2)
-    assert (-a + a) == Matrix.zeros(2, 2)
-    assert (a * b).rows == ((2, 1), (4, 3))
-    assert (2 * a) == a + a == a * 2
-    assert a * Matrix.identity(2) == a
-    assert row_vec_mul((1, 0), a) == (1, 2)
-    with pytest.raises(ValueError):
-        a + Matrix.zeros(3, 3)
+    assert (m * Matrix([[0, 1], [1, 0]])).rows == ((2, 1), (4, 3))
+    assert m * Matrix.identity(2) == m
+    assert row_vec_mul((1, 0), m) == (1, 2)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        m * Matrix.identity(3)
 
 
 def product_by_triple_loop(a_rows, b_rows, n_cols):
@@ -316,7 +305,7 @@ def test_certificates_survive_python_O(run_python_O):
         from afcore.linalg import Matrix, charpoly, inv_unimodular
 
         real_mul = Matrix.__mul__
-        Matrix.__mul__ = lambda a, b: Matrix.zeros(a.n_rows, b.n_cols)
+        Matrix.__mul__ = lambda a, b: Matrix([[0] * b.n_cols] * a.n_rows)
         try:
             inv_unimodular(Matrix([[2, 1], [1, 1]]))
             raise SystemExit("inverse certificate skipped")
@@ -394,7 +383,7 @@ def test_rank_against_minor_oracle():
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, lo=-2, hi=2)
         assert rank_Q(m) == rank_by_minors([list(r) for r in m.rows])
-    assert rank_Q(Matrix.zeros(3, 3)) == 0
+    assert rank_Q(Matrix([[0] * 3] * 3)) == 0
     assert rank_Q(Matrix([[1, 2], [2, 4]])) == 1
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from afcore import catalog, ops
 from afcore.errors import GuardError, MorphismError, ParseError
-from afcore.graphs import Graph, adjacency, parse_graph, transpose
+from afcore.graphs import Graph, adjacency, parse_graph
 from afcore.linalg import Matrix
 from afcore.ops import (
     Morphism,
@@ -387,7 +387,6 @@ def test_derived_graphs_skip_the_validating_constructor(monkeypatch):
     product(sigma4, sigma4)
     line_graph(sigma4)
     quotient_graph(sigma4, {"1"})
-    transpose(sigma4)
     assert calls == []
 
 
