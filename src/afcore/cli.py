@@ -1,5 +1,11 @@
 """Command-line interface.
 
+The command line is read against one table, ``COMMANDS``, one entry per command
+path; the parser reads argv once and as argparse did (``--opt=value``, unique
+prefixes of long options, ``-oFILE``, ``--`` ending the options).  A refused
+command line exits 2 with ``usage: ...`` and ``afcore ...: error: <reason>`` on
+stderr; ``-h``/``--help`` prints help from the table on stdout.
+
 Every subcommand takes graphs either as a path to a graph file or as a
 catalog token (``penrose``, ``sigma:3``, ``cuntz:n=2`` ...).  ``--json``
 switches any subcommand to machine-readable output: exactly the text of
@@ -15,12 +21,12 @@ morphism, unequal elements, failed suite); 2 usage, parse, or data errors.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import catalog, graphs, ktheory, leavitt, linalg, ops, picard
 from .errors import ArtifactError, GuardError
@@ -135,14 +141,6 @@ def resolve_graph(token: str) -> Graph:
     return catalog.build_token(token)
 
 
-def _write_or_print(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # -- subcommand handlers ---------------------------------------------------------
 
 
@@ -194,15 +192,16 @@ def _graph_out(g: Graph, args) -> int:
     text = graphs.serialize_graph(g)
     if args.json:
         _emit_json({"graph": g, "serialized": text})
-        return 0
-    _write_or_print(text, args.output)
+    elif args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
 def _cmd_product(args) -> int:
-    left = resolve_graph(args.left)
-    right = resolve_graph(args.right)
-    return _graph_out(ops.product(left, right), args)
+    return _graph_out(ops.product(resolve_graph(args.left), resolve_graph(args.right)), args)
 
 
 def _cmd_linegraph(args) -> int:
@@ -215,20 +214,13 @@ def _cmd_check_morphism(args) -> int:
     m = ops.parse_morphism_document(text, graph_resolver=resolve_graph)
     verdict = ops.check_morphism(m)
     if args.json:
-        _emit_json(
-            {
-                "name": m.name,
-                "domain": m.domain.name,
-                "codomain": m.codomain.name,
-                "injective": verdict.injective,
-                "range_closed": verdict.range_closed,
-                "emission_covered": verdict.emission_covered,
-                "injectivity_witnesses": list(verdict.injectivity_witnesses),
-                "range_witnesses": list(verdict.range_witnesses),
-                "emission_witnesses": list(verdict.emission_witnesses),
-                "admissible": verdict.admissible,
-            }
-        )
+        _emit_json({"name": m.name, "domain": m.domain.name, "codomain": m.codomain.name,
+                    "injective": verdict.injective, "range_closed": verdict.range_closed,
+                    "emission_covered": verdict.emission_covered,
+                    "injectivity_witnesses": list(verdict.injectivity_witnesses),
+                    "range_witnesses": list(verdict.range_witnesses),
+                    "emission_witnesses": list(verdict.emission_witnesses),
+                    "admissible": verdict.admissible})
         return 0 if verdict.admissible else 1
     print(f"morphism {m.name}: {m.domain.name} -> {m.codomain.name}")
 
@@ -239,10 +231,8 @@ def _cmd_check_morphism(args) -> int:
 
     print(f"injective: {_with_witnesses(verdict.injective, verdict.injectivity_witnesses)}")
     print(f"range-closed: {_with_witnesses(verdict.range_closed, verdict.range_witnesses)}")
-    print(
-        f"emission-covered: "
-        f"{_with_witnesses(verdict.emission_covered, verdict.emission_witnesses)}"
-    )
+    print(f"emission-covered: "
+          f"{_with_witnesses(verdict.emission_covered, verdict.emission_witnesses)}")
     print(f"admissible: {_yesno(verdict.admissible)}")
     return 0 if verdict.admissible else 1
 
@@ -252,20 +242,10 @@ def _cmd_embeddings(args) -> int:
     cod = resolve_graph(args.codomain) if args.codomain else ops.product(dom, dom)
     found = ops.enumerate_admissible_embeddings(dom, cod, guard=args.guard)
     if args.json:
-        _emit_json(
-            {
-                "domain": dom.name,
-                "codomain": cod.name,
-                "count": len(found),
-                "embeddings": [
-                    {"vmap": dict(m.vmap), "emap": dict(m.emap)} for m in found
-                ],
-            }
-        )
+        _emit_json({"domain": dom.name, "codomain": cod.name, "count": len(found),
+                    "embeddings": [{"vmap": dict(m.vmap), "emap": dict(m.emap)} for m in found]})
         return 0
-    print(
-        f"{len(found)} admissible embedding(s) of {dom.name} into {cod.name}"
-    )
+    print(f"{len(found)} admissible embedding(s) of {dom.name} into {cod.name}")
     for i, m in enumerate(found, start=1):
         vparts = " ".join(f"{v}->{m.vmap[v]}" for v in dom.vertices)
         eparts = " ".join(f"{e.eid}->{m.emap[e.eid]}" for e in dom.edges)
@@ -291,15 +271,8 @@ def _cmd_bratteli(args) -> int:
             sys.stdout.write(dot)
         return 0
     if args.json:
-        _emit_json(
-            {
-                "graph": g.name,
-                "depth": diagram.depth,
-                "levels": [
-                    [[v, size] for v, size in level] for level in diagram.levels
-                ],
-            }
-        )
+        _emit_json({"graph": g.name, "depth": diagram.depth,
+                    "levels": [[[v, size] for v, size in level] for level in diagram.levels]})
         return 0
     for k, level in enumerate(diagram.levels, start=1):
         cells = " ".join(f"{v}:{size}" for v, size in level)
@@ -426,17 +399,8 @@ def _cmd_picard(args) -> int:
 def _cmd_catalog_list(args) -> int:
     entries = catalog.list_entries()
     if args.json:
-        _emit_json(
-            [
-                {
-                    "name": e.name,
-                    "params": e.param_help(),
-                    "aliases": list(e.aliases),
-                    "summary": e.summary,
-                }
-                for e in entries
-            ]
-        )
+        _emit_json([{"name": e.name, "params": e.param_help(), "aliases": list(e.aliases),
+                     "summary": e.summary} for e in entries])
         return 0
     for e in entries:
         params = f" [{e.param_help()}]" if e.params else ""
@@ -455,6 +419,8 @@ def _cmd_catalog_suite(args) -> int:
         key, sep, value = piece.partition("=")
         if not sep or not key:
             raise ValueError(f"suite parameters look like k=v, got {piece!r}")
+        if key in params:
+            raise ValueError(f"suite {args.suite!r} parameter {key!r} is given more than once")
         params[key] = value
     rep = catalog.run_suite(args.suite, **params)
     if args.json:
@@ -464,135 +430,204 @@ def _cmd_catalog_suite(args) -> int:
     return 0 if rep.ok else 1
 
 
-# -- parser ----------------------------------------------------------------------
+# -- the command table ----------------------------------------------------------
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument(
-        "-o", "--output", metavar="FILE", help="write the graph file here"
-    )
+def _count(text: str) -> int:
+    """A guard: an int that is not negative."""
+    if (n := int(text)) < 0:
+        raise ValueError(text)
+    return n
 
-    parser = argparse.ArgumentParser(
-        prog="afcore",
-        description="Exact invariants of finite directed graphs and their towers.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser(
-        "analyze", parents=[common], help="classify a graph and print basics"
-    )
-    p.add_argument("graph", help="graph file or catalog token")
-    p.set_defaults(func=_cmd_analyze)
+# An option: flags and metavar, destination, converter (None for a flag),
+# default, required, help line (None hides it).
+_HELP = ("-h/--help", None, None, None, False, "show this help and exit")
+_JSON = ("--json", "json", None, False, False, "emit machine-readable JSON")
+_OUTPUT = ("-o/--output FILE", "output", str, None, False, "write the graph file here")
 
-    p = sub.add_parser(
-        "product", parents=[common, out], help="categorical product of two graphs"
-    )
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_product)
+# One entry per command path: handler, help line, positionals ("name" required,
+# "name?" optional, "name*" the rest, "NAME+" an action word: the next word of
+# a longer path, read with everything after it) and options.
+COMMANDS = {
+    "": (None, "Exact invariants of finite directed graphs and their towers.\n"
+               "A graph is a graph file or a catalog token.", ("COMMAND+",), ()),
+    "analyze": (_cmd_analyze, "classify a graph and print basics", ("graph",), (_JSON,)),
+    "product": (_cmd_product, "categorical product of two graphs", ("left", "right"),
+                (_JSON, _OUTPUT)),
+    "linegraph": (_cmd_linegraph, "the line graph", ("graph",), (_JSON, _OUTPUT)),
+    "check-morphism": (_cmd_check_morphism, "validate a morphism document and test "
+                       "admissibility", ("file",), (_JSON,)),
+    "embeddings": (_cmd_embeddings, "enumerate admissible embeddings (default codomain: the "
+                   "square)", ("domain", "codomain?"),
+                   (_JSON, ("--guard N", "guard", _count, 200_000, False, None))),
+    "bratteli": (_cmd_bratteli, "tower sizes level by level", ("graph",),
+                 (_JSON, ("--levels K", "levels", int, None, True, "number of levels to list"),
+                  ("--dot", "dot", None, False, False, "emit Graphviz instead"))),
+    "ktheory": (_cmd_ktheory, "all computable invariants of a graph", ("graph",), (_JSON, (
+        "--range A..B", "range", str, "-3..3", False, "degree window (default -3..3)"))),
+    "leavitt": (None, "evaluate or compare algebra expressions", ("graph", "ACTION+"), ()),
+    "leavitt eval": (_cmd_leavitt_eval, "normal form of an expression", ("expr",), (_JSON,)),
+    "leavitt equals": (_cmd_leavitt_equals, "algebra equality", ("left", "right"), (_JSON,)),
+    "picard": (_cmd_picard, "Picard group of a finite-dimensional algebra", (),
+               (_JSON, ("--dims D1,D2,...", "dims", str, None, True, "matrix block sizes"),
+                ("--guard N", "guard", _count, 8, False, None))),
+    "catalog": (None, "named graph families and suites", ("ACTION+",), ()),
+    "catalog list": (_cmd_catalog_list, "list known families", (), (_JSON,)),
+    "catalog build": (_cmd_catalog_build, "emit a graph file", ("token",), (_JSON, _OUTPUT)),
+    "catalog suite": (_cmd_catalog_suite, "run a verification suite", ("suite", "params*"),
+                      (_JSON,)),
+}
 
-    p = sub.add_parser("linegraph", parents=[common, out], help="the line graph")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_linegraph)
 
-    p = sub.add_parser(
-        "check-morphism",
-        parents=[common],
-        help="validate a morphism document and test admissibility",
-    )
-    p.add_argument("file", help="morphism document path")
-    p.set_defaults(func=_cmd_check_morphism)
+# -- the parser ----------------------------------------------------------------------
 
-    p = sub.add_parser(
-        "embeddings",
-        parents=[common],
-        help="enumerate admissible embeddings (default codomain: the square)",
-    )
-    p.add_argument("domain")
-    p.add_argument("codomain", nargs="?", default=None)
-    p.add_argument("--guard", type=int, default=200_000, help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_embeddings)
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# what a positional takes from the token kinds: A a value, O an option, - the ``--``
+_NARGS = {"1": re.compile("-*A-*"), "?": re.compile("-*A?-*"), "*": re.compile("[-A]*"),
+          "+": re.compile("-*A.*")}
 
-    p = sub.add_parser(
-        "bratteli", parents=[common], help="tower sizes level by level"
-    )
-    p.add_argument("graph")
-    p.add_argument("--levels", type=int, required=True, metavar="K")
-    p.add_argument("--dot", action="store_true", help="emit Graphviz instead")
-    p.set_defaults(func=_cmd_bratteli)
 
-    p = sub.add_parser(
-        "ktheory", parents=[common], help="all computable invariants of a graph"
-    )
-    p.add_argument("graph")
-    p.add_argument(
-        "--range",
-        default="-3..3",
-        metavar="A..B",
-        help="degree window (default -3..3)",
-    )
-    p.set_defaults(func=_cmd_ktheory)
+class _Exit(Exception):
+    """``(code, text)``: help for stdout with code 0, or a usage error for stderr with 2."""
 
-    p = sub.add_parser(
-        "leavitt", parents=[], help="evaluate or compare algebra expressions"
-    )
-    p.add_argument("graph")
-    leav_sub = p.add_subparsers(dest="leavitt_command", metavar="ACTION")
-    pe = leav_sub.add_parser("eval", parents=[common], help="normal form of an expression")
-    pe.add_argument("expr")
-    pe.set_defaults(func=_cmd_leavitt_eval)
-    pq = leav_sub.add_parser("equals", parents=[common], help="algebra equality")
-    pq.add_argument("left")
-    pq.add_argument("right")
-    pq.set_defaults(func=_cmd_leavitt_equals)
 
-    p = sub.add_parser(
-        "picard", parents=[common], help="Picard group of a finite-dimensional algebra"
-    )
-    p.add_argument(
-        "--dims", required=True, metavar="D1,D2,...", help="matrix block sizes"
-    )
-    p.add_argument("--guard", type=int, default=8, help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_picard)
+def _actions(path: str) -> dict:
+    return {k.rpartition(" ")[2]: k for k in COMMANDS if k and k.rpartition(" ")[0] == path}
 
-    p = sub.add_parser("catalog", help="named graph families and suites")
-    cat_sub = p.add_subparsers(dest="catalog_command", metavar="ACTION")
-    pc = cat_sub.add_parser("list", parents=[common], help="list known families")
-    pc.set_defaults(func=_cmd_catalog_list)
-    pc = cat_sub.add_parser("build", parents=[common, out], help="emit a graph file")
-    pc.add_argument("token", help="family token, e.g. sigma:3")
-    pc.set_defaults(func=_cmd_catalog_build)
-    pc = cat_sub.add_parser("suite", parents=[common], help="run a verification suite")
-    pc.add_argument("suite", help="suite name (see the package docs)")
-    pc.add_argument("params", nargs="*", help="suite parameters as k=v")
-    pc.set_defaults(func=_cmd_catalog_suite)
 
-    return parser
+def _prog(path: str) -> str:
+    words, prefix = ["afcore"], ""
+    for word in path.split():
+        words += [*COMMANDS[prefix][2][:-1], word]
+        prefix = f"{prefix} {word}".lstrip()
+    return " ".join(words)
+
+
+def _usage(path: str) -> str:
+    words = [_prog(path), "[-h]"]
+    for flags, _, _, _, required, help_line in COMMANDS[path][3]:
+        flag = re.sub("/[^ ]*", "", flags)
+        words += [flag if required else f"[{flag}]"] if help_line else []
+    words += [{"?": "[{}]", "*": "[{} ...]", "+": "{} ..."}.get(p[-1], "{}").format(
+        p.rstrip("?*+")) for p in COMMANDS[path][2]]
+    return f"usage: {' '.join(words)}\n"
+
+
+def _error(path: str, message: str) -> _Exit:
+    return _Exit(2, f"{_usage(path)}{_prog(path)}: error: {message}\n")
+
+
+def _help(path: str) -> str:
+    func, summary, _, options = COMMANDS[path]
+    blocks = [[(o[0].replace("/", ", "), o[5]) for o in (_HELP, *options) if o[5]]]
+    if func is None:
+        blocks.insert(0, [(word, COMMANDS[key][1]) for word, key in _actions(path).items()])
+    return f"{_usage(path)}\n{summary}\n" + "".join(
+        "\n" + "".join(f"  {a:<20}{b}\n" for a, b in rows) for rows in blocks)
+
+
+def _option(path: str, token: str, flags: dict):
+    """None for a value, else (the option, or None if unknown; its attached value)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return flags[token], None
+    head, eq, value = token.partition("=")
+    if eq and head in flags:
+        return flags[head], value
+    if token[1] == "-":
+        hits = [flag for flag in flags if flag.startswith(head)]
+        if len(hits) > 1:
+            raise _error(path, f"ambiguous option: {token} could match {', '.join(hits)}")
+        if hits:
+            return flags[hits[0]], value if eq else None
+    elif token[:2] in flags:
+        return flags[token[:2]], token[2:]
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
+
+
+def _read(path: str, tokens: list, ns, extras: list):
+    """Read the options and positionals of ``path`` into ``ns``; return the tokens
+    from the action word on if ``path`` reads one.  Unknown options and surplus
+    values go to ``extras``."""
+    _, _, positionals, options = COMMANDS[path]
+    flags = {f: o for o in (_HELP, *options) for f in o[0].partition(" ")[0].split("/")}
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    found = [_option(path, token, flags) for token in tokens[:cut]]
+    kinds = "".join("A" if f is None else "O" for f in found)
+    kinds += "-" * (cut < len(tokens)) + "A" * (len(tokens) - cut - 1)
+    pending = [(p.rstrip("?*+"), p[-1] if p[-1] in "?*+" else "1") for p in positionals]
+    for _, dest, _, default, *_ in options:
+        setattr(ns, dest, default)
+    i = 0
+    while i < len(tokens):
+        if kinds[i] == "O":
+            (opt, value), i = found[i], i + 1
+            if opt is None:
+                extras.append(tokens[i - 1])
+                continue
+            name, dest, convert = opt[0].partition(" ")[0], opt[1], opt[2]
+            if value is not None and convert is None:
+                raise _error(path, f"argument {name}: ignored explicit argument {value!r}")
+            if opt is _HELP:
+                raise _Exit(0, _help(path))
+            if value is None and convert:
+                if kinds[i:i + 1] != "A":
+                    raise _error(path, f"argument {name}: expected one argument")
+                value, i = tokens[i], i + 1
+            try:
+                setattr(ns, dest, convert(value) if convert else True)
+            except ValueError:
+                raise _error(path, f"argument {name}: invalid "
+                             f"{convert.__name__.strip('_')} value: {value!r}") from None
+            continue
+        start = i
+        while pending and (m := _NARGS[pending[0][1]].match(kinds, i)):
+            (name, nargs), end = pending.pop(0), m.end()
+            if nargs == "+":
+                return tokens[i:]
+            values = [t for t, k in zip(tokens[i:end], kinds[i:end]) if k == "A"]
+            setattr(ns, name, values if nargs == "*" else values[0] if values else None)
+            i = end
+        if i == start:  # no positional takes these values
+            while i < len(tokens) and kinds[i] != "O":
+                extras.append(tokens[i])
+                i += 1
+    missing = [name for name, nargs in pending if nargs in "1+"]
+    missing += [o[0].partition(" ")[0] for o in options if o[4] and getattr(ns, o[1]) is None]
+    if missing:
+        raise _error(path, f"the following arguments are required: {', '.join(missing)}")
+    return None
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The values of a command line's options and positionals, and its handler as
+    ``func``.  Raises ``_Exit`` for help and for usage errors."""
+    ns, extras, path, tokens = SimpleNamespace(), [], "", list(argv)
+    while (rest := _read(path, tokens, ns, extras)) is not None:
+        actions = _actions(path)
+        if rest[0] not in actions:
+            raise _error(path, f"argument {COMMANDS[path][2][-1][:-1]}: invalid choice: "
+                         f"{rest[0]!r} (choose from {', '.join(map(repr, actions))})")
+        path, tokens = actions[rest[0]], rest[1:]
+    if extras:
+        raise _error(path, f"unrecognized arguments: {' '.join(extras)}")
+    ns.func = COMMANDS[path][0]
+    return ns
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse prints its own message
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 2
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except _Exit as stop:
+        code, text = stop.args
+        (sys.stderr if code else sys.stdout).write(text)
+        return code
     try:
         return args.func(args)
     except (ArtifactError, ValueError, OSError) as err:
-        if getattr(args, "json", False):
+        if args.json:
             payload = {"error": {"type": type(err).__name__, "message": str(err)}}
             sys.stderr.write(_json_text(payload) + "\n")
         else:

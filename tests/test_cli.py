@@ -260,6 +260,16 @@ def test_embeddings_guard_error(capsys):
     assert "exceed the guard" in err
 
 
+@pytest.mark.parametrize("argv", [["embeddings", "penrose"], ["picard", "--dims", "2,2"]])
+def test_negative_guard_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--guard", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: afcore {argv[0]} ")
+    assert err.endswith(f"afcore {argv[0]}: error: argument --guard: invalid count value: '-1'\n")
+    code, out, err = run(capsys, *argv[:1], "--help")
+    assert code == 0 and "--guard" not in out
+
+
 def test_embeddings_sigma6_answers(capsys):
     # the brute force refused: 36P6 injective vertex maps exceed the guard
     code, out, err = run(capsys, "embeddings", "sigma:6")
@@ -616,27 +626,6 @@ def test_rendered_output_is_pinned(capsys, command):
     assert {argv: _digest(*run(capsys, *argv)) for argv in pinned} == pinned
 
 
-# -- the parser --------------------------------------------------------------------------
-
-
-def test_parser_is_built_once(capsys, monkeypatch):
-    import argparse
-
-    first = [run(capsys, *argv) for argv in ([], ["bogus"], ["ktheory"])]
-    assert [code for code, _, _ in first] == [2, 2, 2]
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    again = [run(capsys, *argv) for argv in ([], ["bogus"], ["ktheory"])]
-    assert built == []
-    assert again == first
-
-
 # -- leavitt ----------------------------------------------------------------------------
 
 
@@ -739,6 +728,12 @@ def test_catalog_suite_bad_param_shape(capsys):
     code, out, err = run(capsys, "catalog", "suite", "cpq", "n:3")
     assert code == 2
     assert "k=v" in err
+
+
+def test_catalog_suite_refuses_a_parameter_given_twice(capsys):
+    code, out, err = run(capsys, "catalog", "suite", "cpq", "n=2", "n=3")
+    assert (code, out) == (2, "")
+    assert err == "error: suite 'cpq' parameter 'n' is given more than once\n"
 
 
 def test_catalog_suite_undeclared_or_non_int_param(capsys):
