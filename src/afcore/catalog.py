@@ -351,21 +351,42 @@ def small_graph_universe(max_vertices: int = 3, max_multiplicity: int = 2):
     at most ``max_multiplicity`` parallel edges per ordered vertex pair.
 
     With the defaults this yields 3 + 81 + 19683 = 19767 graphs, lazily.
+    Graph ``u{k}`` is the k-th multiplicity vector over the ordered vertex
+    pairs in ``itertools.product`` order, its edges ``e1, e2, ...`` listed
+    pair by pair.  Each edge tuple is a head, over the first half of the
+    pairs, joined to a tail over the last ⌊|pairs|/2⌋ pairs; the tails are
+    made once per vertex count for every number of edges before them.
+    The graphs are made with ``Graph._trusted`` and build no index.
     """
     counter = 0
     for n in range(1, max_vertices + 1):
         vertices = tuple(str(i) for i in range(1, n + 1))
         pairs = [(a, b) for a in vertices for b in vertices]
         slots = range(1, len(pairs) * max_multiplicity + 1)
-        rows = [[Edge(f"e{i}", a, b) for i in slots] for a, b in pairs]
-        for counts in itertools.product(
-            range(max_multiplicity + 1), repeat=len(pairs)
-        ):
-            counter += 1
-            edges: list[Edge] = []
-            for row, c in zip(rows, counts):
-                edges += row[len(edges) : len(edges) + c]
-            yield Graph._trusted(f"u{counter}", vertices, edges)
+        rows = [tuple(Edge(f"e{i}", a, b) for i in slots) for a, b in pairs]
+        half = len(pairs) - len(pairs) // 2
+        tails = [
+            _edge_runs(rows[half:], before, max_multiplicity)
+            for before in range(half * max_multiplicity + 1)
+        ]
+        for head in _edge_runs(rows[:half], 0, max_multiplicity):
+            for tail in tails[len(head)]:
+                counter += 1
+                yield Graph._trusted(f"u{counter}", vertices, head + tail)
+
+
+def _edge_runs(rows: list, before: int, max_multiplicity: int) -> list:
+    """The edge tuples of every multiplicity vector over ``rows``' pairs, in
+    ``itertools.product`` order, numbered after ``before`` earlier edges;
+    ``rows[p][i]`` is pair p's edge ``e{i + 1}``."""
+    runs: list[tuple] = [()]
+    for row in rows:
+        runs = [
+            run + row[before + len(run) : before + len(run) + c]
+            for run in runs
+            for c in range(max_multiplicity + 1)
+        ]
+    return runs
 
 
 # -- verification suites ---------------------------------------------------------

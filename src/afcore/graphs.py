@@ -24,6 +24,12 @@ line as it reads it and so builds its result with ``Graph._trusted``, as
 do the graphs derived from valid ones (``ops.product``, ``ops.line_graph``,
 ``ops.quotient_graph``) and the catalog's families and universe, whose
 identifiers are made from integers and fixed literals.
+
+A graph stores only its name, vertices and edges when it is made.  Its four
+lookup indices (vertex position, edge by id, out-edges and in-edges) are
+built together by ``Graph._index`` on the first read that needs one, so a
+graph that is only enumerated, compared or serialized never builds them.
+Only this module reads the index slots.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ class Graph:
 
     ``Graph(...)`` checks the name, each vertex (identifier, duplicate) and
     each edge (identifier, duplicate id, source, range), in that order.
+    It and ``Graph._trusted`` set only ``name``, ``vertices`` and ``edges``;
+    the index slots stay unset until the first accessor that reads one
+    calls ``_index``.
     """
 
     __slots__ = ("name", "vertices", "edges", "_vindex", "_eindex", "_out", "_in")
@@ -82,19 +91,24 @@ class Graph:
             if e.dst not in seen:
                 raise ValueError(f"edge {e.eid!r} has undeclared range vertex {e.dst!r}")
             eids.add(e.eid)
-        self._index(name, vertices, edges)
+        self.name = name
+        self.vertices = vertices
+        self.edges = edges
 
     @classmethod
     def _trusted(cls, name: str, vertices: Iterable[str], edges: Iterable[Edge]) -> "Graph":
         """A graph from identifiers already known valid, unique and declared."""
         g = cls.__new__(cls)
-        g._index(name, tuple(vertices), tuple(edges))
+        g.name = name
+        g.vertices = tuple(vertices)
+        g.edges = tuple(edges)
         return g
 
-    def _index(self, name: str, vertices: tuple, edges: tuple) -> None:
-        self.name = name
-        self.vertices = vertices
-        self.edges = edges
+    def _index(self) -> "Graph":
+        """Build the four indices on first call; later calls do nothing."""
+        if hasattr(self, "_in"):  # the last of the four to be set
+            return self
+        vertices, edges = self.vertices, self.edges
         self._vindex = {v: i for i, v in enumerate(vertices)}
         self._eindex = {e.eid: e for e in edges}
         out: dict[str, list[Edge]] = {v: [] for v in vertices}
@@ -104,6 +118,7 @@ class Graph:
             into[e.dst].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in into.items()}
+        return self
 
     # -- basic accessors -------------------------------------------------
 
@@ -115,35 +130,52 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    # each accessor reads its index and, on a fresh graph, builds the indices
+    # and asks again
+
     def vertex_index(self, v: str) -> int:
         try:
             return self._vindex[v]
         except KeyError:
             raise ValueError(f"unknown vertex {v!r} in graph {self.name!r}") from None
+        except AttributeError:
+            return self._index().vertex_index(v)
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._vindex
+        try:
+            return v in self._vindex
+        except AttributeError:
+            return v in self._index()._vindex
 
     def has_edge(self, eid: str) -> bool:
-        return eid in self._eindex
+        try:
+            return eid in self._eindex
+        except AttributeError:
+            return eid in self._index()._eindex
 
     def edge(self, eid: str) -> Edge:
         try:
             return self._eindex[eid]
         except KeyError:
             raise ValueError(f"unknown edge {eid!r} in graph {self.name!r}") from None
+        except AttributeError:
+            return self._index().edge(eid)
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         try:
             return self._out[v]
         except KeyError:
             raise ValueError(f"unknown vertex {v!r} in graph {self.name!r}") from None
+        except AttributeError:
+            return self._index().out_edges(v)
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
         try:
             return self._in[v]
         except KeyError:
             raise ValueError(f"unknown vertex {v!r} in graph {self.name!r}") from None
+        except AttributeError:
+            return self._index().in_edges(v)
 
     def in_degree(self, v: str) -> int:
         return len(self.in_edges(v))
@@ -152,14 +184,17 @@ class Graph:
         return not self.out_edges(v)
 
     def sinks(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if not self._out[v])
+        out = self._index()._out
+        return tuple(v for v in self.vertices if not out[v])
 
     def sources(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if not self._in[v])
+        into = self._index()._in
+        return tuple(v for v in self.vertices if not into[v])
 
     def regular_vertices(self) -> tuple[str, ...]:
         """Vertices that emit at least one edge (all vertex sets are finite)."""
-        return tuple(v for v in self.vertices if self._out[v])
+        out = self._index()._out
+        return tuple(v for v in self.vertices if out[v])
 
     # -- identity --------------------------------------------------------
 
@@ -272,10 +307,10 @@ def adjacency(g: Graph):
 
     n = g.n_vertices
     rows = [[0] * n for _ in range(n)]
-    vindex = g._vindex
+    vindex = g._index()._vindex
     for e in g.edges:
         rows[vindex[e.src]][vindex[e.dst]] += 1
-    return Matrix(rows)
+    return Matrix._trusted(tuple(map(tuple, rows)))
 
 
 # -- structural classification --------------------------------------------
@@ -337,7 +372,7 @@ def directed_cycle_count(g: Graph) -> int:
     increasing path took about 2^n and n^2.  Graphs with many cycles, such
     as ``full:n``, stay exponential.
     """
-    vindex = g._vindex
+    vindex = g._index()._vindex
     count = 0
 
     def extend(current: str, start: str, back: set[str]) -> int:
@@ -367,6 +402,7 @@ def directed_cycle_count(g: Graph) -> int:
 
 def classify(g: Graph) -> GraphReport:
     """Compute the structural report used by the CLI and the suites."""
+    g._index()
     functional = all(len(g._out[v]) <= 1 for v in g.vertices)
     t_functional = all(len(g._in[v]) <= 1 for v in g.vertices)
     connected = _is_connected(g)
@@ -413,9 +449,10 @@ def directed_walks(g: Graph, k: int) -> list[tuple]:
     """
     if k < 0:
         raise ValueError(f"walk length must be nonnegative, got {k}")
+    out = g._index()._out
     walks: list[tuple] = [(v,) for v in g.vertices]
     for _ in range(k):
-        walks = [w + (e.eid, e.dst) for w in walks for e in g._out[w[-1]]]
+        walks = [w + (e.eid, e.dst) for w in walks for e in out[w[-1]]]
     return walks
 
 

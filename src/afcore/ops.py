@@ -175,8 +175,9 @@ def product(e: Graph, f: Graph) -> Graph:
     """
     vertices = [f"{v}_{w}" for v in e.vertices for w in f.vertices]
     _check_unique(vertices, "product vertex", "rename factor vertices")
+    new = tuple.__new__  # Edge's own constructor is a slower Python-level __new__
     edges = [
-        Edge(f"{a.eid}_{b.eid}", f"{a.src}_{b.src}", f"{a.dst}_{b.dst}")
+        new(Edge, (f"{a.eid}_{b.eid}", f"{a.src}_{b.src}", f"{a.dst}_{b.dst}"))
         for a in e.edges
         for b in f.edges
     ]
@@ -185,6 +186,8 @@ def product(e: Graph, f: Graph) -> Graph:
 
 
 def _check_unique(ids: list, what: str, hint: str) -> None:
+    if len(set(ids)) == len(ids):
+        return
     seen: set = set()
     for i in ids:
         if i in seen:
@@ -361,8 +364,9 @@ def line_graph(g: Graph) -> Graph:
     concatenation of edge ids collides.
     """
     vertices = [e.eid for e in g.edges]
+    new = tuple.__new__  # as in product
     edges = [
-        Edge(f"{a.eid}_{b.eid}", a.eid, b.eid)
+        new(Edge, (f"{a.eid}_{b.eid}", a.eid, b.eid))
         for a in g.edges
         for b in g.out_edges(a.dst)
     ]

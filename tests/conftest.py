@@ -54,13 +54,18 @@ def trusted_sample() -> list:
 
 @pytest.fixture(scope="session")
 def assert_validated_twin():
-    """Check that a graph equals its rebuild by ``Graph(...)``, index by index."""
+    """Check that a graph equals its rebuild by ``Graph(...)``, index by index.
+
+    Both graphs build their indices through ``_index()``, as every reader does.
+    """
 
     def check(g: Graph) -> None:
         twin = Graph(g.name, g.vertices, [tuple(e) for e in g.edges])
         assert twin == g
         for index in ("_vindex", "_eindex", "_out", "_in"):
-            assert list(getattr(twin, index).items()) == list(getattr(g, index).items())
+            assert list(getattr(twin._index(), index).items()) == list(
+                getattr(g._index(), index).items()
+            )
 
     return check
 

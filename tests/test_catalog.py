@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -190,6 +191,52 @@ def test_universe_covers_all_multiplicity_patterns():
         for g in two_vertex
     }
     assert patterns == set(itertools.product(range(3), repeat=4))
+
+
+def reference_universe(max_vertices: int, max_multiplicity: int):
+    """The universe as plain ``(name, vertices, edges)`` data, by the
+    slice-and-extend enumeration that the head-and-tail split replaced."""
+    counter = 0
+    for n in range(1, max_vertices + 1):
+        vertices = tuple(str(i) for i in range(1, n + 1))
+        pairs = [(a, b) for a in vertices for b in vertices]
+        slots = range(1, len(pairs) * max_multiplicity + 1)
+        rows = [[(f"e{i}", a, b) for i in slots] for a, b in pairs]
+        for counts in itertools.product(range(max_multiplicity + 1), repeat=len(pairs)):
+            counter += 1
+            edges: list = []
+            for row, c in zip(rows, counts):
+                edges += row[len(edges) : len(edges) + c]
+            yield f"u{counter}", vertices, tuple(edges)
+
+
+def _universe_data(max_vertices: int, max_multiplicity: int):
+    for g in catalog.small_graph_universe(max_vertices, max_multiplicity):
+        assert all(type(e) is graphs.Edge for e in g.edges)
+        yield g.name, g.vertices, tuple(tuple(e) for e in g.edges)
+
+
+@pytest.mark.parametrize(
+    "max_vertices,max_multiplicity",
+    [(v, m) for v in (1, 2, 3) for m in (0, 1, 2) if (v, m) != (3, 2)],
+)
+def test_universe_matches_the_reference_enumeration(max_vertices, max_multiplicity):
+    got = list(_universe_data(max_vertices, max_multiplicity))
+    assert got == list(reference_universe(max_vertices, max_multiplicity))
+
+
+def test_default_universe_matches_the_reference_by_hash():
+    # the 19 767 graphs are compared through one digest of each sequence
+    digests = []
+    for data in (_universe_data(3, 2), reference_universe(3, 2)):
+        h = hashlib.sha256()
+        n = 0
+        for item in data:
+            h.update(repr(item).encode())
+            n += 1
+        digests.append((n, h.hexdigest()))
+    assert digests[0] == digests[1]
+    assert digests[0][0] == 19767
 
 
 # -- verification suites ------------------------------------------------------------

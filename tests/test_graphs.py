@@ -1,6 +1,11 @@
+import itertools
+import pathlib
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+import afcore
 from afcore import catalog, linalg
 from afcore.errors import ParseError
 from afcore.graphs import (
@@ -195,6 +200,93 @@ def test_trusted_graphs_equal_their_validated_twins(trusted_sample, assert_valid
         assert [e[1:] for e in g.edges] == sorted(e[1:] for e in g.edges)
 
 
+# -- indices built on first read --------------------------------------------------
+
+INDEX_SLOTS = ("_vindex", "_eindex", "_out", "_in")
+
+# one maker per source of fresh graphs; each graph has a sink, a source or both
+FRESH_MAKERS = {
+    "constructor": lambda: Graph("g", ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "2"), ("c", "2", "1")]),
+    "catalog": lambda: catalog.build("chambers", k=2),
+    "parser": lambda: parse_graph("graph t\nvertex s v\nedge s -> v\nedge v -> v\nedge w : v -> v\n"),
+    "universe": lambda: next(itertools.islice(catalog.small_graph_universe(), 500, None)),
+}
+
+# every accessor and every graphs function that reads an index, each on known
+# and on unknown vertices and edges
+FIRST_READS = {
+    "vertex_index": lambda g: [g.vertex_index(v) for v in g.vertices],
+    "vertex_index unknown": lambda g: g.vertex_index("zz"),
+    "has_vertex": lambda g: [g.has_vertex(v) for v in g.vertices + ("zz",)],
+    "has_edge": lambda g: [g.has_edge(x) for x in [e.eid for e in g.edges] + ["zz"]],
+    "edge": lambda g: [g.edge(e.eid) for e in g.edges],
+    "edge unknown": lambda g: g.edge("zz"),
+    "out_edges": lambda g: [g.out_edges(v) for v in g.vertices],
+    "out_edges unknown": lambda g: g.out_edges("zz"),
+    "in_edges": lambda g: [g.in_edges(v) for v in g.vertices],
+    "in_edges unknown": lambda g: g.in_edges("zz"),
+    "in_degree": lambda g: [g.in_degree(v) for v in g.vertices],
+    "is_sink": lambda g: [g.is_sink(v) for v in g.vertices],
+    "sinks": lambda g: g.sinks(),
+    "sources": lambda g: g.sources(),
+    "regular_vertices": lambda g: g.regular_vertices(),
+    "adjacency": lambda g: adjacency(g).rows,
+    "directed_cycle_count": directed_cycle_count,
+    "classify": classify,
+    "directed_walks": lambda g: directed_walks(g, 3),
+    "walks_into": lambda g: [walks_into(g, v, 2) for v in g.vertices],
+    "walks_into unknown": lambda g: walks_into(g, "zz", 1),
+}
+
+
+def _outcome(read, g):
+    try:
+        return "answer", read(g)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("source", sorted(FRESH_MAKERS))
+@pytest.mark.parametrize("read", sorted(FIRST_READS))
+def test_first_read_of_a_fresh_graph_matches_an_indexed_twin(source, read):
+    fresh, twin = FRESH_MAKERS[source](), FRESH_MAKERS[source]()._index()
+    assert not any(hasattr(fresh, slot) for slot in INDEX_SLOTS)
+    got = _outcome(FIRST_READS[read], fresh)
+    assert got == _outcome(FIRST_READS[read], twin)
+    assert (got[0] == "error") == read.endswith("unknown")
+    assert all(hasattr(fresh, slot) for slot in INDEX_SLOTS)
+
+
+def test_index_is_built_once():
+    g = FRESH_MAKERS["constructor"]()
+    assert g._index() is g
+    built = [getattr(g, slot) for slot in INDEX_SLOTS]
+    assert g._index() is g
+    assert all(getattr(g, slot) is index for slot, index in zip(INDEX_SLOTS, built))
+
+
+def test_universe_graphs_build_no_index():
+    for g in itertools.islice(catalog.small_graph_universe(), 500):
+        assert not any(hasattr(g, slot) for slot in INDEX_SLOTS)
+
+
+def test_only_graphs_reads_the_index_slots():
+    # a fresh graph has no index slots set, so only the accessors in graphs.py,
+    # which build them on a miss, may read them
+    src = pathlib.Path(afcore.__file__).parent
+    slot_read = re.compile(r"\._(vindex|eindex|out|in)\b")
+    readers = {p.name for p in src.glob("*.py") if slot_read.search(p.read_text(encoding="utf-8"))}
+    assert readers == {"graphs.py"}
+
+
+def test_graph_keeps_plain_slot_reads():
+    # no attribute hook or cached property, whose reads are slower than a slot's
+    assert "__slots__" in vars(Graph)
+    assert "__getattr__" not in vars(Graph)
+    assert Graph.__getattribute__ is object.__getattribute__
+    assert not hasattr(FRESH_MAKERS["constructor"](), "__dict__")
+
+
 # -- accessors and classification --------------------------------------------------
 
 
@@ -206,9 +298,9 @@ def test_accessor_order_follows_declaration():
     assert g.sources() == ()
     assert g.regular_vertices() == ("v0",)
     assert len(g.out_edges("v0")) == 3 and g.in_degree("v0") == 1
-    with pytest.raises(ValueError, match="unknown vertex"):
+    with pytest.raises(ValueError, match=r"^unknown vertex 'nope' in graph 'chambers2'$"):
         g.out_edges("nope")
-    with pytest.raises(ValueError, match="unknown edge"):
+    with pytest.raises(ValueError, match=r"^unknown edge 'nope' in graph 'chambers2'$"):
         g.edge("nope")
 
 
