@@ -1,25 +1,27 @@
 """Invariants of the fixed-point (gauge-invariant) subalgebra tower.
 
 Everything is read off one per-graph object, :class:`Tower`, built from
-the vertex adjacency matrix ``Gamma`` in exact integer arithmetic.  Each
-field is computed on first use and kept for the life of the tower:
-``det Gamma``, ``Gamma^-1``, ``det(t Gamma - 1)``, the line-class matrix
-and its inverse, and the colimit data.  The few module functions are thin
-wrappers that build a fresh tower, so no state lives between calls.
+the vertex adjacency matrix ``Gamma`` alone, in exact integer arithmetic.
+Each field is computed on first use and kept for the life of the tower:
+``det(t Gamma - 1)`` (its top coefficient is ``det Gamma``), ``Gamma^-1``,
+the line-class matrix and its inverse, and the colimit data.  The module
+functions are thin wrappers that build a fresh tower, so no state lives
+between calls.
 
 Walk counts and line classes are two views of one vector orbit,
 ``orbit(k) = 1 Gamma^k`` (column sums of ``Gamma^k``; ``k < 0`` needs a
 unimodular ``Gamma``), extended one vector-matrix product at a time:
 ``walk_counts(g, k)`` is ``orbit(k)``; ``line_class(g, k)`` is
 ``orbit(-k)`` when ``k <= 0`` or ``Gamma`` is unimodular, and a support
-indicator in the colimit otherwise; row ``k`` of ``line_class_matrix`` is
-``orbit(-k)``.  Built on these: ``bratteli``/``emit_dot`` (the
-multiplicity diagram), ``k0`` (the colimit of integer lattices along
-``Gamma^T``, which is free on the vertex projections exactly when
-``|det Gamma| = 1``), ``atiyah_todd`` (the exact class recursions),
-``phi`` (the ring identification with ``Z[x]/(p)`` for
-``p = det(t Gamma - 1)``) and ``Tower.kk_matrix`` (the degree shift
-``Gamma^-1``).
+indicator in the colimit otherwise; row ``k`` of ``line_class_matrix``
+is ``orbit(-k)``.  Built on these: ``bratteli``/``emit_dot`` (the
+multiplicity diagram, with an edge per nonzero entry of ``Gamma``),
+``k0`` (the colimit of integer lattices along ``Gamma^T``, supported at
+level ``k`` where ``orbit(k)`` is nonzero, and free on the vertex
+projections exactly when ``|det Gamma| = 1``), ``atiyah_todd`` (the
+exact class recursions), ``phi`` (the ring identification with
+``Z[x]/(p)`` for ``p = det(t Gamma - 1)``) and ``Tower.kk_matrix`` (the
+degree shift ``Gamma^-1``).
 
 Coordinate convention: all class vectors are *row* vectors in vertex
 declaration order, and matrices act on the right.
@@ -27,7 +29,6 @@ declaration order, and matrices act on the right.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -60,7 +61,8 @@ class Tower:
 
     @cached_property
     def det(self) -> int:
-        return linalg.det(self.gamma)
+        # c_n of det(t Gamma - 1), which charpoly checks against det(Gamma)
+        return self.rev_charpoly[self.n]
 
     @property
     def unimodular(self) -> bool:
@@ -87,21 +89,19 @@ class Tower:
 
     @cached_property
     def colimit(self) -> ColimitK0:
-        """The supports of the tower, and the rank of K0: the eventual rank of
-        ``Gamma``, read off the tower's ``det(t Gamma - 1)`` as its degree.
-        No edge leaves the stable support and ``Gamma`` is nilpotent off it,
-        so this is also the eventual rank of the stable connecting map.  It is
-        free on the vertex projections exactly when ``Gamma`` is unimodular:
-        then every support is full, ``stable_level == 0`` and ``rank == n``."""
+        """The supports of the tower, where each ``orbit(k)`` is nonzero, and
+        the rank of K0: the eventual rank of ``Gamma``, the degree of the
+        tower's ``det(t Gamma - 1)``.  No edge leaves the stable support and
+        ``Gamma`` is nilpotent off it, so this is also the eventual rank of
+        the stable connecting map.  It is free on the vertex projections
+        exactly when ``Gamma`` is unimodular: then every support is full,
+        ``stable_level == 0`` and ``rank == n``."""
         g = self.graph
         self.require_sink_free("K0 of the tower is computed for emission-complete graphs only")
         supports = [tuple(range(self.n))]
         while True:
-            cur = supports[-1]
-            nxt = tuple(
-                sorted({g.vertex_index(e.dst) for i in cur for e in g.out_edges(g.vertices[i])})
-            )
-            if nxt == cur:
+            nxt = tuple(i for i, c in enumerate(self.orbit(len(supports))) if c)
+            if nxt == supports[-1]:
                 break
             supports.append(nxt)
             if len(supports) > self.n + 1:
@@ -260,7 +260,7 @@ class Tower:
             tuple((v, size) for v, size in zip(g.vertices, self.orbit(k)) if size > 0)
             for k in range(depth)
         )
-        return BratteliDiagram(g, depth, levels)
+        return BratteliDiagram(g, depth, levels, self.gamma)
 
     def push(self, cls: K0Class) -> K0Class:
         """One connecting step of the colimit: ``x -> x Gamma`` read as columns.
@@ -321,14 +321,15 @@ class BratteliDiagram:
 
     ``levels[k-1]`` lists ``(vertex, size)`` pairs at level ``k`` in vertex
     order, omitting zero sizes; the size at level ``k`` over vertex ``v``
-    is the number of length-``k-1`` walks ending at ``v``.  Edges go from
-    level ``k`` at ``v`` to level ``k+1`` at ``w`` with multiplicity
-    ``Gamma[v][w]``.
+    is the number of length-``k-1`` walks ending at ``v``.  The diagram
+    carries the tower's ``gamma``: edges go from level ``k`` at ``v`` to
+    level ``k+1`` at ``w`` with multiplicity ``Gamma[v][w]``.
     """
 
     graph: Graph
     depth: int
     levels: tuple
+    gamma: Matrix
 
 
 def bratteli(g: Graph, depth: int) -> BratteliDiagram:
@@ -338,18 +339,14 @@ def bratteli(g: Graph, depth: int) -> BratteliDiagram:
 def emit_dot(d: BratteliDiagram) -> str:
     """Graphviz rendering; deterministic node and edge order.
 
-    Node labels are the matrix orders; edge multiplicities above 1 are
-    labelled ``xM``.
+    Node labels are the matrix orders; the edges out of ``v`` are the nonzero
+    entries of its row of ``Gamma``, multiplicities above 1 labelled ``xM``.
     """
-    g = d.graph
-    # each vertex's successors in vertex order, with their edge labels
-    succ = {}
-    for v in g.vertices:
-        mult = Counter(e.dst for e in g.out_edges(v))
-        succ[v] = [
-            (w, f' [label="x{mult[w]}"]' if mult[w] > 1 else "")
-            for w in sorted(mult, key=g.vertex_index)
-        ]
+    vs = d.graph.vertices
+    succ = {
+        v: [(w, f' [label="x{m}"]' if m > 1 else "") for w, m in zip(vs, row) if m]
+        for v, row in zip(vs, d.gamma.rows)
+    }
     lines = ["digraph bratteli {", "  rankdir=LR;", '  root [label="1"];']
     for k, level in enumerate(d.levels, start=1):
         lines.extend(f'  v{v}_{k} [label="{size}"];' for v, size in level)

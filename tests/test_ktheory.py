@@ -1,11 +1,12 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from afcore import catalog, cli, linalg
+from afcore import catalog, cli, graphs, linalg
 from afcore.errors import NotUnimodular, SinkError, SourceError
 from afcore.graphs import Graph, adjacency
 from afcore.ktheory import (
@@ -209,21 +210,11 @@ def test_colimit_refuses_supports_that_never_stabilize_under_python_O(run_python
         """
         from afcore import catalog
         from afcore.errors import CertificateError
-        from afcore.graphs import Edge, Graph
         from afcore.ktheory import Tower
 
         g = catalog.build_token("cycle:3")
-        rounds = [0]
-
-        def out_edges(self, v):
-            # each pass over a support starts at the first vertex: odd passes
-            # send every edge to it, even passes to every vertex
-            if v == self.vertices[0]:
-                rounds[0] += 1
-            targets = self.vertices[:1] if rounds[0] % 2 else self.vertices
-            return tuple(Edge("x", v, w) for w in targets)
-
-        Graph.out_edges = out_edges
+        # odd levels reach only the first vertex and even levels every vertex
+        Tower.orbit = lambda self, k: (1, 0, 0) if k % 2 else (1, 1, 1)
         try:
             Tower(g).colimit
             raise SystemExit("support stabilization check skipped")
@@ -231,6 +222,117 @@ def test_colimit_refuses_supports_that_never_stabilize_under_python_O(run_python
             pass
         """
     )
+
+
+# -- the tower read off Gamma, against the edge lists ----------------------------
+
+
+def supports_by_edge_walk(g) -> tuple:
+    """The level supports by walking each support's out-edges."""
+    supports = [tuple(range(g.n_vertices))]
+    while True:
+        cur = supports[-1]
+        nxt = tuple(
+            sorted({g.vertex_index(e.dst) for i in cur for e in g.out_edges(g.vertices[i])})
+        )
+        if nxt == cur:
+            return tuple(supports)
+        supports.append(nxt)
+
+
+def dot_by_edge_count(d) -> str:
+    """The Bratteli rendering with each vertex's successors counted off its out-edges."""
+    g = d.graph
+    succ = {}
+    for v in g.vertices:
+        mult = Counter(e.dst for e in g.out_edges(v))
+        succ[v] = [
+            (w, f' [label="x{mult[w]}"]' if mult[w] > 1 else "")
+            for w in sorted(mult, key=g.vertex_index)
+        ]
+    lines = ["digraph bratteli {", "  rankdir=LR;", '  root [label="1"];']
+    for k, level in enumerate(d.levels, start=1):
+        lines.extend(f'  v{v}_{k} [label="{size}"];' for v, size in level)
+    lines.extend(f"  root -> v{v}_1;" for v, _ in d.levels[0])
+    for k in range(1, d.depth):
+        present_next = {v for v, _ in d.levels[k]}
+        for v, _ in d.levels[k - 1]:
+            lines.extend(
+                f"  v{v}_{k} -> v{w}_{k + 1}{label};" for w, label in succ[v] if w in present_next
+            )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+LADDER_TOKENS = (
+    [f"cycle:{n}" for n in range(6, 25, 3)]
+    + [f"sigma:{n}" for n in range(3, 13, 3)]
+    + [f"lens:{k}" for k in range(2, 13, 2)]
+    + ["penrose", "tadpole"]
+    + [f"full:{n}" for n in range(2, 17)]
+    + [f"cuntz:{n}" for n in range(2, 7)]
+    + [f"chambers:{k}" for k in range(1, 7)]
+)
+
+
+def tower_read_off_gamma_graphs() -> list:
+    """Every universe graph on at most 2 vertices, 2 000 seeded ones on 3,
+    and the ladder tokens."""
+    picked = set(random.Random(20).sample(range(84, 19767), 2000))
+    sample = [g for i, g in enumerate(catalog.small_graph_universe()) if i < 84 or i in picked]
+    return sample + [catalog.build_token(token) for token in LADDER_TOKENS]
+
+
+def test_tower_read_off_gamma_matches_the_edge_lists():
+    checked = 0
+    for g in tower_read_off_gamma_graphs():
+        t = Tower(g)
+        assert t.det == linalg.det(t.gamma), g
+        if g.sinks():
+            continue
+        assert t.colimit.supports == supports_by_edge_walk(g), g
+        d = t.bratteli(3)
+        assert emit_dot(d) == dot_by_edge_count(d), g
+        checked += 1
+    assert checked > 1000
+
+
+def test_tower_commands_never_walk_the_edge_lists(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "r1.graph"
+    path.write_text(
+        "graph r1\nvertex a b c\nedge a -> b\nedge b -> c\nedge c -> a\nedge c -> c\n",
+        encoding="utf-8",
+    )
+
+    def no_edge_walk(self, v):
+        raise AssertionError("the tower walked an edge list")
+
+    monkeypatch.setattr(Graph, "out_edges", no_edge_walk)
+    gammas, gamma_dets = [], []
+    real_adjacency, real_det = graphs.adjacency, linalg.det
+
+    def recording_adjacency(g):
+        gammas.append(real_adjacency(g))
+        return gammas[-1]
+
+    def counting_det(m):
+        gamma_dets.extend(m for gamma in gammas if m is gamma)
+        return real_det(m)
+
+    monkeypatch.setattr(graphs, "adjacency", recording_adjacency)
+    monkeypatch.setattr(linalg, "det", counting_det)
+    levels = ["--levels", "5"]
+    variants = [["ktheory"], ["ktheory", "--json"], ["bratteli", *levels],
+                ["bratteli", *levels, "--json"], ["bratteli", *levels, "--dot"]]
+    for arg in ["penrose", "tadpole", "sigma:3", "full:4", "cuntz:2", "lens:3", "chambers:2",
+                str(path)]:
+        for command, *flags in variants:
+            gammas.clear()
+            gamma_dets.clear()
+            code = cli.main([command, arg, *flags])
+            assert code == (2 if arg == "chambers:2" and command == "bratteli" else 0)
+            assert "Traceback" not in capsys.readouterr().err
+            assert len(gamma_dets) <= 1, (command, arg, flags)
 
 
 def test_class_validation(penrose, tadpole):

@@ -31,3 +31,27 @@ def test_readme_library_block_gives_the_results_its_comments_state():
     assert namespace["grp"].rank == 2
     assert "rep.ok" in next(line for line in lines if line.startswith("rep ="))
     assert namespace["rep"].ok
+
+
+# the imported names a module keeps unused, each with its reason
+UNUSED_IMPORTS_ALLOWED = {
+    # perfbench/spans.py REIMPORTS wraps ops.line_graph under this name too
+    ("leavitt", "line_graph"),
+}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = set()
+    for path in sorted(Path(afcore.__file__).resolve().parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            unused.update((path.stem, name) for name in names if name not in used)
+    assert unused == UNUSED_IMPORTS_ALLOWED
