@@ -32,9 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import graphs, ktheory, leavitt, linalg, ops, picard
 from .errors import NotUnimodular, SourceError
@@ -78,8 +77,7 @@ def _resolve(owner: str, declared: tuple, given: dict) -> dict:
     return kwargs
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     summary: str
     params: tuple  # ((pname, converter, default-or-_REQUIRED), ...)

@@ -67,9 +67,10 @@ def jsonable(x):
             "vertices": list(x.vertices),
             "edges": [[e.eid, e.src, e.dst] for e in x.edges],
         }
-    if isinstance(x, dict):
+    # exact types: a record (a NamedTuple) that reaches the writer is refused
+    if type(x) is dict:
         return {_key_str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
+    if type(x) in (list, tuple):
         return [jsonable(v) for v in x]
     raise TypeError(f"cannot convert {type(x).__name__} to JSON data")
 
@@ -87,13 +88,13 @@ def _put(x, out: list, nl: str) -> None:
         out.append("null" if x is None else "true" if x else "false")
     elif isinstance(x, int):
         out.append(int.__repr__(x))
-    elif isinstance(x, (list, tuple, dict)):
+    elif type(x) in (list, tuple, dict):  # exact types, as in ``jsonable``
         if not x:
-            out.append("{}" if isinstance(x, dict) else "[]")
+            out.append("{}" if type(x) is dict else "[]")
             return
         inner = nl and nl + "  "
         sep = "," + inner if nl else ", "
-        if isinstance(x, dict):
+        if type(x) is dict:
             out.append("{" + inner)
             for i, (k, v) in enumerate(sorted({_key_str(k): v for k, v in x.items()}.items())):
                 out.append(f"{sep if i else ''}{_escape(k)}: ")

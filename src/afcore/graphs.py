@@ -35,7 +35,6 @@ Only this module reads the index slots.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import CertificateError, ParseError
@@ -316,8 +315,7 @@ def adjacency(g: Graph):
 # -- structural classification --------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphReport:
+class GraphReport(NamedTuple):
     """Structural facts about a graph, all in vertex declaration order."""
 
     name: str

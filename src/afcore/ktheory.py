@@ -29,9 +29,9 @@ declaration order, and matrices act on the right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import graphs, linalg
 from .errors import CertificateError, NotUnimodular, SinkError, SourceError
@@ -315,8 +315,7 @@ def walk_counts(g: Graph, k: int) -> tuple:
 # -- Bratteli diagram of the tower ------------------------------------------
 
 
-@dataclass(frozen=True)
-class BratteliDiagram:
+class BratteliDiagram(NamedTuple):
     """Levels 1..depth of the tower; the root (level 0) is implicit.
 
     ``levels[k-1]`` lists ``(vertex, size)`` pairs at level ``k`` in vertex
@@ -351,11 +350,12 @@ def emit_dot(d: BratteliDiagram) -> str:
     for k, level in enumerate(d.levels, start=1):
         lines.extend(f'  v{v}_{k} [label="{size}"];' for v, size in level)
     lines.extend(f"  root -> v{v}_1;" for v, _ in d.levels[0])
+    # Gamma >= 0, so orbit(k)[w] >= orbit(k-1)[v] * Gamma[v][w] > 0: every successor is present
     for k in range(1, d.depth):
-        present_next, tail = {v for v, _ in d.levels[k]}, f"_{k + 1}"
+        tail = f"_{k + 1}"
         for v, _ in d.levels[k - 1]:
             head = f"  v{v}_{k} -> v"
-            lines.extend(f"{head}{w}{tail}{label};" for w, label in succ[v] if w in present_next)
+            lines.extend(f"{head}{w}{tail}{label};" for w, label in succ[v])
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -363,8 +363,7 @@ def emit_dot(d: BratteliDiagram) -> str:
 # -- the K0 presentation ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class K0Class:
+class K0Class(NamedTuple):
     """A class given by a row vector of vertex coordinates at a tower level.
 
     The vector lists coordinates over *all* vertices, with zeros outside
@@ -387,8 +386,7 @@ class K0Class:
         )
 
 
-@dataclass(frozen=True)
-class ColimitK0:
+class ColimitK0(NamedTuple):
     """K0 as a colimit of integer lattices along the transposed adjacency.
 
     ``supports[k]`` lists the vertex indices carrying level-``k`` summands
@@ -457,8 +455,7 @@ def line_class(g: Graph, k: int) -> K0Class:
 # -- exact class recursions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ATIdentity:
+class ATIdentity(NamedTuple):
     """``[L_k] = sum_j coeff_j [L_j]`` over the adjacent degree window
     (``k-n..k-1`` when lowering, ``k+1..k+n`` when raising).
 

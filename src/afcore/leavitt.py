@@ -64,6 +64,11 @@ class Monomial(NamedTuple):
         return len(self.alpha) - len(self.beta)
 
 
+# Monomial's own constructor is a slower Python-level __new__; the hot paths
+# build it as ``_new(Monomial, (alpha, beta, vertex))``, as ops.product does Edge
+_new = tuple.__new__
+
+
 def _walk_ok(g: Graph, edges: tuple, end: str) -> bool:
     cur = end
     for eid in reversed(edges):
@@ -89,17 +94,17 @@ def _mono_mul(g: Graph, m1: Monomial, m2: Monomial):
         if not beta and _mono_source(g, mu, v2) != v1:
             return None
         gamma = mu[len(beta):]
-        return Monomial(alpha + gamma, nu, v2)
+        return _new(Monomial, (alpha + gamma, nu, v2))
     if beta[: len(mu)] != mu:
         return None
     if not mu and _mono_source(g, beta, v1) != v2:
         return None
     gamma = beta[len(mu):]
-    return Monomial(alpha, nu + gamma, v1)
+    return _new(Monomial, (alpha, nu + gamma, v1))
 
 
 def _mono_star(m: Monomial) -> Monomial:
-    return Monomial(m.beta, m.alpha, m.vertex)
+    return _new(Monomial, (m.beta, m.alpha, m.vertex))
 
 
 def _product(key_mul, left: dict, right: dict) -> dict:
@@ -282,7 +287,8 @@ def _expand(g: Graph, m: Monomial) -> list:
     outgoing = g.out_edges(m.vertex)
     if not outgoing:
         raise SinkError(f"cannot expand at vertex {m.vertex!r}: it emits no edges")
-    return [Monomial(m.alpha + (e.eid,), m.beta + (e.eid,), e.dst) for e in outgoing]
+    alpha, beta, _ = m
+    return [_new(Monomial, (alpha + (e.eid,), beta + (e.eid,), e.dst)) for e in outgoing]
 
 
 def normal_form(x: LeavittElem) -> LeavittElem:
@@ -320,7 +326,7 @@ def _prefixes(g: Graph, m: Monomial) -> list:
     a, b, out = m.alpha, m.beta, []
     while a and b and a[-1] == b[-1]:
         a, b = a[:-1], b[:-1]
-        out.append(Monomial(a, b, g.edge(m.alpha[len(a)]).src))
+        out.append(_new(Monomial, (a, b, g.edge(m.alpha[len(a)]).src)))
     return out
 
 
@@ -425,7 +431,8 @@ def parse_elem(g: Graph, text: str) -> LeavittElem:
             coeff = int(m[6])
             m = match(text, m.end())
             if not m[2] and m[1] not in ("(", "."):
-                return ({Monomial((), (), v): coeff for v in g.vertices} if coeff else {}), m
+                unit = {_new(Monomial, ((), (), v)): coeff for v in g.vertices} if coeff else {}
+                return unit, m
         terms = None
         while True:
             kind = m[2]
@@ -441,11 +448,11 @@ def parse_elem(g: Graph, text: str) -> LeavittElem:
                 if kind == "P":
                     if not g.has_vertex(name):
                         raise error(m.end(), f"unknown vertex id {name!r}")
-                    f = {Monomial((), (), name): 1}
+                    f = {_new(Monomial, ((), (), name)): 1}
                 else:
                     if not g.has_edge(name):
                         raise error(m.end(), f"unknown edge id {name!r}")
-                    f = {Monomial((name,), (), g.edge(name).dst): 1}
+                    f = {_new(Monomial, ((name,), (), g.edge(name).dst)): 1}
             elif m[1] == "(":
                 if depth == MAX_NESTING:
                     raise error(m.start(1), f"parentheses nested deeper than {MAX_NESTING}")

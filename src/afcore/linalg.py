@@ -20,9 +20,8 @@ trailing zeros trimmed; the zero polynomial is the empty tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CertificateError, NotUnimodular
 
@@ -431,8 +430,7 @@ def _normalize_modulus(p: IntPoly) -> IntPoly:
     return p
 
 
-@dataclass(frozen=True)
-class QuotElem:
+class QuotElem(NamedTuple):
     """An element of Z[x]/(modulus); residue degree < deg(modulus)."""
 
     modulus: IntPoly

@@ -32,15 +32,14 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import graphs
 from .errors import GuardError, MorphismError, ParseError
 from .graphs import Edge, Graph
 
 
-@dataclass
-class Morphism:
+class Morphism(NamedTuple):
     """A vertex map and an edge map between two graphs.
 
     Construction is deliberately lenient; ``check_morphism`` validates
@@ -59,8 +58,7 @@ class Morphism:
         return f"Morphism({label}, |vmap|={len(self.vmap)}, |emap|={len(self.emap)})"
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
+class AdmissibilityVerdict(NamedTuple):
     """Outcome of the admissibility test, with witnesses for failures."""
 
     injective: bool
@@ -310,8 +308,7 @@ def enumerate_admissible_embeddings(
 # -- hereditary / saturated subsets and quotients ----------------------------
 
 
-@dataclass(frozen=True)
-class HereditarySaturated:
+class HereditarySaturated(NamedTuple):
     hereditary: bool
     saturated: bool
 

@@ -11,30 +11,56 @@ the Picard group is the full symmetric group on block positions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import CertificateError, GuardError
 
 
-@dataclass(frozen=True)
-class FinDimCStar:
+class _Frozen:
+    """Value semantics over ``__slots__``: equality, hashing and repr by
+    field, and no assignment once ``__init__`` has set the fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FinDimCStar(_Frozen):
     """A finite multi-matrix algebra: ordered tuple of block sizes."""
 
-    dims: tuple
+    __slots__ = ("dims",)
 
-    def __post_init__(self):
-        if not self.dims:
+    def __init__(self, dims: tuple) -> None:
+        if not dims:
             raise ValueError("need at least one matrix block")
-        if any((not isinstance(d, int)) or d < 1 for d in self.dims):
-            raise ValueError(f"block sizes must be positive integers, got {self.dims}")
+        if any((not isinstance(d, int)) or d < 1 for d in dims):
+            raise ValueError(f"block sizes must be positive integers, got {dims}")
+        object.__setattr__(self, "dims", dims)
 
     @property
     def n_blocks(self) -> int:
         return len(self.dims)
 
 
-@dataclass(frozen=True)
-class PermBimodule:
+class PermBimodule(_Frozen):
     """The invertible bimodule attached to a block permutation ``tau``.
 
     ``tau`` is 0-indexed: block ``i`` of the left action meets block
@@ -42,12 +68,13 @@ class PermBimodule:
     ``(dims[i], dims[tau[i]])``.
     """
 
-    dims: tuple
-    tau: tuple
+    __slots__ = ("dims", "tau")
 
-    def __post_init__(self):
-        if sorted(self.tau) != list(range(len(self.dims))):
-            raise ValueError(f"tau = {self.tau} is not a permutation of the blocks")
+    def __init__(self, dims: tuple, tau: tuple) -> None:
+        if sorted(tau) != list(range(len(dims))):
+            raise ValueError(f"tau = {tau} is not a permutation of the blocks")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "tau", tau)
 
     @property
     def shapes(self) -> tuple:

@@ -2,22 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     label: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
 class CheckReport:
     """An ordered list of labelled checks; ``ok`` iff every item passed."""
 
-    title: str
-    items: list[CheckItem] = field(default_factory=list)
+    __slots__ = ("title", "items")
+
+    def __init__(self, title: str, items: list[CheckItem] | None = None) -> None:
+        self.title = title
+        self.items = [] if items is None else items
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.title, self.items) == (other.title, other.items)
+
+    def __repr__(self) -> str:
+        return f"CheckReport(title={self.title!r}, items={self.items!r})"
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,8 @@ import afcore
 from afcore import catalog, cli
 from afcore.cli import jsonable, main
 from afcore.errors import ArtifactError
-from afcore.graphs import parse_graph, serialize_graph
+from afcore.graphs import Edge, parse_graph, serialize_graph
+from afcore.ktheory import K0Class
 from afcore.leavitt import MAX_NESTING
 from afcore.linalg import Matrix
 from afcore.report import CheckReport
@@ -113,6 +114,13 @@ def test_json_writer_package_values_and_refusals(penrose):
     for bad in (object(), 1.5, {"k": [1, 2.0]}):
         with pytest.raises(TypeError):
             cli._json_text(bad)
+    # a record is a tuple subclass, but no payload carries one: the writer
+    # refuses it instead of printing its fields as an array
+    for record in (K0Class((1,), 0), [Edge("e", "v", "v")]):
+        with pytest.raises(TypeError, match="cannot convert (K0Class|Edge) to JSON data"):
+            cli._json_text(record)
+        with pytest.raises(TypeError):
+            jsonable(record)
 
 
 # -- analyze -----------------------------------------------------------------------

@@ -1,7 +1,15 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import afcore
+from afcore import catalog, graphs, ktheory, linalg, ops, picard
+from afcore.graphs import Edge, Graph
+from afcore.report import CheckItem, CheckReport
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -55,3 +63,124 @@ def test_no_module_imports_a_name_it_never_uses():
             names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
             unused.update((path.stem, name) for name in names if name not in used)
     assert unused == UNUSED_IMPORTS_ALLOWED
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # every command is a fresh process, and dataclasses pulls in inspect, ast,
+    # dis and tokenize at import; the records are NamedTuples or slotted classes
+    src = Path(afcore.__file__).resolve().parents[1]
+    script = (
+        "import sys, afcore.cli, afcore; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+_LOOP = Graph("loop", ["v"], [Edge("e", "v", "v")])
+
+
+def _report() -> CheckReport:
+    rep = CheckReport("t")
+    rep.add("x", True)
+    return rep
+
+
+# each record built twice from the same fields, its repr, a field that cannot
+# be assigned (None: the record is mutable), and whether it is hashable
+RECORDS = [
+    pytest.param(
+        lambda: catalog.CatalogEntry("loop", "one loop", (), len, dict),
+        "CatalogEntry(name='loop', summary='one loop', params=(), "
+        "build=<built-in function len>, facts=<class 'dict'>, aliases=())",
+        "name", True, id="CatalogEntry",
+    ),
+    pytest.param(
+        lambda: graphs.classify(_LOOP),
+        "GraphReport(name='loop', n_vertices=1, n_edges=1, sinks=(), sources=(), "
+        "regular=('v',), is_functional=True, is_transposed_functional=True, "
+        "is_connected=True, directed_cycle_count=1, is_cycle_graph=True)",
+        "name", True, id="GraphReport",
+    ),
+    pytest.param(
+        lambda: ktheory.bratteli(_LOOP, 2),
+        "BratteliDiagram(graph=Graph('loop', |V|=1, |E|=1), depth=2, "
+        "levels=((('v', 1),), (('v', 1),)), gamma=Matrix[1])",
+        "depth", True, id="BratteliDiagram",
+    ),
+    pytest.param(
+        lambda: ktheory.K0Class((1, 2), 1), "K0Class(vector=(1, 2), level=1)",
+        "level", True, id="K0Class",
+    ),
+    pytest.param(
+        lambda: ktheory.k0(_LOOP),
+        "ColimitK0(graph=Graph('loop', |V|=1, |E|=1), supports=((0,),), "
+        "stable_level=0, rank=1)",
+        "rank", True, id="ColimitK0",
+    ),
+    pytest.param(
+        lambda: ktheory.ATIdentity(3, ((1, 2), (2, -1)), True),
+        "ATIdentity(k=3, coeffs=((1, 2), (2, -1)), verified=True)",
+        "k", True, id="ATIdentity",
+    ),
+    pytest.param(
+        lambda: linalg.quot_make((1, -1, 1), (2, 3)), "(2 + 3*x) mod (1 - x + x^2)",
+        "residue", True, id="QuotElem",
+    ),
+    pytest.param(
+        lambda: ops.AdmissibilityVerdict(True, False, True, (), ("e",)),
+        "AdmissibilityVerdict(injective=True, range_closed=False, emission_covered=True, "
+        "injectivity_witnesses=(), range_witnesses=('e',), emission_witnesses=())",
+        "injective", True, id="AdmissibilityVerdict",
+    ),
+    pytest.param(
+        lambda: ops.hereditary_saturated(_LOOP, ["v"]),
+        "HereditarySaturated(hereditary=True, saturated=True)",
+        "saturated", True, id="HereditarySaturated",
+    ),
+    pytest.param(
+        lambda: CheckItem("x", True), "CheckItem(label='x', ok=True, detail='')",
+        "ok", True, id="CheckItem",
+    ),
+    pytest.param(
+        lambda: ops.Morphism(_LOOP, _LOOP, {"v": "v"}, {"e": "e"}),
+        "Morphism(loop->loop, |vmap|=1, |emap|=1)",
+        "vmap", False, id="Morphism",
+    ),
+    pytest.param(
+        lambda: picard.FinDimCStar((1, 2)), "FinDimCStar(dims=(1, 2))",
+        "dims", True, id="FinDimCStar",
+    ),
+    pytest.param(
+        lambda: picard.PermBimodule((1, 2), (1, 0)), "PermBimodule(dims=(1, 2), tau=(1, 0))",
+        "tau", True, id="PermBimodule",
+    ),
+    pytest.param(
+        _report, "CheckReport(title='t', items=[CheckItem(label='x', ok=True, detail='')])",
+        None, False, id="CheckReport",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, text, field, hashable", RECORDS)
+def test_records_keep_their_value_semantics(make, text, field, hashable):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert repr(a) == text
+    if hashable:
+        assert hash(a) == hash(b)
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    if field is not None:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+    else:  # a report is filled in after it is made, each into a list of its own
+        a.items.append(CheckItem("y", False))
+        assert a != b and len(b.items) == 1

@@ -33,6 +33,8 @@ def test_findim_validation():
     with pytest.raises(ValueError, match="at least one"):
         FinDimCStar(())
     with pytest.raises(ValueError, match="positive integers"):
+        FinDimCStar((0,))
+    with pytest.raises(ValueError, match="positive integers"):
         FinDimCStar((1, 0))
     with pytest.raises(ValueError, match="positive integers"):
         FinDimCStar((1, "2"))
