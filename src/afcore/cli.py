@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from . import catalog, graphs, ktheory, leavitt, linalg, ops, picard
+from . import catalog, graphs, ktheory, leavitt, linalg, ops
 from .errors import ArtifactError, GuardError
 from .graphs import Graph
 from .report import CheckReport
@@ -368,6 +368,8 @@ def _cmd_leavitt_equals(args) -> int:
 
 
 def _cmd_picard(args) -> int:
+    from . import picard
+
     try:
         dims = tuple(int(p) for p in args.dims.split(","))
     except ValueError:
@@ -415,6 +417,8 @@ def _cmd_catalog_build(args) -> int:
 
 
 def _cmd_catalog_suite(args) -> int:
+    from . import suites
+
     params: dict = {}
     for piece in args.params:
         key, sep, value = piece.partition("=")
@@ -423,7 +427,7 @@ def _cmd_catalog_suite(args) -> int:
         if key in params:
             raise ValueError(f"suite {args.suite!r} parameter {key!r} is given more than once")
         params[key] = value
-    rep = catalog.run_suite(args.suite, **params)
+    rep = suites.run_suite(args.suite, **params)
     if args.json:
         _emit_json(rep)
     else:

@@ -11,11 +11,11 @@ import subprocess
 import sys
 
 import afcore
-from afcore import catalog
+from afcore import suites
 
 
 def _run_suite_criterion(number: int, summary: str, name: str, **params) -> None:
-    rep = catalog.run_suite(name, **params)
+    rep = suites.run_suite(name, **params)
     assert rep.ok, f"criterion {number} failed:\n{rep.render()}"
     print(f"[ok] criterion {number}: {summary}")
 
@@ -45,7 +45,7 @@ def test_criterion_03_uhf():
 
 
 def test_criterion_04_admissibility_exhaustive():
-    rep = catalog.run_suite("admissibility")
+    rep = suites.run_suite("admissibility")
     assert rep.ok, f"criterion 4 failed:\n{rep.render()}"
     details = {item.label: item.detail for item in rep.items}
     assert details["universe size is 19767"] == "19767 graphs"
@@ -64,7 +64,7 @@ def test_criterion_04_admissibility_exhaustive():
 
 
 def test_criterion_05_embedding_enumeration():
-    rep = catalog.run_suite("embeddings")
+    rep = suites.run_suite("embeddings")
     assert rep.ok, f"criterion 5 failed:\n{rep.render()}"
     details = {item.label: item.detail for item in rep.items}
     assert details["exactly two admissible embeddings"] == "found 2"
@@ -76,7 +76,7 @@ def test_criterion_05_embedding_enumeration():
 
 
 def test_criterion_06_structure_theorems():
-    rep = catalog.run_suite("structure")
+    rep = suites.run_suite("structure")
     assert rep.ok, f"criterion 6 failed:\n{rep.render()}"
     details = {item.label: item.detail for item in rep.items}
     assert details["universe size is 19767"] == "19767 graphs"

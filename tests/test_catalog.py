@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from afcore import catalog, graphs, linalg
+from afcore import catalog, graphs, linalg, suites
+from afcore.errors import GuardError
 from afcore.graphs import Graph, adjacency, directed_walks, walk_edges
 from afcore.linalg import det, rev_charpoly
 from afcore.ops import Morphism, check_morphism
@@ -59,6 +60,34 @@ def test_expected_facts_are_literal():
     assert catalog.expected_facts("full", n=3)["det"] == 0
     assert catalog.expected_facts("tadpole")["det"] == 0
     assert catalog.expected_facts("lens", k=3)["directed_cycles"] == 4
+
+
+def test_a_build_above_the_edge_guard_is_refused_before_any_edge(monkeypatch):
+    # the guard reads each family's edge count from the same closed form as its facts
+    for name, params in ALL_INSTANCES:
+        entry, kwargs = catalog._instance(name, params)
+        assert catalog._EDGE_COUNTS[entry.name](**kwargs) == entry.facts(**kwargs)["n_edges"]
+    assert set(catalog._EDGE_COUNTS) == {e.name for e in catalog.list_entries()}
+    monkeypatch.setattr(catalog, "Edge", lambda *args: pytest.fail("an edge was made"))
+    for refused in (
+        lambda: catalog.build_token("full:5000"),
+        lambda: catalog.build("sigma", n=1414),  # 1 000 405 edges
+        lambda: catalog.build_token("lens:500000"),  # 1 000 001
+        lambda: catalog.verify_entry("cuntz", n=10**6 + 1),
+        lambda: catalog.build_token("cycle:1000001"),
+        lambda: suites.run_suite("cpq", n=2000),
+    ):
+        with pytest.raises(GuardError, match="edges, more than the guard of 1000000$"):
+            refused()
+    # exactly at the bound the builder runs
+    monkeypatch.setattr(catalog, "_numbered", lambda family, n, edges: (family, n))
+    assert catalog.build_token("cycle:1000000") == ("cycle", 10**6)
+    # a size the builders refuse is refused by them, not by the guard
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="need n >= 1, got -5000"):
+        catalog.build_token("full:-5000")
+    with pytest.raises(ValueError, match="need n >= 1, got -2000"):
+        catalog.build("sigma", n=-2000)
 
 
 def test_penrose_label_variants():
@@ -252,7 +281,7 @@ CHEAP_SUITES = [
 
 @pytest.mark.parametrize("name, params", CHEAP_SUITES)
 def test_suite_passes(name, params):
-    rep = catalog.run_suite(name, **params)
+    rep = suites.run_suite(name, **params)
     assert rep.ok, rep.render()
 
 
@@ -267,7 +296,7 @@ def test_suite_reads_one_tower_per_graph(monkeypatch, name, n_graphs):
             return _real(*args)
 
         monkeypatch.setattr(module, fn, counting)
-    assert catalog.run_suite(name).ok
+    assert suites.run_suite(name).ok
     # per graph: Gamma^-1 and either the line-class inverse or the kk
     # cross-check; the tower's Gamma and the one in the catalog facts check
     assert counts["inv_unimodular"] <= 2 * n_graphs
@@ -276,7 +305,7 @@ def test_suite_reads_one_tower_per_graph(monkeypatch, name, n_graphs):
 
 def test_run_suite_unknown():
     with pytest.raises(ValueError, match="unknown suite"):
-        catalog.run_suite("mystery")
+        suites.run_suite("mystery")
 
 
 def test_run_suite_refuses_undeclared_and_malformed_params(monkeypatch):
@@ -284,18 +313,18 @@ def test_run_suite_refuses_undeclared_and_malformed_params(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("suite ran")
 
-    monkeypatch.setitem(catalog.SUITES, "penrose", (never, ()))
-    monkeypatch.setitem(catalog.SUITES, "cpq", (never, catalog.SUITES["cpq"][1]))
+    monkeypatch.setitem(suites.SUITES, "penrose", (never, ()))
+    monkeypatch.setitem(suites.SUITES, "cpq", (never, suites.SUITES["cpq"][1]))
     with pytest.raises(ValueError, match="suite 'penrose' .* got unexpected 'foo'"):
-        catalog.run_suite("penrose", foo=1)
+        suites.run_suite("penrose", foo=1)
     with pytest.raises(ValueError, match="suite 'cpq' .* got unexpected 'm'"):
-        catalog.run_suite("cpq", m=3)
+        suites.run_suite("cpq", m=3)
     with pytest.raises(ValueError, match="suite 'cpq' parameter 'n' must be an int, got 'abc'"):
-        catalog.run_suite("cpq", n="abc")
+        suites.run_suite("cpq", n="abc")
 
 
 def test_suite_names_cover_the_table():
-    assert set(catalog.SUITES) == {
+    assert set(suites.SUITES) == {
         "penrose",
         "cpq",
         "uhf",
@@ -311,7 +340,7 @@ def test_suite_names_cover_the_table():
 
 
 def test_cpq_suite_accepts_range_or_single():
-    single = catalog.run_suite("cpq", n=4)
+    single = suites.run_suite("cpq", n=4)
     assert single.ok
     assert all("n=4" in item.label or "n = 4" in item.label for item in single.items)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -481,6 +482,22 @@ def test_suite_output_is_pinned(capsys):
     assert got == PINNED_SUITES
 
 
+# sha256 of "<exit code>\n<stdout>" for ``picard --dims <dims> [--json]``, recorded
+# while the CLI imported picard at start-up, before it loaded it on first use
+PINNED_PICARD = {
+    ("1,2,3", ""): "b155077fa47346b3c5d2781670f25e9a9e237c0cd432d889902e2ba7213cf238",
+    ("2,2", "--json"): "53cc073901945838614952e1d3b9b3f41f6f3729e30af0ad2d905d19f7a3e51d",
+}
+
+
+def test_picard_output_is_pinned(capsys):
+    got = {}
+    for dims, flag in PINNED_PICARD:
+        code, out, err = run(capsys, "picard", "--dims", dims, *([flag] if flag else []))
+        got[(dims, flag)] = hashlib.sha256(f"{code}\n".encode() + out.encode()).hexdigest()
+    assert got == PINNED_PICARD
+
+
 # -- rendered output --------------------------------------------------------------------
 
 # sha256 of "<exit code>\n<stdout>\0<stderr>" for every output path of ``ktheory``
@@ -759,6 +776,23 @@ def test_catalog_suite_unknown(capsys):
     code, out, err = run(capsys, "catalog", "suite", "mystery")
     assert code == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, family, count",
+    [
+        (("catalog", "build", "full:5000"), "full", 25_000_000),
+        (("catalog", "suite", "cpq", "n=2000"), "sigma", 2_001_000),
+    ],
+)
+def test_a_catalog_graph_above_the_edge_guard_exits_2_at_once(capsys, argv, family, count):
+    message = f"catalog graph {family!r} would have {count} edges, more than the guard of 1000000"
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"type": "GuardError", "message": message}}
+    assert time.perf_counter() - start < 0.5
 
 
 # -- plumbing ---------------------------------------------------------------------------
