@@ -2,8 +2,8 @@
 
 The catalog is one table of :class:`CatalogEntry` records, one per family.
 Each declares its parameters as ``(name, converter, default)`` and carries
-its builder and its closed-form facts, both called with the same resolved
-keyword parameters.  The families are the recurring examples:
+its builder, its edge count and its other closed-form facts, all called with
+the same resolved keyword parameters.  The families are the recurring examples:
 
 * ``penrose`` — two vertices, a loop at the first, and opposite edges;
   adjacency ``[[1,1],[1,0]]`` (Fibonacci dynamics).
@@ -21,7 +21,8 @@ keyword parameters.  The families are the recurring examples:
 
 :func:`build`, :func:`build_token`, :func:`expected_facts` and
 :func:`verify_entry` share one name lookup and one parameter resolver; a build
-of more than ``MAX_EDGES`` edges is refused with ``GuardError`` before it starts.
+of more than ``graphs.MAX_EDGES`` edges is refused with ``GuardError`` before it
+starts.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 from typing import Callable, NamedTuple
 
 from . import graphs, linalg
-from .errors import GuardError
 from .graphs import Edge, Graph
 from .report import CheckReport
 
@@ -75,6 +75,8 @@ class CatalogEntry(NamedTuple):
     summary: str
     params: tuple  # ((pname, converter, default-or-_REQUIRED), ...)
     build: Callable[..., Graph]
+    # the edge count in O(1), read before a build (0 for negative sizes, which it refuses)
+    n_edges: Callable[..., int]
     facts: Callable[..., dict]  # literal closed forms, never computed
     aliases: tuple = ()
 
@@ -135,9 +137,9 @@ _ENTRIES = (
         "two vertices with Fibonacci adjacency [[1,1],[1,0]]",
         (("labels", str, "12"),),
         _build_penrose,
+        lambda labels: 3,
         lambda labels: {
             "n_vertices": 2,
-            "n_edges": 3,
             "adjacency": ((1, 1), (1, 0)),
             "det": -1,
             "charpoly_reversed": (1, -1, -1),
@@ -152,9 +154,9 @@ _ENTRIES = (
         lambda n: _numbered(
             "sigma", n, ((f"e{i}_{j}", i, j) for i in range(1, n + 1) for j in range(i, n + 1))
         ),
+        lambda n: max(n, 0) * (n + 1) // 2,
         lambda n: {
             "n_vertices": n,
-            "n_edges": n * (n + 1) // 2,
             "det": 1,
             "charpoly_reversed": _t_minus_one_power(n),  # det(t*Gamma - 1)
             "n_sinks": 0,
@@ -166,9 +168,9 @@ _ENTRIES = (
         "one vertex with n loops",
         (("n", int, _REQUIRED),),
         _build_cuntz,
+        lambda n: max(n, 0),
         lambda n: {
             "n_vertices": 1,
-            "n_edges": n,
             "adjacency": ((n,),),
             "det": n,
             "n_sinks": 0,
@@ -181,9 +183,9 @@ _ENTRIES = (
         "looped hub feeding k sink chambers",
         (("k", int, _REQUIRED),),
         _build_chambers,
+        lambda k: max(k + 1, 0),
         lambda k: {
             "n_vertices": k + 1,
-            "n_edges": k + 1,
             "det": 1 if k == 0 else 0,
             "n_sinks": k,
             "directed_cycles": 1,
@@ -194,9 +196,9 @@ _ENTRIES = (
         "looped hub feeding k looped chambers",
         (("k", int, _REQUIRED),),
         lambda k: _build_chambers(k, loops=True),
+        lambda k: max(2 * k + 1, 0),
         lambda k: {
             "n_vertices": k + 1,
-            "n_edges": 2 * k + 1,
             "det": 1,
             "charpoly_reversed": _t_minus_one_power(k + 1),
             "n_sinks": 0,
@@ -208,9 +210,9 @@ _ENTRIES = (
         "directed n-cycle",
         (("n", int, _REQUIRED),),
         lambda n: _numbered("cycle", n, ((f"c{i}", i, i % n + 1) for i in range(1, n + 1))),
+        lambda n: max(n, 0),
         lambda n: {
             "n_vertices": n,
-            "n_edges": n,
             "det": (-1) ** (n + 1),
             "n_sinks": 0,
             "directed_cycles": 1,
@@ -223,9 +225,9 @@ _ENTRIES = (
         lambda n: _numbered(
             "full", n, ((f"e{i}_{j}", i, j) for i in range(1, n + 1) for j in range(1, n + 1))
         ),
+        lambda n: max(n, 0) ** 2,
         lambda n: {
             "n_vertices": n,
-            "n_edges": n * n,
             "det": 1 if n == 1 else 0,
             "n_sinks": 0,
         },
@@ -237,9 +239,9 @@ _ENTRIES = (
         lambda: Graph._trusted(
             "tadpole", ("1", "2"), (Edge("e12", "1", "2"), Edge("e22", "2", "2"))
         ),
+        lambda: 2,
         lambda: {
             "n_vertices": 2,
-            "n_edges": 2,
             "adjacency": ((0, 1), (0, 1)),
             "det": 0,
             "n_sinks": 0,
@@ -250,20 +252,6 @@ _ENTRIES = (
 
 _BY_NAME = {e.name: e for e in _ENTRIES}
 _BY_NAME.update({alias: e for e in _ENTRIES for alias in e.aliases})
-
-# the most edges a catalog build makes, and each family's edge count in O(1),
-# read before it is built (0 for the negative sizes its builder refuses)
-MAX_EDGES = 10**6
-_EDGE_COUNTS = {
-    "penrose": lambda labels: 3,
-    "sigma": lambda n: max(n, 0) * (n + 1) // 2,
-    "cuntz": lambda n: n,
-    "chambers": lambda k: k + 1,
-    "lens": lambda k: 2 * k + 1,
-    "cycle": lambda n: n,
-    "full": lambda n: max(n, 0) ** 2,
-    "tadpole": lambda: 2,
-}
 
 
 def list_entries() -> tuple:
@@ -285,9 +273,7 @@ def _instance(name: str, params: dict) -> tuple:
 
 
 def _make(entry: CatalogEntry, kwargs: dict) -> Graph:
-    if (count := _EDGE_COUNTS[entry.name](**kwargs)) > MAX_EDGES:
-        raise GuardError(f"catalog graph {entry.name!r} would have {count} edges, "
-                         f"more than the guard of {MAX_EDGES}")
+    graphs.check_edge_count(f"catalog graph {entry.name!r}", entry.n_edges(**kwargs))
     return entry.build(**kwargs)
 
 
@@ -325,7 +311,7 @@ def expected_facts(name: str, **params) -> dict:
     library; :func:`verify_entry` re-derives everything and compares.
     """
     entry, kwargs = _instance(name, params)
-    return entry.facts(**kwargs)
+    return {**entry.facts(**kwargs), "n_edges": entry.n_edges(**kwargs)}
 
 
 def verify_entry(name: str, **params) -> CheckReport:
@@ -335,7 +321,7 @@ def verify_entry(name: str, **params) -> CheckReport:
     facts = entry.facts(**kwargs)
     rep = CheckReport(f"expected facts for {g.name!r}")
     rep.add("vertex count", g.n_vertices == facts["n_vertices"])
-    rep.add("edge count", g.n_edges == facts["n_edges"])
+    rep.add("edge count", g.n_edges == entry.n_edges(**kwargs))
     gamma = graphs.adjacency(g)
     if "adjacency" in facts:
         rep.add("adjacency matrix", gamma.rows == facts["adjacency"])

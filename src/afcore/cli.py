@@ -241,7 +241,7 @@ def _cmd_check_morphism(args) -> int:
 def _cmd_embeddings(args) -> int:
     dom = resolve_graph(args.domain)
     cod = resolve_graph(args.codomain) if args.codomain else ops.product(dom, dom)
-    found = ops.enumerate_admissible_embeddings(dom, cod, guard=args.guard)
+    found = ops.enumerate_admissible_embeddings(dom, cod)
     if args.json:
         _emit_json({"domain": dom.name, "codomain": cod.name, "count": len(found),
                     "embeddings": [{"vmap": dict(m.vmap), "emap": dict(m.emap)} for m in found]})
@@ -377,7 +377,7 @@ def _cmd_picard(args) -> int:
             f"expected comma-separated block sizes like 1,2,3, got {args.dims!r}"
         ) from None
     algebra = picard.FinDimCStar(dims)
-    elements = picard.pic_elements(algebra, guard=args.guard)
+    elements = picard.pic_elements(algebra)
     listing = [list(x.tau) for x in elements] if len(elements) <= 720 else None
     if args.json:
         payload = {
@@ -438,15 +438,8 @@ def _cmd_catalog_suite(args) -> int:
 # -- the command table ----------------------------------------------------------
 
 
-def _count(text: str) -> int:
-    """A guard: an int that is not negative."""
-    if (n := int(text)) < 0:
-        raise ValueError(text)
-    return n
-
-
 # An option: flags and metavar, destination, converter (None for a flag),
-# default, required, help line (None hides it).
+# default, required, help line.
 _HELP = ("-h/--help", None, None, None, False, "show this help and exit")
 _JSON = ("--json", "json", None, False, False, "emit machine-readable JSON")
 _OUTPUT = ("-o/--output FILE", "output", str, None, False, "write the graph file here")
@@ -464,8 +457,7 @@ COMMANDS = {
     "check-morphism": (_cmd_check_morphism, "validate a morphism document and test "
                        "admissibility", ("file",), (_JSON,)),
     "embeddings": (_cmd_embeddings, "enumerate admissible embeddings (default codomain: the "
-                   "square)", ("domain", "codomain?"),
-                   (_JSON, ("--guard N", "guard", _count, 200_000, False, None))),
+                   "square)", ("domain", "codomain?"), (_JSON,)),
     "bratteli": (_cmd_bratteli, "tower sizes level by level", ("graph",),
                  (_JSON, ("--levels K", "levels", int, None, True, "number of levels to list"),
                   ("--dot", "dot", None, False, False, "emit Graphviz instead"))),
@@ -475,8 +467,7 @@ COMMANDS = {
     "leavitt eval": (_cmd_leavitt_eval, "normal form of an expression", ("expr",), (_JSON,)),
     "leavitt equals": (_cmd_leavitt_equals, "algebra equality", ("left", "right"), (_JSON,)),
     "picard": (_cmd_picard, "Picard group of a finite-dimensional algebra", (),
-               (_JSON, ("--dims D1,D2,...", "dims", str, None, True, "matrix block sizes"),
-                ("--guard N", "guard", _count, 8, False, None))),
+               (_JSON, ("--dims D1,D2,...", "dims", str, None, True, "matrix block sizes"))),
     "catalog": (None, "named graph families and suites", ("ACTION+",), ()),
     "catalog list": (_cmd_catalog_list, "list known families", (), (_JSON,)),
     "catalog build": (_cmd_catalog_build, "emit a graph file", ("token",), (_JSON, _OUTPUT)),
@@ -511,9 +502,9 @@ def _prog(path: str) -> str:
 
 def _usage(path: str) -> str:
     words = [_prog(path), "[-h]"]
-    for flags, _, _, _, required, help_line in COMMANDS[path][3]:
+    for flags, _, _, _, required, _ in COMMANDS[path][3]:
         flag = re.sub("/[^ ]*", "", flags)
-        words += [flag if required else f"[{flag}]"] if help_line else []
+        words.append(flag if required else f"[{flag}]")
     words += [{"?": "[{}]", "*": "[{} ...]", "+": "{} ..."}.get(p[-1], "{}").format(
         p.rstrip("?*+")) for p in COMMANDS[path][2]]
     return f"usage: {' '.join(words)}\n"
@@ -525,7 +516,7 @@ def _error(path: str, message: str) -> _Exit:
 
 def _help(path: str) -> str:
     func, summary, _, options = COMMANDS[path]
-    blocks = [[(o[0].replace("/", ", "), o[5]) for o in (_HELP, *options) if o[5]]]
+    blocks = [[(o[0].replace("/", ", "), o[5]) for o in (_HELP, *options)]]
     if func is None:
         blocks.insert(0, [(word, COMMANDS[key][1]) for word, key in _actions(path).items()])
     return f"{_usage(path)}\n{summary}\n" + "".join(
@@ -585,7 +576,7 @@ def _read(path: str, tokens: list, ns, extras: list):
                 setattr(ns, dest, convert(value) if convert else True)
             except ValueError:
                 raise _error(path, f"argument {name}: invalid "
-                             f"{convert.__name__.strip('_')} value: {value!r}") from None
+                             f"{convert.__name__} value: {value!r}") from None
             continue
         start = i
         while pending and (m := _NARGS[pending[0][1]].match(kinds, i)):

@@ -53,4 +53,4 @@ class MorphismError(ArtifactError):
 
 
 class GuardError(ArtifactError):
-    """An enumeration or search exceeded its configured size guard."""
+    """A search, enumeration or graph build would exceed its fixed size guard."""

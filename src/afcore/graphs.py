@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple
 
-from .errors import CertificateError, ParseError
+from .errors import CertificateError, GuardError, ParseError
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _GRAPH_RE = re.compile(r"graph\s+([A-Za-z0-9_]+)\s*\Z")
@@ -213,6 +213,17 @@ class Graph:
         return (
             f"Graph({self.name!r}, |V|={len(self.vertices)}, |E|={len(self.edges)})"
         )
+
+
+# the most edges a catalog graph or a derived graph (``ops.product``,
+# ``ops.line_graph``) may have; each reads its count before the first edge is made
+MAX_EDGES = 10**6
+
+
+def check_edge_count(what: str, count: int) -> None:
+    """Refuse with :class:`GuardError` a graph of more than ``MAX_EDGES`` edges."""
+    if count > MAX_EDGES:
+        raise GuardError(f"{what} would have {count} edges, more than the guard of {MAX_EDGES}")
 
 
 # -- parsing and serialization -------------------------------------------

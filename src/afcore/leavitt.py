@@ -777,7 +777,7 @@ class TensorElem(_Combination):
         )
 
 
-def product_tensor_family(e: Graph, f: Graph, within: Graph | None = None):
+def product_tensor_family(e: Graph, f: Graph):
     """The canonical family for ``product(e, f)`` in the tensor carrier.
 
     Returns ``(graph, pmap, smap)`` where the product vertex ``v_w`` maps
@@ -785,7 +785,6 @@ def product_tensor_family(e: Graph, f: Graph, within: Graph | None = None):
     """
     from .ops import product
 
-    prod = within if within is not None else product(e, f)
     pmap = {}
     for v in e.vertices:
         for w in f.vertices:
@@ -799,7 +798,7 @@ def product_tensor_family(e: Graph, f: Graph, within: Graph | None = None):
             smap[f"{a.eid}_{b.eid}"] = TensorElem.pure(
                 LeavittElem.edge_gen(e, a.eid), LeavittElem.edge_gen(f, b.eid)
             )
-    return prod, pmap, smap
+    return product(e, f), pmap, smap
 
 
 # -- 2x2 integer Laurent-matrix carrier ----------------------------------------

@@ -26,6 +26,7 @@ exactly when, for all domain vertices u and v,
 * v is a sink exactly when f(v) is (emission-covered).
 
 The admissible edge maps of f are then the bijections between parallel-edge sets.
+The search tries at most a fixed 200 000 assignments (``MAX_ASSIGNMENTS``).
 """
 
 from __future__ import annotations
@@ -169,8 +170,11 @@ def product(e: Graph, f: Graph) -> Graph:
     Vertices are pairs written ``{v}_{w}`` and edges pairs ``{a}_{b}``,
     enumerated left-factor-major so that the adjacency matrix of the
     product is the Kronecker product of the factor adjacencies.  Raises
-    ``ValueError`` when the underscore pairing of identifiers is ambiguous.
+    ``ValueError`` when the underscore pairing of identifiers is ambiguous,
+    and ``GuardError`` before any edge is made when the product would have
+    more than ``graphs.MAX_EDGES`` edges.
     """
+    graphs.check_edge_count(f"the product of {e.name!r} and {f.name!r}", e.n_edges * f.n_edges)
     vertices = [f"{v}_{w}" for v in e.vertices for w in f.vertices]
     _check_unique(vertices, "product vertex", "rename factor vertices")
     new = tuple.__new__  # Edge's own constructor is a slower Python-level __new__
@@ -259,9 +263,10 @@ def _distinct_choices(n: int, options, step, fits=None):
             stack.append(iter(options(len(stack))))
 
 
-def enumerate_admissible_embeddings(
-    e: Graph, f: Graph, guard: int = 200_000
-) -> tuple[Morphism, ...]:
+MAX_ASSIGNMENTS = 200_000  # the most vertex and edge assignments one search tries
+
+
+def enumerate_admissible_embeddings(e: Graph, f: Graph) -> tuple[Morphism, ...]:
     """All admissible injective morphisms ``e -> f``, deterministically ordered.
 
     A depth-first search maps ``e.vertices`` in order to ``f.vertices`` in
@@ -270,7 +275,7 @@ def enumerate_admissible_embeddings(
     included.  The edge maps of each vertex map are the bijections between
     parallel-edge sets, searched over ``e.edges`` in ``f.edges`` order.
     Raises :class:`GuardError` when the search would try more than
-    ``guard`` vertex and edge assignments.
+    ``MAX_ASSIGNMENTS`` (a fixed 200 000) vertex and edge assignments.
     """
     if e.n_vertices > f.n_vertices:
         return ()
@@ -282,10 +287,9 @@ def enumerate_admissible_embeddings(
     tries = itertools.count(1)
 
     def step() -> None:
-        if next(tries) > guard:
-            raise GuardError(
-                f"{guard + 1} vertex and edge assignments exceed the guard of {guard}"
-            )
+        if next(tries) > MAX_ASSIGNMENTS:
+            raise GuardError(f"{MAX_ASSIGNMENTS + 1} vertex and edge assignments "
+                             f"exceed the guard of {MAX_ASSIGNMENTS}")
 
     def fits(image: dict, w: str) -> bool:
         v = e.vertices[len(image)]
@@ -358,8 +362,11 @@ def line_graph(g: Graph) -> Graph:
     The walk ``(e, f)`` with r(e) = s(f) becomes an edge named ``{e}_{f}``
     from vertex ``e`` to vertex ``f``.  The adjacency matrix of the result
     is the edge matrix of ``g``.  Raises ``ValueError`` if underscore
-    concatenation of edge ids collides.
+    concatenation of edge ids collides, and ``GuardError`` before any edge
+    is made when it would have more than ``graphs.MAX_EDGES`` edges.
     """
+    graphs.check_edge_count(f"the line graph of {g.name!r}",
+                            sum(g.in_degree(v) * len(g.out_edges(v)) for v in g.vertices))
     vertices = [e.eid for e in g.edges]
     new = tuple.__new__  # as in product
     edges = [

@@ -5,7 +5,8 @@ by its tuple of block sizes.  Invertible bimodules over it are, up to
 isomorphism, given by a permutation of the block positions: block ``i``
 contributes a ``d_i x d_tau(i)`` rectangle.  Tensor product composes the
 permutations, and the induced map on the centre is index substitution, so
-the Picard group is the full symmetric group on block positions.
+the Picard group is the full symmetric group on block positions, listed for
+at most a fixed 8 blocks (``MAX_BLOCKS``).
 """
 
 from __future__ import annotations
@@ -85,15 +86,19 @@ def pic_identity(a: FinDimCStar) -> PermBimodule:
     return PermBimodule(a.dims, tuple(range(a.n_blocks)))
 
 
-def pic_elements(a: FinDimCStar, guard: int = 8) -> tuple:
+MAX_BLOCKS = 8  # the most blocks whose bimodules pic_elements lists
+
+
+def pic_elements(a: FinDimCStar) -> tuple:
     """All invertible bimodules, in lexicographic ``tau`` order.
 
-    There are ``n!`` of them; refuses more than ``guard`` blocks.
+    There are ``n!`` of them; refuses more than ``MAX_BLOCKS`` (a fixed 8)
+    blocks with :class:`GuardError`.
     """
-    if a.n_blocks > guard:
+    if a.n_blocks > MAX_BLOCKS:
         raise GuardError(
             f"{a.n_blocks} blocks would enumerate {a.n_blocks}! bimodules; "
-            f"the guard is {guard}"
+            f"the guard is {MAX_BLOCKS}"
         )
     return tuple(
         PermBimodule(a.dims, tau)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import afcore
-from afcore import catalog, cli
+from afcore import catalog, cli, ops
 from afcore.cli import jsonable, main
 from afcore.errors import ArtifactError
 from afcore.graphs import Edge, parse_graph, serialize_graph
@@ -263,18 +263,21 @@ def test_embeddings_default_codomain_is_square(capsys):
     assert sorted(images) == [["1_1", "1_2"], ["1_1", "2_1"]]
 
 
-def test_embeddings_guard_error(capsys):
-    code, out, err = run(capsys, "embeddings", "penrose", "--guard", "1")
-    assert code == 2
-    assert "exceed the guard" in err
+def test_embeddings_guard_error(capsys, monkeypatch):
+    monkeypatch.setattr(ops, "MAX_ASSIGNMENTS", 1)
+    code, out, err = run(capsys, "embeddings", "penrose")
+    assert (code, out) == (2, "")
+    assert err == "error: 2 vertex and edge assignments exceed the guard of 1\n"
 
 
 @pytest.mark.parametrize("argv", [["embeddings", "penrose"], ["picard", "--dims", "2,2"]])
 def test_negative_guard_is_a_usage_error(capsys, argv):
-    code, out, err = run(capsys, *argv, "--guard", "-1")
-    assert (code, out) == (2, "")
-    assert err.startswith(f"usage: afcore {argv[0]} ")
-    assert err.endswith(f"afcore {argv[0]}: error: argument --guard: invalid count value: '-1'\n")
+    # the search bounds are fixed: --guard, of any value, is not an option
+    for value in ("-1", "11"):
+        code, out, err = run(capsys, *argv, "--guard", value)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: afcore {argv[0]} ")
+        assert err.endswith(f"afcore {argv[0]}: error: unrecognized arguments: --guard {value}\n")
     code, out, err = run(capsys, *argv[:1], "--help")
     assert code == 0 and "--guard" not in out
 
@@ -795,6 +798,26 @@ def test_a_catalog_graph_above_the_edge_guard_exits_2_at_once(capsys, argv, fami
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("product", "full:100", "full:100"),
+         "the product of 'full100' and 'full100' would have 100000000 edges"),
+        (("linegraph", "full:300"), "the line graph of 'full300' would have 27000000 edges"),
+        (("embeddings", "full:40"),  # the default codomain is the square
+         "the product of 'full40' and 'full40' would have 2560000 edges"),
+    ],
+)
+def test_a_derived_graph_above_the_edge_guard_exits_2_at_once(capsys, argv, message):
+    message += ", more than the guard of 1000000"
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"type": "GuardError", "message": message}}
+    assert time.perf_counter() - start < 1.5
+
+
 # -- plumbing ---------------------------------------------------------------------------
 
 
@@ -826,3 +849,79 @@ def test_json_output_is_deterministic(capsys):
     third = run(capsys, "bratteli", "penrose", "--levels", "6", "--dot")
     fourth = run(capsys, "bratteli", "penrose", "--levels", "6", "--dot")
     assert third == fourth
+
+
+# -- the exit-code contract under random command lines -----------------------------------
+
+_FAMILIES = ["penrose", "sigma", "cuntz", "bouquet", "chambers", "lens", "cycle", "full",
+             "tadpole", "mystery"]
+_JUNK_SIZES = ["x", "1.5", "", "n=3", "k=2", "labels=01", "n=2,n=3", "-"]
+
+
+def _tokens(largest: int):
+    """Catalog tokens with sizes -2..largest, non-integer sizes and bare names."""
+    size = st.integers(-2, largest).map(str) | st.sampled_from(_JUNK_SIZES)
+    sized = st.tuples(st.sampled_from(_FAMILIES), size).map(":".join)
+    return sized | st.sampled_from(_FAMILIES)
+
+
+_ATOMS = ["P(1)", "P(2)", "P(v0)", "S(a)", "S(b)", "S(c1)", "S(e1_1)", "S(e1_2)", "S(g1)",
+          "S(ell)", "S(d1)", "^*", "+", "-", ".", "(", ")", "2", "0", " ", "P", "S(", "^",
+          "#", "é", "\t", "x", "**", "P()", "S(zz)"]
+_EXPRS = st.lists(st.sampled_from(_ATOMS), max_size=8).map("".join)
+_LEVELS = st.integers(-2, 40).map(str) | st.sampled_from(["x", "", "1001"])
+_RANGES = st.sampled_from(["-3..3", "0..5", "-2..0", "5..-5", "x", "1..", "-1001..0", "3"])
+_DIMS = st.lists(st.integers(-1, 4).map(str), max_size=9).map(",".join) | st.sampled_from(
+    ["x", "1,,2", "", "1,1,1,1,1,1,1,1,1,1,1"])
+_FLAGS = st.sampled_from([["--json"], ["--dot"], ["-h"]]) | st.tuples(
+    st.sampled_from(["--levels", "--range", "--guard"]),
+    _LEVELS | _RANGES).map(list)
+
+
+@st.composite
+def _command_lines(draw):
+    """One command with arguments that may be refused; sizes stay small where the
+    work grows fast: two-graph commands take sizes up to 12, and ``analyze`` no
+    ``full:n`` past 8, whose cycle count is exponential in n."""
+    pick = draw(st.integers(0, 11))
+    one, small = _tokens(40), _tokens(12)
+    if pick == 0:
+        token = draw(one)
+        argv = ["analyze", token if not token.startswith("full:") else draw(_tokens(8))]
+    elif pick == 1:
+        argv = ["product", *draw(st.tuples(small, small) | st.just(("full:100", "full:100")))]
+    elif pick == 2:
+        argv = ["linegraph", draw(one | st.just("full:101"))]
+    elif pick == 3:
+        argv = ["embeddings", *draw(st.lists(small, min_size=1, max_size=2)
+                                    | st.just(["full:40"]))]
+    elif pick == 4:
+        argv = ["bratteli", draw(one), "--levels", draw(_LEVELS)]
+    elif pick == 5:
+        argv = ["ktheory", draw(one), "--range", draw(_RANGES)]
+    elif pick == 6:
+        argv = ["leavitt", draw(one), "eval", draw(_EXPRS)]
+    elif pick == 7:
+        argv = ["leavitt", draw(one), "equals", draw(_EXPRS), draw(_EXPRS)]
+    elif pick == 8:
+        argv = ["picard", "--dims", draw(_DIMS)]
+    elif pick == 9:
+        argv = ["catalog", draw(st.sampled_from(["list", "build"])), draw(one)]
+    elif pick == 10:
+        argv = ["catalog", "suite", draw(st.sampled_from(
+            ["cpq", "uhf", "penrose", "kk", "embeddings", "symbolic", "mystery"])),
+            *draw(st.lists(st.sampled_from(["n=2", "n=12", "n=x", "n", "=3", "m=2", "n=-2"]),
+                           max_size=2))]
+    else:
+        argv = ["check-morphism", draw(st.sampled_from(["no-such.doc", ".", "penrose"]))]
+    for flag in draw(st.lists(_FLAGS, max_size=2)):
+        argv += flag
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_command_lines())
+def test_random_command_lines_exit_0_1_or_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

@@ -17,18 +17,11 @@ import afcore
 from afcore import cli
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
-
-
 @functools.cache
 def reference_parser() -> argparse.ArgumentParser:
     """The argparse tree the command table replaced, kept as a reference: the same
     subparsers, options and defaults, with handlers from ``afcore.cli``.  One
-    deliberate change: ``--guard`` refuses negative values, as the table does."""
+    deliberate change: the hidden ``--guard`` options are gone, as from the table."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
@@ -76,7 +69,6 @@ def reference_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("domain")
     p.add_argument("codomain", nargs="?", default=None)
-    p.add_argument("--guard", type=_count, default=200_000, help=argparse.SUPPRESS)
     p.set_defaults(func=cli._cmd_embeddings)
 
     p = sub.add_parser(
@@ -118,7 +110,6 @@ def reference_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dims", required=True, metavar="D1,D2,...", help="matrix block sizes"
     )
-    p.add_argument("--guard", type=_count, default=8, help=argparse.SUPPRESS)
     p.set_defaults(func=cli._cmd_picard)
 
     p = sub.add_parser("catalog", help="named graph families and suites")
@@ -181,9 +172,7 @@ ACCEPTED = [
     ["leavitt", "penrose", "eval", "--json", "--", "-P(1)"],
     ["leavitt", "penrose", "eval", "-P(1) + P(2)"],  # starts with - and holds a space
     ["leavitt", "--", "penrose", "equals", "P(1)", "-5"],
-    ["embeddings", "sigma:2", "--guard", "0"],
-    ["embeddings", "--json", "sigma:2", "sigma:3", "--g=7"],
-    ["picard", "--dims", "1,2", "--guard", "3"],
+    ["embeddings", "--json", "sigma:2", "sigma:3"],
     ["catalog", "suite", "cpq", "n=2", "--json"],
     ["catalog", "suite", "cpq", "--", "--json", "-x"],
     ["catalog", "list", "--j"],
@@ -204,8 +193,11 @@ REJECTED = [
     ["bratteli", "penrose", "--levels", "x"],
     ["bratteli", "penrose", "--dot=yes", "--levels", "3"],
     ["embeddings", "penrose", "--json", "sigma:2"],  # argparse closes [codomain] at --json
-    ["embeddings", "penrose", "--guard", "-5"],
+    ["embeddings", "penrose", "--guard", "-5"],  # no search bound is an option
+    ["embeddings", "sigma:2", "--guard", "0"],
+    ["embeddings", "--json", "sigma:2", "sigma:3", "--g=7"],
     ["picard", "--dims", "2,2", "--guard", "-1"],
+    ["picard", "--dims", "1,2", "--guard", "3"],
     ["analyze", "penrose", "--json", "--"],
     ["analyze", "penrose", "extra"],
     ["analyze", "--=x", "penrose"],  # ambiguous
@@ -256,14 +248,13 @@ LEAVES = {
     "product": (["product"], (2, 2), [_JSON, *_OUT]),
     "linegraph": (["linegraph"], (1, 1), [_JSON, *_OUT]),
     "check-morphism": (["check-morphism"], (1, 1), [_JSON]),
-    "embeddings": (["embeddings"], (1, 2), [_JSON, ("--guard", True, False)]),
+    "embeddings": (["embeddings"], (1, 2), [_JSON]),
     "bratteli": (["bratteli"], (1, 1),
                  [_JSON, ("--levels", True, True), ("--dot", False, False)]),
     "ktheory": (["ktheory"], (1, 1), [_JSON, ("--range", True, False)]),
     "leavitt eval": (["leavitt", "penrose", "eval"], (1, 1), [_JSON]),
     "leavitt equals": (["leavitt", "penrose", "equals"], (2, 2), [_JSON]),
-    "picard": (["picard"], (0, 0),
-               [_JSON, ("--dims", True, True), ("--guard", True, False)]),
+    "picard": (["picard"], (0, 0), [_JSON, ("--dims", True, True)]),
     "catalog list": (["catalog", "list"], (0, 0), [_JSON]),
     "catalog build": (["catalog", "build"], (1, 1), [_JSON, *_OUT]),
     "catalog suite": (["catalog", "suite"], (1, 3), [_JSON]),

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from afcore import catalog, ops
+from afcore import catalog, graphs, ops
 from afcore.errors import GuardError, MorphismError, ParseError
 from afcore.graphs import Graph, adjacency, parse_graph
 from afcore.linalg import Matrix
@@ -281,22 +281,26 @@ def test_enumerate_calls_no_check_morphism(monkeypatch):
     assert calls == []
 
 
-def test_enumerate_guard(penrose):
+def test_enumerate_guard(penrose, monkeypatch):
+    assert ops.MAX_ASSIGNMENTS == 200_000
+    monkeypatch.setattr(ops, "MAX_ASSIGNMENTS", 10)
     big = product(product(penrose, penrose), product(penrose, penrose))
-    with pytest.raises(GuardError, match="exceed the guard"):
-        enumerate_admissible_embeddings(big, big, guard=10)
+    with pytest.raises(GuardError, match="^11 vertex and edge assignments exceed the guard of 10$"):
+        enumerate_admissible_embeddings(big, big)
 
 
-def test_enumerate_guard_counts_assignments_tried():
+def test_enumerate_guard_counts_assignments_tried(monkeypatch):
     # sigma:6 -> sigma:6 x sigma:6 has 1 402 410 240 injective vertex maps, but
     # the search tries a few hundred assignments
+    monkeypatch.setattr(ops, "MAX_ASSIGNMENTS", 1_000)
     g = catalog.build_token("sigma:6")
-    assert len(enumerate_admissible_embeddings(g, product(g, g), guard=1_000)) == 2
+    assert len(enumerate_admissible_embeddings(g, product(g, g))) == 2
     # one vertex, nine loops: 9! edge maps into itself, so the edge search
     # hits the guard
+    monkeypatch.setattr(ops, "MAX_ASSIGNMENTS", 10_000)
     b9 = catalog.build("cuntz", n=9)
     with pytest.raises(GuardError, match="exceed the guard of 10000"):
-        enumerate_admissible_embeddings(b9, b9, guard=10_000)
+        enumerate_admissible_embeddings(b9, b9)
 
 
 def test_enumerate_into_smaller_codomain_is_empty(penrose):
@@ -423,6 +427,29 @@ def test_line_graph_of_penrose(penrose):
         ("c", "a"),
         ("c", "b"),
     }
+
+
+def test_derived_graphs_above_the_edge_guard_are_refused(penrose, monkeypatch):
+    # the counts are read before any edge is made: |E(e)| * |E(f)| and the sum
+    # over vertices of in-degree times out-degree
+    full = catalog.build_token("full:101")  # 10 201 edges
+    guard = "more than the guard of 1000000$"
+    with pytest.raises(GuardError, match=f"^the product of 'full101' and 'full101' "
+                                         f"would have 104060401 edges, {guard}"):
+        product(full, full)
+    with pytest.raises(GuardError, match=f"^the line graph of 'full101' would have "
+                                         f"1030301 edges, {guard}"):
+        line_graph(full)
+    # exactly at the bound they build, one edge past it they refuse
+    monkeypatch.setattr(graphs, "MAX_EDGES", 9)
+    assert product(penrose, penrose).n_edges == 9
+    with pytest.raises(GuardError, match="would have 12 edges, more than the guard of 9$"):
+        product(penrose, catalog.build("cuntz", n=4))
+    monkeypatch.setattr(graphs, "MAX_EDGES", 5)
+    assert line_graph(penrose).n_edges == 5
+    monkeypatch.setattr(graphs, "MAX_EDGES", 4)
+    with pytest.raises(GuardError, match="^the line graph of 'penrose' would have 5 edges"):
+        line_graph(penrose)
 
 
 # -- morphism documents -------------------------------------------------------------

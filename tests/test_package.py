@@ -103,9 +103,10 @@ def _report() -> CheckReport:
 # be assigned (None: the record is mutable), and whether it is hashable
 RECORDS = [
     pytest.param(
-        lambda: catalog.CatalogEntry("loop", "one loop", (), len, dict),
+        lambda: catalog.CatalogEntry("loop", "one loop", (), len, abs, dict),
         "CatalogEntry(name='loop', summary='one loop', params=(), "
-        "build=<built-in function len>, facts=<class 'dict'>, aliases=())",
+        "build=<built-in function len>, n_edges=<built-in function abs>, "
+        "facts=<class 'dict'>, aliases=())",
         "name", True, id="CatalogEntry",
     ),
     pytest.param(

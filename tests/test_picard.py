@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from afcore import picard
 from afcore.errors import GuardError
 from afcore.picard import (
     FinDimCStar,
@@ -47,14 +48,17 @@ def test_bimodule_validation():
     assert x.shapes == ((2, 5), (5, 2))
 
 
-def test_pic_order_is_factorial():
+def test_pic_order_is_factorial(monkeypatch):
     for n in range(1, 6):
         for dims in ((1,) * n, tuple(range(1, n + 1))):
             a = FinDimCStar(dims)
             assert len(pic_elements(a)) == math.factorial(n)
-    with pytest.raises(GuardError, match="guard"):
+    with pytest.raises(GuardError, match="^9 blocks would enumerate 9! bimodules; the guard is 8$"):
         pic_elements(FinDimCStar((1,) * 9))
-    assert len(pic_elements(FinDimCStar((1,) * 4), guard=4)) == 24
+    monkeypatch.setattr(picard, "MAX_BLOCKS", 4)
+    assert len(pic_elements(FinDimCStar((1,) * 4))) == 24
+    with pytest.raises(GuardError, match="the guard is 4$"):
+        pic_elements(FinDimCStar((1,) * 5))
 
 
 def test_pic_elements_order_deterministic():
