@@ -343,11 +343,15 @@ def verify_entry(name: str, **params) -> CheckReport:
 # -- exhaustive small-graph universe -------------------------------------------
 
 
-def small_graph_universe(max_vertices: int = 3, max_multiplicity: int = 2):
-    """Every multigraph on ordered vertex sets of size 1..max_vertices with
-    at most ``max_multiplicity`` parallel edges per ordered vertex pair.
+_UNIVERSE_VERTICES = 3
+_UNIVERSE_MULTIPLICITY = 2
 
-    With the defaults this yields 3 + 81 + 19683 = 19767 graphs, lazily.
+
+def small_graph_universe():
+    """Every multigraph on ordered vertex sets of size 1..3 with at most 2
+    parallel edges per ordered vertex pair: 3 + 81 + 19683 = 19767 graphs,
+    lazily, in order of vertex count.
+
     Graph ``u{k}`` is the k-th multiplicity vector over the ordered vertex
     pairs in ``itertools.product`` order, its edges ``e1, e2, ...`` listed
     pair by pair.  Each edge tuple is a head, over the first half of the
@@ -356,23 +360,22 @@ def small_graph_universe(max_vertices: int = 3, max_multiplicity: int = 2):
     The graphs are made with ``Graph._trusted`` and build no index.
     """
     counter = 0
-    for n in range(1, max_vertices + 1):
+    for n in range(1, _UNIVERSE_VERTICES + 1):
         vertices = tuple(str(i) for i in range(1, n + 1))
         pairs = [(a, b) for a in vertices for b in vertices]
-        slots = range(1, len(pairs) * max_multiplicity + 1)
+        slots = range(1, len(pairs) * _UNIVERSE_MULTIPLICITY + 1)
         rows = [tuple(Edge(f"e{i}", a, b) for i in slots) for a, b in pairs]
         half = len(pairs) - len(pairs) // 2
         tails = [
-            _edge_runs(rows[half:], before, max_multiplicity)
-            for before in range(half * max_multiplicity + 1)
+            _edge_runs(rows[half:], before) for before in range(half * _UNIVERSE_MULTIPLICITY + 1)
         ]
-        for head in _edge_runs(rows[:half], 0, max_multiplicity):
+        for head in _edge_runs(rows[:half], 0):
             for tail in tails[len(head)]:
                 counter += 1
                 yield Graph._trusted(f"u{counter}", vertices, head + tail)
 
 
-def _edge_runs(rows: list, before: int, max_multiplicity: int) -> list:
+def _edge_runs(rows: list, before: int) -> list:
     """The edge tuples of every multiplicity vector over ``rows``' pairs, in
     ``itertools.product`` order, numbered after ``before`` earlier edges;
     ``rows[p][i]`` is pair p's edge ``e{i + 1}``."""
@@ -381,6 +384,6 @@ def _edge_runs(rows: list, before: int, max_multiplicity: int) -> list:
         runs = [
             run + row[before + len(run) : before + len(run) + c]
             for run in runs
-            for c in range(max_multiplicity + 1)
+            for c in range(_UNIVERSE_MULTIPLICITY + 1)
         ]
     return runs

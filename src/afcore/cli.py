@@ -76,12 +76,16 @@ def jsonable(x):
 
 
 _escape = json.encoder.encode_basestring_ascii
+_CHUNK = 1 << 14  # pieces of ``--json`` text held before they are written out
 
 
-def _put(x, out: list, nl: str) -> None:
+def _put(x, out: list, nl: str, spill=None) -> None:
     """Append the JSON text of ``x`` to ``out``, converting package values on
     the way.  ``nl`` is a newline and the current indent, or ``""`` for one
-    line with ``", "`` separators."""
+    line with ``", "`` separators.  ``spill``, if given, is called with
+    ``out`` whenever it holds more than ``_CHUNK`` pieces."""
+    if spill and len(out) > _CHUNK:
+        spill(out)
     if isinstance(x, str):
         out.append(_escape(x))
     elif x is None or isinstance(x, bool):
@@ -98,22 +102,23 @@ def _put(x, out: list, nl: str) -> None:
             out.append("{" + inner)
             for i, (k, v) in enumerate(sorted({_key_str(k): v for k, v in x.items()}.items())):
                 out.append(f"{sep if i else ''}{_escape(k)}: ")
-                _put(v, out, inner)
+                _put(v, out, inner, spill)
             out.append(nl + "}")
             return
-        out.append("[" + inner)
         kinds = set(map(type, x))
-        if kinds <= {int, str}:  # a row of numbers and names: one join
-            out.append(sep.join(map(str, x) if str not in kinds
-                                else [_escape(v) if type(v) is str else str(v) for v in x]))
-        else:
-            for i, v in enumerate(x):
-                if i:
-                    out.append(sep)
-                _put(v, out, inner)
+        if kinds <= {int, str}:  # a row of numbers and names: one piece
+            items = map(str, x) if str not in kinds else [
+                _escape(v) if type(v) is str else str(v) for v in x]
+            out.append(f"[{inner}{sep.join(items)}{nl}]")
+            return
+        out.append("[" + inner)
+        for i, v in enumerate(x):
+            if i:
+                out.append(sep)
+            _put(v, out, inner, spill)
         out.append(nl + "]")
     else:
-        _put(jsonable(x), out, nl)
+        _put(jsonable(x), out, nl, spill)
 
 
 def _json_text(x) -> str:
@@ -124,7 +129,17 @@ def _json_text(x) -> str:
 
 
 def _emit_json(payload) -> None:
-    sys.stdout.write(_json_text(payload) + "\n")
+    """Write ``_json_text(payload)`` and a newline to stdout: in one write for a
+    small payload, in chunks of ``_CHUNK`` pieces for a large one."""
+    out: list = []
+    _put(payload, out, "\n", _spill)
+    out.append("\n")
+    _spill(out)
+
+
+def _spill(out: list) -> None:
+    sys.stdout.write("".join(out))
+    out.clear()
 
 
 def _yesno(flag: bool) -> str:

@@ -215,10 +215,10 @@ class Tower:
 
         The report needs the line-class matrix, whose rows are
         ``1 Gamma^-k``, to be a basis.  Then the all-ones vector is cyclic
-        for ``Gamma^-1``, and so for ``Gamma``; that is one of the seeds
-        :func:`linalg.is_non_derogatory` tries.  The two "non-derogatory"
-        items are therefore certified by the line basis, not independent
-        evidence.
+        for ``Gamma^-1``, and so for ``Gamma``: both minimal polynomials,
+        which :func:`linalg.is_non_derogatory` computes, have degree n.
+        The two "non-derogatory" items are therefore certified by the line
+        basis, not independent evidence.
         """
         rep = CheckReport(f"shift matrix checks on {self.graph.name!r}")
         kkm = self.kk_matrix

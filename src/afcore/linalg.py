@@ -10,9 +10,9 @@ before it is returned; characteristic polynomials in O(n^3) from Krylov
 blocks v, v m, v m^2, ..., each row computed on demand and reduced modulo
 the span so far up to the first dependent one, with v = e_0 and then each
 unit vector not yet in the span (Keller-Gehrig); the non-derogatory test,
-from the blocks of three seed vectors and, when none is cyclic, the rank
-of the powers of m; and arithmetic in Z[x]/(p) for a monic-up-to-sign
-integer polynomial p.
+whether the minimal polynomial of m, grown from the Krylov blocks of the
+unit vectors, has degree n; and arithmetic in Z[x]/(p) for a
+monic-up-to-sign integer polynomial p.
 
 Polynomials are tuples of integer coefficients in ascending order with
 trailing zeros trimmed; the zero polynomial is the empty tuple.
@@ -314,24 +314,23 @@ def rev_charpoly(m: Matrix) -> IntPoly:
 
 
 def is_non_derogatory(m: Matrix) -> bool:
-    """True iff I, m, m^2, ..., m^(n-1) are linearly independent over Q.
-
-    True at once when the Krylov block (:func:`_block`) of one of the seeds
-    e_0, the all-ones vector or (1, 2, ..., n) reaches n rows; otherwise the
-    rank of the n x n^2 matrix of flattened powers decides.
-    """
+    """True iff I, m, ..., m^(n-1) are linearly independent over Q, i.e. iff
+    the minimal polynomial p of m has degree n.  p grows over the unit
+    vectors, until deg p = n, as p <- p * ann(e_j p(m)) = lcm(p, ann(e_j)):
+    e_j p(m) by Horner's rule, its annihilator from its Krylov block."""
     if not m.is_square:
         raise ValueError("non-derogatory test requires a square matrix")
     n = m.n_rows
-    seeds = ((1,) + (0,) * (n - 1), (1,) * n, tuple(range(1, n + 1)))
-    if n == 0 or any(len(_block(m, seed, [])) > n for seed in seeds):
-        return True
-    rows = []
-    p = Matrix.identity(n)
-    for _ in range(n):
-        rows.append([x for r in p.rows for x in r])
-        p = m * p
-    return rank_Q(Matrix(rows)) == n
+    p: IntPoly = (1,)
+    for j in range(n):
+        if len(p) > n:
+            break
+        v = [0] * n
+        for c in reversed(p):
+            v = _vec_mat(v, m)
+            v[j] += c
+        p = poly_mul(p, _block(m, tuple(v), []))
+    return len(p) > n
 
 
 # -- integer polynomials ---------------------------------------------------
@@ -395,7 +394,7 @@ def poly_mod_monic(p: IntPoly, modulus: IntPoly) -> IntPoly:
     return poly_trim(rem)
 
 
-def poly_str(p: IntPoly, var: str = "x") -> str:
+def poly_str(p: IntPoly) -> str:
     if not p:
         return "0"
     parts = []
@@ -407,7 +406,7 @@ def poly_str(p: IntPoly, var: str = "x") -> str:
         else:
             mag = "" if abs(c) == 1 else str(abs(c)) + "*"
             sign = "-" if c < 0 else ""
-            pow_part = var if i == 1 else f"{var}^{i}"
+            pow_part = "x" if i == 1 else f"x^{i}"
             term = f"{sign}{mag}{pow_part}"
         parts.append(term)
     out = parts[0]

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -189,17 +190,24 @@ def test_family_inclusion_sigma_chain(sigma2, sigma3):
 # -- the exhaustive universe --------------------------------------------------------
 
 
+def _up_to(max_vertices: int):
+    """The universe's graphs on at most ``max_vertices`` vertices, which come first."""
+    return itertools.takewhile(lambda g: g.n_vertices <= max_vertices, catalog.small_graph_universe())
+
+
+def _multiplicity(g: Graph) -> int:
+    """The largest number of parallel edges of ``g``."""
+    return max(Counter((e.src, e.dst) for e in g.edges).values(), default=0)
+
+
 def test_universe_counts_small():
-    assert sum(1 for _ in catalog.small_graph_universe(max_vertices=1)) == 3
-    assert sum(1 for _ in catalog.small_graph_universe(max_vertices=2)) == 84
-    assert (
-        sum(1 for _ in catalog.small_graph_universe(max_vertices=2, max_multiplicity=1))
-        == 2 + 2**4
-    )
+    assert sum(1 for _ in _up_to(1)) == 3
+    assert sum(1 for _ in _up_to(2)) == 84
+    assert sum(1 for g in _up_to(2) if _multiplicity(g) <= 1) == 2 + 2**4
 
 
 def test_universe_first_and_last():
-    graphs = list(catalog.small_graph_universe(max_vertices=2))
+    graphs = list(_up_to(2))
     assert graphs[0].name == "u1"
     assert graphs[0].n_vertices == 1 and graphs[0].n_edges == 0
     assert graphs[-1].name == "u84"
@@ -208,9 +216,7 @@ def test_universe_first_and_last():
 
 
 def test_universe_covers_all_multiplicity_patterns():
-    two_vertex = [
-        g for g in catalog.small_graph_universe(max_vertices=2) if g.n_vertices == 2
-    ]
+    two_vertex = [g for g in _up_to(2) if g.n_vertices == 2]
     patterns = {
         tuple(
             sum(1 for e in g.edges if (e.src, e.dst) == pair)
@@ -239,9 +245,12 @@ def reference_universe(max_vertices: int, max_multiplicity: int):
 
 
 def _universe_data(max_vertices: int, max_multiplicity: int):
-    for g in catalog.small_graph_universe(max_vertices, max_multiplicity):
+    """The universe's graphs on at most ``max_vertices`` vertices with at most
+    ``max_multiplicity`` parallel edges, as ``reference_universe`` gives them."""
+    for g in _up_to(max_vertices):
         assert all(type(e) is graphs.Edge for e in g.edges)
-        yield g.name, g.vertices, tuple(tuple(e) for e in g.edges)
+        if _multiplicity(g) <= max_multiplicity:
+            yield g.name, g.vertices, tuple(tuple(e) for e in g.edges)
 
 
 @pytest.mark.parametrize(
@@ -250,7 +259,10 @@ def _universe_data(max_vertices: int, max_multiplicity: int):
 )
 def test_universe_matches_the_reference_enumeration(max_vertices, max_multiplicity):
     got = list(_universe_data(max_vertices, max_multiplicity))
-    assert got == list(reference_universe(max_vertices, max_multiplicity))
+    want = list(reference_universe(max_vertices, max_multiplicity))
+    if max_multiplicity < 2:  # the reference numbers only the graphs it makes
+        got, want = [d[1:] for d in got], [d[1:] for d in want]
+    assert got == want
 
 
 def test_default_universe_matches_the_reference_by_hash():

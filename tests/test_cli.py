@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,40 @@ def test_catalog_build_matches_library(capsys, sigma3):
     code, out, err = run(capsys, "catalog", "build", "sigma:3")
     assert code == 0
     assert parse_graph(out) == sigma3
+
+
+class _HashingSink(io.TextIOBase):
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+
+def _traced_run(*argv):
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(list(argv)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sink.digest.hexdigest()
+
+
+def test_json_graph_output_needs_no_more_memory_than_the_plain_output():
+    # --json is written in bounded chunks, so the text of the whole payload
+    # and the list of its pieces are never held at once
+    plain_peak, _ = _traced_run("catalog", "build", "full:200")
+    json_peak, digest = _traced_run("catalog", "build", "full:200", "--json")
+    g = catalog.build_token("full:200")
+    text = json.dumps(jsonable({"graph": g, "serialized": serialize_graph(g)}), indent=2, sort_keys=True)
+    assert digest == hashlib.sha256((text + "\n").encode()).hexdigest()
+    assert json_peak <= 1.25 * plain_peak, (json_peak, plain_peak)
 
 
 @pytest.mark.parametrize("token", ["sigma:3,4", "sigma:n=3,4", "sigma:3,n=4", "cuntz:2,5"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -188,7 +189,7 @@ def colimit_rank_by_power(t: Tower) -> int:
 
 
 def test_colimit_rank_matches_the_rank_of_a_power(universe_sample):
-    graphs = list(catalog.small_graph_universe(max_vertices=2)) + universe_sample
+    graphs = list(itertools.islice(catalog.small_graph_universe(), 84)) + universe_sample
     graphs += [catalog.build_token(f"full:{n}") for n in range(2, 17)]
     graphs += [catalog.build_token(f"cuntz:{n}") for n in range(2, 5)]
     graphs += [catalog.build_token(f"lens:{k}") for k in range(2, 7)]

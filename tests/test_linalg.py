@@ -643,7 +643,8 @@ def test_krylov_rows_are_computed_only_until_the_first_dependent_one(monkeypatch
     # e_0 is not cyclic for full:n or lens:k.  A block's first row is its seed
     # and each later row costs one vector product; every block stops at its
     # first dependent row, so charpoly makes one product per independent row.
-    # is_non_derogatory(full:n) gives up on each seed within two products.
+    # is_non_derogatory(full:n) reads the minimal polynomial x^2 - n x off the
+    # block of e_0 in two products; e_j p(m) = 0 for every later unit vector.
     for token in [f"full:{n}" for n in range(4, 17)] + [f"lens:{k}" for k in range(3, 16)]:
         m = graphs.adjacency(catalog.build_token(token))
         products.clear()
@@ -653,6 +654,22 @@ def test_krylov_rows_are_computed_only_until_the_first_dependent_one(monkeypatch
             products.clear()
             assert not is_non_derogatory(m)
             assert len(products) <= 5, token
+
+
+def test_is_non_derogatory_makes_no_matrix_product_and_no_rank(monkeypatch):
+    # the minimal polynomial comes from vector products alone; the power-rank
+    # definition takes n - 1 matrix products and an n x n^2 rank
+    calls = []
+    real_mul, real_rank = Matrix.__mul__, linalg.rank_Q
+    cases = [Matrix(rows) for rows in derogatory_inputs()] + [
+        graphs.adjacency(catalog.build_token(token))
+        for token in [f"full:{n}" for n in range(4, 17)] + [f"lens:{k}" for k in range(3, 16)]
+    ]
+    monkeypatch.setattr(Matrix, "__mul__", lambda a, b: calls.append("mul") or real_mul(a, b))
+    monkeypatch.setattr(linalg, "rank_Q", lambda m: calls.append("rank") or real_rank(m))
+    for m in cases:
+        assert not is_non_derogatory(m), m
+    assert calls == []
 
 
 def jordan_block(eigenvalue, k):
@@ -702,10 +719,8 @@ def test_branching_charpoly_matches_sympy(sympy):
 
 def test_is_non_derogatory_matches_the_power_rank_definition():
     rng = random.Random("non-derogatory-definition")
-    cases = derogatory_inputs() + non_derogatory_inputs() + [
-        [list(r) for r in THIRD_SEED_ONLY.rows],
-        [list(r) for r in NO_SEED_CYCLIC.rows],
-    ]
+    cases = derogatory_inputs() + non_derogatory_inputs() + branching_inputs()
+    cases += [adjacency_rows("full:8"), adjacency_rows("lens:6")]
     for _ in range(150):
         n = rng.randint(1, 5)
         cases.append([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
