@@ -34,11 +34,9 @@ from .ops import (
     AdmissibilityVerdict,
     Morphism,
     check_morphism,
-    compose,
     diagonal_embedding,
     enumerate_admissible_embeddings,
     hereditary_saturated,
-    identity_morphism,
     line_graph,
     parse_morphism_document,
     product,
@@ -71,11 +69,9 @@ __all__ = [
     "AdmissibilityVerdict",
     "Morphism",
     "check_morphism",
-    "compose",
     "diagonal_embedding",
     "enumerate_admissible_embeddings",
     "hereditary_saturated",
-    "identity_morphism",
     "line_graph",
     "parse_morphism_document",
     "product",

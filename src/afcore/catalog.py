@@ -19,10 +19,9 @@ the same resolved keyword parameters.  The families are the recurring examples:
 * ``full:n`` — the complete directed graph with loops.
 * ``tadpole`` — an edge into a loop (Toeplitz-like with a source).
 
-:func:`build`, :func:`build_token`, :func:`expected_facts` and
-:func:`verify_entry` share one name lookup and one parameter resolver; a build
-of more than ``graphs.MAX_EDGES`` edges is refused with ``GuardError`` before it
-starts.
+:func:`build`, :func:`build_token` and :func:`verify_entry` share one name lookup
+and one parameter resolver; a build of more than ``graphs.MAX_EDGES`` edges is
+refused with ``GuardError`` before it starts.
 """
 
 from __future__ import annotations
@@ -302,16 +301,6 @@ def build_token(token: str) -> Graph:
             raise ValueError(f"{entry.name!r} parameter {key!r} is given more than once")
         params[key] = value
     return _make(entry, _resolve(repr(entry.name), entry.params, params))
-
-
-def expected_facts(name: str, **params) -> dict:
-    """Literal formulas for key invariants of a catalog instance.
-
-    These records are written from the closed forms, not computed by the
-    library; :func:`verify_entry` re-derives everything and compares.
-    """
-    entry, kwargs = _instance(name, params)
-    return {**entry.facts(**kwargs), "n_edges": entry.n_edges(**kwargs)}
 
 
 def verify_entry(name: str, **params) -> CheckReport:

@@ -200,7 +200,7 @@ class LeavittElem(_Combination):
         return LeavittElem(g, {Monomial((eid,), (), e.dst): 1})
 
     @staticmethod
-    def monomial_elem(g: Graph, alpha: Iterable[str], beta: Iterable[str], coeff: int = 1) -> "LeavittElem":
+    def monomial_elem(g: Graph, alpha: Iterable[str], beta: Iterable[str]) -> "LeavittElem":
         a, b = tuple(alpha), tuple(beta)
         end_a = g.edge(a[-1]).dst if a else None
         end_b = g.edge(b[-1]).dst if b else None
@@ -211,7 +211,7 @@ class LeavittElem(_Combination):
             raise ValueError(f"walks have different ranges: {end_a!r} vs {end_b!r}")
         if not (_walk_ok(g, a, v) and _walk_ok(g, b, v)):
             raise ValueError(f"not a composable walk pair: {a!r}, {b!r}")
-        return LeavittElem(g, {Monomial(a, b, v): coeff})
+        return LeavittElem(g, {Monomial(a, b, v): 1})
 
     @staticmethod
     def unit(g: Graph) -> "LeavittElem":
@@ -512,19 +512,16 @@ def build_Q(g: Graph, v: str, k: int, chooser: str = "lex") -> LeavittElem:
     return LeavittElem(g, {Monomial(mu, mu, v): 1})
 
 
-def incoming_edge_choice(g: Graph, policy: str = "lex") -> dict:
-    """One incoming edge per vertex; raises :class:`SourceError` on sources."""
-    if policy not in ("lex", "revlex"):
-        raise ValueError(f"unknown policy {policy!r}; use 'lex' or 'revlex'")
+def incoming_edge_choice(g: Graph) -> dict:
+    """The first declared incoming edge of each vertex; raises
+    :class:`SourceError` on sources."""
     srcs = g.sources()
     if srcs:
         raise SourceError(
             f"graph {g.name!r} has source vertices {list(srcs)}; "
             f"every vertex must receive an edge"
         )
-    eindex = {e.eid: i for i, e in enumerate(g.edges)}
-    pick = min if policy == "lex" else max
-    return {v: pick(g.in_edges(v), key=lambda e: eindex[e.eid]).eid for v in g.vertices}
+    return {v: g.in_edges(v)[0].eid for v in g.vertices}
 
 
 def build_Z(g: Graph, eta: dict) -> LeavittElem:
@@ -736,10 +733,6 @@ class TensorElem(_Combination):
         super().__init__(terms)
 
     @staticmethod
-    def zero(left_graph: Graph, right_graph: Graph) -> "TensorElem":
-        return TensorElem(left_graph, right_graph, {})
-
-    @staticmethod
     def pure(x: LeavittElem, y: LeavittElem) -> "TensorElem":
         return TensorElem(x.graph, y.graph, _product(lambda ml, mr: (ml, mr), x.terms, y.terms))
 
@@ -819,11 +812,11 @@ class LaurentMat2(_Combination):
         return LaurentMat2({(1, 1, 0): 1, (2, 2, 0): 1})
 
     @staticmethod
-    def unit(i: int, j: int, z_power: int = 0, coeff: int = 1) -> "LaurentMat2":
-        """``coeff * z^z_power`` times the matrix unit ``E_ij`` (1-indexed)."""
+    def unit(i: int, j: int, z_power: int = 0) -> "LaurentMat2":
+        """``z^z_power`` times the matrix unit ``E_ij`` (1-indexed)."""
         if i not in (1, 2) or j not in (1, 2):
             raise ValueError(f"no matrix unit E_{i}{j} in a 2x2 matrix")
-        return LaurentMat2({(i, j, z_power): coeff})
+        return LaurentMat2({(i, j, z_power): 1})
 
     def _new(self, terms: dict) -> "LaurentMat2":
         return LaurentMat2(terms)

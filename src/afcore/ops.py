@@ -141,26 +141,6 @@ def check_morphism(m: Morphism) -> AdmissibilityVerdict:
     )
 
 
-def compose(outer: Morphism, inner: Morphism) -> Morphism:
-    """The composite morphism ``outer . inner`` (inner first)."""
-    if inner.codomain != outer.domain:
-        raise MorphismError(
-            f"cannot compose: inner codomain {inner.codomain.name!r} "
-            f"differs from outer domain {outer.domain.name!r}"
-        )
-    return Morphism(
-        domain=inner.domain,
-        codomain=outer.codomain,
-        vmap={v: outer.vmap[w] for v, w in inner.vmap.items()},
-        emap={e: outer.emap[f] for e, f in inner.emap.items()},
-        name=f"{outer.name or 'outer'}.{inner.name or 'inner'}",
-    )
-
-
-def identity_morphism(g: Graph) -> Morphism:
-    return Morphism(g, g, {v: v for v in g.vertices}, {e.eid: e.eid for e in g.edges}, name=f"id_{g.name}")
-
-
 # -- products ---------------------------------------------------------------
 
 

@@ -16,9 +16,9 @@ class CheckReport:
 
     __slots__ = ("title", "items")
 
-    def __init__(self, title: str, items: list[CheckItem] | None = None) -> None:
+    def __init__(self, title: str) -> None:
         self.title = title
-        self.items = [] if items is None else items
+        self.items: list[CheckItem] = []
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -3,12 +3,27 @@ import random
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 import afcore
 from afcore import catalog
 from afcore.graphs import Graph
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="session")
+def spans() -> dict:
+    """The namespace of ``perfbench/spans.py``, the benchmark's traced names.
+
+    The file is read and executed into a plain namespace: nothing is imported
+    from ``perfbench`` and no bytecode is written there.
+    """
+    ns = {"__name__": "spans"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), ns)
+    return ns
 
 
 @pytest.fixture(scope="session")

@@ -50,17 +50,21 @@ def test_builds_validate_once(monkeypatch, assert_validated_twin):
 
 def test_expected_facts_are_literal():
     # spot checks that the table really holds closed forms, not recomputations
-    assert catalog.expected_facts("penrose")["det"] == -1
-    assert catalog.expected_facts("sigma", n=5)["det"] == 1
-    assert catalog.expected_facts("cuntz", n=4)["det"] == 4
-    assert catalog.expected_facts("chambers", k=0)["det"] == 1
-    assert catalog.expected_facts("chambers", k=2)["det"] == 0
-    assert catalog.expected_facts("lens", k=3)["det"] == 1
-    assert catalog.expected_facts("cycle", n=3)["det"] == 1
-    assert catalog.expected_facts("cycle", n=4)["det"] == -1
-    assert catalog.expected_facts("full", n=3)["det"] == 0
-    assert catalog.expected_facts("tadpole")["det"] == 0
-    assert catalog.expected_facts("lens", k=3)["directed_cycles"] == 4
+    def facts(name, **params):
+        entry, kwargs = catalog._instance(name, params)
+        return entry.facts(**kwargs)
+
+    assert facts("penrose")["det"] == -1
+    assert facts("sigma", n=5)["det"] == 1
+    assert facts("cuntz", n=4)["det"] == 4
+    assert facts("chambers", k=0)["det"] == 1
+    assert facts("chambers", k=2)["det"] == 0
+    assert facts("lens", k=3)["det"] == 1
+    assert facts("cycle", n=3)["det"] == 1
+    assert facts("cycle", n=4)["det"] == -1
+    assert facts("full", n=3)["det"] == 0
+    assert facts("tadpole")["det"] == 0
+    assert facts("lens", k=3)["directed_cycles"] == 4
 
 
 def test_a_build_above_the_edge_guard_is_refused_before_any_edge(monkeypatch):
@@ -110,7 +114,7 @@ def test_build_errors():
     with pytest.raises(ValueError, match="unknown catalog graph"):
         catalog.build_token("nope:3")
     with pytest.raises(ValueError, match="unknown catalog graph 'mystery'"):
-        catalog.expected_facts("mystery")
+        catalog.verify_entry("mystery")
     for token, value in (("sigma:x", "'x'"), ("sigma:n=", "''"), ("cycle:n=2.5", "'2.5'")):
         with pytest.raises(ValueError) as info:
             catalog.build_token(token)

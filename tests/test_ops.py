@@ -10,11 +10,9 @@ from afcore.linalg import Matrix
 from afcore.ops import (
     Morphism,
     check_morphism,
-    compose,
     diagonal_embedding,
     enumerate_admissible_embeddings,
     hereditary_saturated,
-    identity_morphism,
     line_graph,
     parse_morphism_document,
     product,
@@ -82,7 +80,8 @@ def fib_square(penrose):
 
 def test_identity_is_admissible(penrose, sigma2):
     for g in (penrose, sigma2):
-        verdict = check_morphism(identity_morphism(g))
+        identity = Morphism(g, g, {v: v for v in g.vertices}, {e.eid: e.eid for e in g.edges})
+        verdict = check_morphism(identity)
         assert verdict.admissible
         assert verdict.injectivity_witnesses == ()
         assert verdict.range_witnesses == ()
@@ -121,16 +120,6 @@ def test_verdict_witnesses(penrose):
     assert not verdict.range_closed
     assert verdict.range_witnesses == ("c",)
     assert not verdict.admissible
-
-
-def test_compose_and_identity_laws(penrose):
-    d = diagonal_embedding(penrose)
-    left = compose(d, identity_morphism(penrose))
-    assert left.vmap == d.vmap and left.emap == d.emap
-    right = compose(identity_morphism(d.codomain), d)
-    assert right.vmap == d.vmap and right.emap == d.emap
-    with pytest.raises(MorphismError, match="cannot compose"):
-        compose(d, d)
 
 
 # -- products and the Kronecker identity --------------------------------------------

@@ -1,5 +1,8 @@
 import ast
+import collections
+import functools
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +16,13 @@ from afcore.graphs import Edge, Graph
 from afcore.report import CheckItem, CheckReport
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(afcore.__file__).resolve().parent
+
+
+@functools.lru_cache(maxsize=None)
+def _module_trees(package: Path = PACKAGE) -> dict:
+    """Module name -> syntax tree of every module in ``package``, parsed once."""
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
 
 
 def test_every_exported_name_resolves():
@@ -51,10 +61,9 @@ UNUSED_IMPORTS_ALLOWED = {
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = set()
-    for path in sorted(Path(afcore.__file__).resolve().parent.glob("*.py")):
-        if path.name == "__init__.py":
+    for module, tree in _module_trees().items():
+        if module == "__init__":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -62,8 +71,95 @@ def test_no_module_imports_a_name_it_never_uses():
             if getattr(node, "module", None) == "__future__":
                 continue
             names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
-            unused.update((path.stem, name) for name in names if name not in used)
+            unused.update((module, name) for name in names if name not in used)
     assert unused == UNUSED_IMPORTS_ALLOWED
+
+
+def unreferenced_functions(trees: dict) -> set:
+    """``module.qualname`` of each top-level function and method that nothing
+    else in the package references.
+
+    A function counts as referenced by its bare name in its own module, by a
+    name imported with ``from .module import name``, or by ``module.name`` on
+    an imported module; a method by any ``.name`` attribute read.  Re-exports
+    in ``__init__.py`` and a function's references to itself do not count,
+    and dunders are exempt.
+
+    Two limits: methods are matched by name only, so ``TensorElem.zero``
+    passed while ``LeavittElem.zero`` was read; and a reference counts even
+    from an unreferenced function, so two functions that only call each
+    other both pass.
+    """
+    defined = []  # "module.function" or "module.Class.method"
+    referrers = collections.defaultdict(set)  # referenced name -> referring functions
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        local = {}  # bare name -> the function it denotes
+        aliases = {}  # bare name -> the package module it denotes
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if node.module is None:
+                        aliases[name] = alias.name
+                    else:
+                        local[name] = f"{node.module}.{alias.name}"
+        units = []  # (the function a node is in, or None; the node)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                local[node.name] = f"{module}.{node.name}"
+                units.append((local[node.name], node))
+            elif isinstance(node, ast.ClassDef):
+                units += [
+                    (f"{module}.{node.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                     else None, item)
+                    for item in node.body
+                ]
+            else:
+                units.append((None, node))
+        for key, unit in units:
+            if key is not None and not key.endswith("__"):
+                defined.append(key)
+            for node in ast.walk(unit):
+                if isinstance(node, ast.Name) and node.id in local:
+                    referrers[local[node.id]].add(key)
+                elif isinstance(node, ast.Attribute):
+                    referrers[f".{node.attr}"].add(key)
+                    if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                        referrers[f"{aliases[node.value.id]}.{node.attr}"].add(key)
+
+    def name_of(key: str) -> str:  # what a reference to ``key`` names
+        return key if key.count(".") == 1 else "." + key.rpartition(".")[2]
+
+    return {key for key in defined if not referrers[name_of(key)] - {key}}
+
+
+# the functions kept with no caller in the package -> why each is kept
+UNREFERENCED_ALLOWED = {
+    "leavitt.induced_hom": "the *-homomorphism an admissible embedding induces "
+    "(PAPER.md part one), the algebra-side oracle of ROADMAP items 1 and 8",
+}
+
+
+def _traced(spans: dict) -> set:
+    """The functions the benchmark traces by name, reached from outside."""
+    return {f"{layer}.{attr}" for layer, attrs in spans["TRACED"].items() for attr in attrs}
+
+
+def test_every_function_is_referenced_traced_or_allowed(spans):
+    unreferenced = unreferenced_functions(_module_trees()) - _traced(spans)
+    assert unreferenced == set(UNREFERENCED_ALLOWED)
+
+
+def test_the_reference_gate_names_an_orphan_and_a_self_caller(spans, tmp_path):
+    package = tmp_path / "afcore"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "ops.py", "a", encoding="utf-8") as f:
+        f.write("\n\ndef _orphan():\n    return 0\n")
+        f.write("\n\ndef countdown(n):\n    return countdown(n - 1) if n else 0\n")
+    unreferenced = unreferenced_functions(_module_trees(package)) - _traced(spans)
+    assert unreferenced == set(UNREFERENCED_ALLOWED) | {"ops._orphan", "ops.countdown"}
 
 
 def test_importing_the_cli_loads_no_dataclasses(capsys):

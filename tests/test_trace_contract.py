@@ -3,24 +3,13 @@
 ``perfbench/spans.py`` lists the traced ``(module, attribute)`` pairs and the
 by-name imports it re-points.  ``perfbench/run.py --trace 1`` looks each one
 up with ``getattr``, so a renamed or deleted function breaks the traced run.
-The file is read and executed into a plain namespace: nothing is imported
-from ``perfbench`` and no bytecode is written there.
+The ``spans`` fixture reads the file without importing ``perfbench``.
 """
 
 import importlib
-from pathlib import Path
-
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def load_spans() -> dict:
-    ns = {"__name__": "spans"}
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), ns)
-    return ns
-
-
-def test_traced_names_resolve():
-    spans = load_spans()
+def test_traced_names_resolve(spans):
     modules = {layer: importlib.import_module(f"afcore.{layer}") for layer in spans["LAYERS"]}
     missing = []
     for layer, attrs in spans["TRACED"].items():
@@ -33,8 +22,7 @@ def test_traced_names_resolve():
     assert missing == []
 
 
-def test_reimported_names_are_the_originals():
-    spans = load_spans()
+def test_reimported_names_are_the_originals(spans):
     for where, layer, attr in spans["REIMPORTS"]:
         here = getattr(importlib.import_module(f"afcore.{where}"), attr)
         assert here is getattr(importlib.import_module(f"afcore.{layer}"), attr)
