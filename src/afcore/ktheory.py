@@ -6,7 +6,7 @@ Each field is computed on first use and kept for the life of the tower:
 ``det(t Gamma - 1)`` (its top coefficient is ``det Gamma``), ``Gamma^-1``,
 the line-class matrix and its inverse, and the colimit data.  The module
 functions are thin wrappers that build a fresh tower, so no state lives
-between calls.
+between calls; they stay only because ``perfbench/spans.py`` traces them.
 
 Walk counts and line classes are two views of one vector orbit,
 ``orbit(k) = 1 Gamma^k`` (column sums of ``Gamma^k``; ``k < 0`` needs a
@@ -20,7 +20,7 @@ multiplicity diagram, with an edge per nonzero entry of ``Gamma``),
 level ``k`` where ``orbit(k)`` is nonzero, and free on the vertex
 projections exactly when ``|det Gamma| = 1``), ``atiyah_todd`` (the
 exact class recursions), ``phi`` (the ring identification with
-``Z[x]/(p)`` for ``p = det(t Gamma - 1)``) and ``Tower.kk_matrix`` (the
+``Z[x]/(p)`` for ``p = det(t Gamma - 1)``) and ``Tower.gamma_inv`` (the
 degree shift ``Gamma^-1``).
 
 Coordinate convention: all class vectors are *row* vectors in vertex
@@ -139,29 +139,14 @@ class Tower:
         return Matrix([self.orbit(-k) for k in range(self.n)])
 
     @cached_property
-    def line_class_det(self) -> int:
-        return linalg.det(self.line_class_matrix)
-
-    def require_line_basis(self) -> None:
-        """The classes ``[L_0] .. [L_(n-1)]`` must form a basis."""
-        if self.line_class_det not in (1, -1):
-            raise NotUnimodular(self.line_class_det, what="line-class matrix")
-
-    @cached_property
     def line_class_inv(self) -> Matrix:
-        self.require_line_basis()
+        """The one place that decides whether ``[L_0] .. [L_(n-1)]`` form a
+        basis.  The determinant decides it: on graphs without a line basis
+        one elimination is cheaper than attempting the inverse."""
+        d = linalg.det(self.line_class_matrix)
+        if d not in (1, -1):
+            raise NotUnimodular(d, what="line-class matrix")
         return linalg.inv_unimodular(self.line_class_matrix)
-
-    @property
-    def kk_matrix(self) -> Matrix:
-        """The matrix of the degree shift on class vectors: ``Gamma^-1``.
-
-        Row convention: ``line_class(k) @ kk_matrix = line_class(k+1)``.
-        Requires both ``Gamma`` and the line-class matrix to be unimodular
-        (the latter guarantees the shift acts on an honest basis of classes).
-        """
-        self.require_line_basis()
-        return self.gamma_inv
 
     def atiyah_todd(self, k: int) -> ATIdentity:
         self.require_unimodular()
@@ -213,6 +198,7 @@ class Tower:
     def kk_report(self, depth: int) -> CheckReport:
         """Check the shift matrix ``Gamma^-1`` on the line classes.
 
+        Row convention: ``line_class(k) Gamma^-1 = line_class(k+1)``.
         The report needs the line-class matrix, whose rows are
         ``1 Gamma^-k``, to be a basis.  Then the all-ones vector is cyclic
         for ``Gamma^-1``, and so for ``Gamma``: both minimal polynomials,
@@ -220,8 +206,9 @@ class Tower:
         The two "non-derogatory" items are therefore certified by the line
         basis, not independent evidence.
         """
+        self.line_class_inv  # refuses unless the line classes form a basis
         rep = CheckReport(f"shift matrix checks on {self.graph.name!r}")
-        kkm = self.kk_matrix
+        kkm = self.gamma_inv
         rep.add("shift matrix inverts the adjacency", kkm * self.gamma == Matrix.identity(self.n))
         for k in range(-depth, depth):
             lhs = linalg.row_vec_mul(self.line_class(k).vector, kkm)
@@ -583,10 +570,14 @@ def invariants_report(g: Graph, k_min: int = -3, k_max: int = 3) -> dict:
             for ident in (t.atiyah_todd(k) for k in ks if not 0 <= k < t.n)
         ]
         out["line_class_matrix"] = [list(r) for r in t.line_class_matrix.rows]
-        if t.line_class_det in (1, -1):
+        try:
+            phis = {k: t.phi(t.line_class(k)) for k in ks}
+        except NotUnimodular:
+            unavailable = {"available": False, "reason": "line-class matrix is not unimodular"}
+            out["phi_checks"] = out["kk"] = unavailable
+        else:
             p = t.rev_charpoly
             out["phi_modulus"] = list(linalg.lambda_pow(p, 0).modulus)
-            phis = {k: t.phi(t.line_class(k)) for k in ks}
             out["phi_checks"] = [
                 {
                     "k": k,
@@ -596,12 +587,9 @@ def invariants_report(g: Graph, k_min: int = -3, k_max: int = 3) -> dict:
                 for k in ks
             ]
             out["kk"] = {
-                "matrix": [list(r) for r in t.kk_matrix.rows],
+                "matrix": [list(r) for r in t.gamma_inv.rows],
                 "checks_pass": t.kk_report(min(6, max(abs(k_min), abs(k_max)))).ok,
             }
-        else:
-            unavailable = {"available": False, "reason": "line-class matrix is not unimodular"}
-            out["phi_checks"] = out["kk"] = unavailable
     elif sink_free and t.n == 1 and t.gamma[(0, 0)] >= 2:
         out["scaled_dimension_values"] = [
             {"k": k, "value": uhf_embed(t.gamma[(0, 0)], t.line_class(k))} for k in ks

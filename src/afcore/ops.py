@@ -177,26 +177,20 @@ def _check_unique(ids: list, what: str, hint: str) -> None:
         seen.add(i)
 
 
-def diagonal_embedding(e: Graph, within: Graph | None = None) -> Morphism:
-    """The diagonal v -> (v, v), x -> (x, x) into ``e`` x ``e``.
-
-    ``within`` may supply a precomputed ``product(e, e)`` to avoid
-    rebuilding it in bulk enumerations.
-    """
-    prod = within if within is not None else product(e, e)
+def diagonal_embedding(e: Graph, within: Graph) -> Morphism:
+    """The diagonal v -> (v, v), x -> (x, x) into ``within = product(e, e)``,
+    which the caller builds once for bulk enumerations."""
     return Morphism(
         domain=e,
-        codomain=prod,
+        codomain=within,
         vmap={v: f"{v}_{v}" for v in e.vertices},
         emap={x.eid: f"{x.eid}_{x.eid}" for x in e.edges},
         name=f"diag_{e.name}",
     )
 
 
-def vertical_embedding(
-    g: Graph, e: Graph, loop: str, within: Graph | None = None
-) -> Morphism:
-    """The embedding of ``e`` into ``g`` x ``e`` along a loop of ``g``.
+def vertical_embedding(g: Graph, e: Graph, loop: str, within: Graph) -> Morphism:
+    """The embedding of ``e`` into ``within = product(g, e)`` along a loop of ``g``.
 
     ``loop`` must name a loop edge of ``g`` based at some vertex ``w0``;
     the embedding sends v -> (w0, v) and x -> (loop, x).
@@ -205,10 +199,9 @@ def vertical_embedding(
     if le.src != le.dst:
         raise ValueError(f"edge {loop!r} of {g.name!r} is not a loop")
     w0 = le.src
-    prod = within if within is not None else product(g, e)
     return Morphism(
         domain=e,
-        codomain=prod,
+        codomain=within,
         vmap={v: f"{w0}_{v}" for v in e.vertices},
         emap={x.eid: f"{loop}_{x.eid}" for x in e.edges},
         name=f"vert_{g.name}_{loop}",

@@ -590,7 +590,7 @@ def suite_kk() -> CheckReport:
         rep.add(f"shift matrix checks on {token}", sub.ok, f"{len(sub.items)} checks")
         rep.add(
             f"shift matrix of {token} is the adjacency inverse",
-            t.kk_matrix == linalg.inv_unimodular(t.gamma),
+            t.gamma * t.gamma_inv == Matrix.identity(t.n),
         )
     rep.add(
         "identity matrix is derogatory in size 2",

@@ -312,8 +312,8 @@ def test_suite_reads_one_tower_per_graph(monkeypatch, name, n_graphs):
 
         monkeypatch.setattr(module, fn, counting)
     assert suites.run_suite(name).ok
-    # per graph: Gamma^-1 and either the line-class inverse or the kk
-    # cross-check; the tower's Gamma and the one in the catalog facts check
+    # per graph: Gamma^-1 and the line-class inverse; the tower's Gamma and
+    # the one in the catalog facts check
     assert counts["inv_unimodular"] <= 2 * n_graphs
     assert counts["adjacency"] <= 2 * n_graphs
 

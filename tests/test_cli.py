@@ -676,6 +676,8 @@ PINNED_OUTPUTS = {
     ("ktheory", "penrose", "--range=1..é", "--json"): "8e3eb492175e5b8bcf6db98dcd79a288a6e60b604a60c43522b32ad4edd6bf5f",
     # re-recorded when a non-integer catalog parameter got the message naming family and parameter
     ("analyze", "cycle:é", "--json"): "5e87f1d22da89ca9fbb063c5499354f96631b8668e8583d1ddd41403a512d105",
+    ("catalog", "suite", "kk"): "9512338d3242216783497973e6175c78d898581e0c0f5b9a538377dc61f7ed5c",
+    ("catalog", "suite", "kk", "--json"): "54f9a2745cc2c128b0630ba79bf29eb6935fb0c8ccfce3ca520cbc51c34d9ede",
 }
 
 
@@ -683,7 +685,7 @@ def _digest(code, out, err) -> str:
     return hashlib.sha256(f"{code}\n{out}\0{err}".encode()).hexdigest()
 
 
-@pytest.mark.parametrize("command", ["ktheory", "bratteli", "analyze", "leavitt"])
+@pytest.mark.parametrize("command", ["ktheory", "bratteli", "analyze", "leavitt", "catalog"])
 def test_rendered_output_is_pinned(capsys, command):
     pinned = {argv: h for argv, h in PINNED_OUTPUTS.items() if argv[0] == command}
     assert {argv: _digest(*run(capsys, *argv)) for argv in pinned} == pinned

@@ -544,15 +544,15 @@ def test_phi_needs_unimodular_line_class_matrix():
     with pytest.raises(NotUnimodular) as exc:
         phi(g, class_of_unit(g))
     assert "line-class matrix" in str(exc.value)
-    with pytest.raises(NotUnimodular):
-        Tower(g).kk_matrix
+    with pytest.raises(NotUnimodular, match="line-class matrix"):
+        kk_report(g)
 
 
 # -- the shift matrix ---------------------------------------------------------------------
 
 
 def test_kk_matrix_penrose(penrose):
-    kkm = Tower(penrose).kk_matrix
+    kkm = Tower(penrose).gamma_inv
     assert kkm == Matrix([[0, 1], [1, -1]])
     assert kkm * adjacency(penrose) == Matrix.identity(2)
     rep = kk_report(penrose)
@@ -656,6 +656,23 @@ def test_a_tower_looks_for_sinks_once(monkeypatch):
             "graph 'chambers2' has sinks ['1', '2']; line classes live over emission-complete graphs"
         )
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("token", ["cycle:40", "lens:10"])
+def test_the_determinant_decides_the_line_basis(token, monkeypatch):
+    # Gamma is unimodular but the line classes are not a basis: one inverse
+    # (Gamma^-1), and two determinants (charpoly's self-check, then the
+    # line-class matrix), with no attempt to invert the line-class matrix
+    counts = dict.fromkeys(("det", "inv_unimodular"), 0)
+    for name in counts:
+        def counting(*args, _real=getattr(linalg, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    rep = invariants_report(catalog.build_token(token))
+    assert rep["kk"] == {"available": False, "reason": "line-class matrix is not unimodular"}
+    assert counts == {"det": 2, "inv_unimodular": 1}
 
 
 @pytest.mark.parametrize("token", ["cycle:40", "sigma:20"])

@@ -165,7 +165,7 @@ def test_cuntz_product_is_cuntz(penrose):
 def test_diagonal_embedding_criterion(universe_sample):
     # admissible exactly when every in-degree is at most one
     for g in universe_sample[:70]:
-        m = diagonal_embedding(g)
+        m = diagonal_embedding(g, within=product(g, g))
         expected = all(g.in_degree(v) <= 1 for v in g.vertices)
         assert check_morphism(m).admissible == expected
         assert admissible_by_definition(m) == expected
@@ -177,7 +177,7 @@ def test_vertical_embedding_criterion(universe_sample):
         for e in g.edges:
             if e.src != e.dst:
                 continue
-            m = vertical_embedding(g, g, e.eid)
+            m = vertical_embedding(g, g, e.eid, within=product(g, g))
             expected = g.in_degree(e.src) == 1
             assert check_morphism(m).admissible == expected
             assert admissible_by_definition(m) == expected
@@ -185,7 +185,7 @@ def test_vertical_embedding_criterion(universe_sample):
 
 def test_vertical_embedding_needs_a_loop(penrose):
     with pytest.raises(ValueError, match="not a loop"):
-        vertical_embedding(penrose, penrose, "b")
+        vertical_embedding(penrose, penrose, "b", within=product(penrose, penrose))
 
 
 def admissible_embeddings_by_brute_force(e: Graph, f: Graph) -> list:

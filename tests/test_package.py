@@ -43,7 +43,7 @@ def test_readme_library_block_gives_the_results_its_comments_state():
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     lines = block.splitlines()
-    walk_line = next(i for i, line in enumerate(lines, start=1) if "walk_counts" in line)
+    walk_line = next(i for i, line in enumerate(lines, start=1) if "orbit(" in line)
     assert "# (144, 89)" in lines[walk_line - 1]
     assert values[walk_line] == (144, 89)
     assert "rank 2" in next(line for line in lines if line.startswith("grp ="))
