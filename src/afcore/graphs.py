@@ -464,13 +464,3 @@ def directed_walks(g: Graph, k: int) -> list[tuple]:
         walks = [w + (e.eid, e.dst) for w in walks for e in out[w[-1]]]
     return walks
 
-
-def walks_into(g: Graph, v: str, k: int) -> list[tuple]:
-    """All directed walks of length ``k`` with range ``v`` (backward search)."""
-    g.vertex_index(v)
-    if k < 0:
-        raise ValueError(f"walk length must be nonnegative, got {k}")
-    walks: list[tuple] = [(v,)]
-    for _ in range(k):
-        walks = [(e.src, e.eid) + w for w in walks for e in g._in[w[0]]]
-    return walks

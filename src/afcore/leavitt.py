@@ -488,27 +488,31 @@ def parse_elem(g: Graph, text: str) -> LeavittElem:
 
 
 def build_Q(g: Graph, v: str, k: int, chooser: str = "lex") -> LeavittElem:
-    """``S_mu S_mu^*`` for a chosen length-``k`` walk with range ``v``.
+    """``S_mu S_mu^*`` for a chosen length-``k`` walk ``mu`` with range ``v``.
 
     ``chooser`` picks the walk by its tuple of edge declaration indices:
-    ``"lex"`` takes the least, ``"revlex"`` the greatest.  When no walk of
-    length ``k`` ends at ``v`` the element is zero.
+    ``"lex"`` takes the least, ``"revlex"`` the greatest.  It is chosen edge
+    by edge in O(k |E|): with ``R_j`` the vertices that have a length-``j``
+    walk to ``v``, step ``i`` takes the first declared edge (the last for
+    ``"revlex"``) that starts where the walk so far ends and ends in
+    ``R_(k-i)``.  The element is zero if no length-``k`` walk ends at ``v``.
     """
-    from .graphs import walks_into
-
     if chooser not in ("lex", "revlex"):
         raise ValueError(f"unknown chooser {chooser!r}; use 'lex' or 'revlex'")
-    candidates = walks_into(g, v, k)
-    if not candidates:
+    g.vertex_index(v)
+    if k < 0:
+        raise ValueError(f"walk length must be nonnegative, got {k}")
+    reach = [{v}]  # reach[j] = R_j
+    for _ in range(k):
+        reach.append({e.src for e in g.edges if e.dst in reach[-1]})
+    if not reach[-1]:
         return LeavittElem.zero(g)
-    eindex = {e.eid: i for i, e in enumerate(g.edges)}
-    keyed = sorted(
-        (tuple(eindex[eid] for eid in walk_edges(w)) for w in candidates)
-    )
-    key = keyed[0] if chooser == "lex" else keyed[-1]
-    mu = tuple(g.edges[i].eid for i in key)
-    if k == 0:
-        return LeavittElem.vertex_projection(g, v)
+    mu, steps = [], g.edges
+    for target in reversed(reach[:-1]):
+        e = [f for f in steps if f.dst in target][0 if chooser == "lex" else -1]
+        mu.append(e.eid)
+        steps = g.out_edges(e.dst)
+    mu = tuple(mu)
     return LeavittElem(g, {Monomial(mu, mu, v): 1})
 
 

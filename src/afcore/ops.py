@@ -378,7 +378,7 @@ def parse_morphism_document(text: str, graph_resolver=None) -> Morphism:
     :func:`check_morphism` on it.
     """
     lines = text.splitlines()
-    blocks: list = []  # (start_line_index, [lines])
+    starts: list = []  # the line index of each 'graph' statement
     morphism_line = None
     header = None
     vmap: dict = {}
@@ -412,23 +412,23 @@ def parse_morphism_document(text: str, graph_resolver=None) -> Morphism:
         if word == "graph":
             if header is not None:
                 raise ParseError("graph blocks must precede the morphism statement", lineno)
-            blocks.append((lineno - 1, [raw]))
+            starts.append(lineno - 1)
             continue
         if word in ("vertex", "edge"):
             if header is not None:
                 raise ParseError("graph statements after the morphism statement", lineno)
-            if not blocks:
+            if not starts:
                 raise ParseError(f"{word} before any 'graph' statement", lineno)
-            blocks[-1][1].append(raw)
             continue
         raise ParseError(f"unrecognized statement {word!r}", lineno)
     if header is None:
         raise ParseError("document has no morphism statement", line=len(lines) or 1)
 
     inline: dict = {}
-    for start, block_lines in blocks:
-        # pad with blank lines so parse errors carry document line numbers
-        g = graphs.parse_graph("\n" * start + "\n".join(block_lines))
+    # a block runs to the next 'graph' or the 'morphism' statement; its raw
+    # lines, padded with blank lines, keep their document line numbers
+    for start, end in zip(starts, starts[1:] + [morphism_line - 1]):
+        g = graphs.parse_graph("\n" * start + "\n".join(lines[start:end]))
         if g.name in inline:
             raise ParseError(f"duplicate graph block {g.name!r}", line=start + 1)
         inline[g.name] = g

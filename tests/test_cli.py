@@ -678,6 +678,20 @@ PINNED_OUTPUTS = {
     ("analyze", "cycle:é", "--json"): "5e87f1d22da89ca9fbb063c5499354f96631b8668e8583d1ddd41403a512d105",
     ("catalog", "suite", "kk"): "9512338d3242216783497973e6175c78d898581e0c0f5b9a538377dc61f7ed5c",
     ("catalog", "suite", "kk", "--json"): "54f9a2745cc2c128b0630ba79bf29eb6935fb0c8ccfce3ca520cbc51c34d9ede",
+    ("catalog", "suite", "k0"): "40c925222d11c031269b7a07fe347392ea258b44c700cec73b0d0ac4b42c40af",
+    ("catalog", "suite", "k0", "--json"): "acc17de8d4f415c924ab94284f37effce05207d78bc3bfcbdea080d87ce0a9c7",
+    ("catalog", "suite", "negative_controls"): "024357799f37364b3059dc2c067fee8f8310bc12947b6db901e5807622646547",
+    ("catalog", "suite", "negative_controls", "--json"): "3fd00cdc409f71dc44636f8d7fb8c2e74001309b43dac845e8334f4931b95f0f",
+    ("catalog", "suite", "symbolic"): "9663f42bb04ee8acc2c507da1fc9156ec0d731198fcf759e24eb6a7f05448acc",
+    ("catalog", "suite", "symbolic", "--json"): "0fe0cd111c9f3d61ec6bf472d71aab7cf1966ac1ae7da3a4f1ec158180ca1afd",
+    ("catalog", "suite", "penrose"): "c02cd40bd0aea8eacec451bc0ae7d4f02d7d7a6061d6831294384fe4af97259d",
+    ("catalog", "suite", "penrose", "--json"): "2de5f54882ef4e9f45f7a694ba5672eb7433587ff51621208e81c35014001276",
+    ("catalog", "suite", "cpq"): "92c18510feeb0854fb7cc66653b5bf389603168f6e5609d9f3ed45da36b065d1",
+    ("catalog", "suite", "cpq", "--json"): "f49c2fa47215192d657f700458272e07e13aa41fd1d3efa6376f798cf394b32c",
+    ("catalog", "suite", "uhf"): "57310b55444f8c97d0b6900bd37a762d673db0d1cdce9e2d80f09982495c13b2",
+    ("catalog", "suite", "uhf", "--json"): "53960f3e1a92be59841e588868b6069ddfc8acccf126ee6affd8a78144e273b6",
+    ("catalog", "suite", "embeddings"): "e16687f81285328b2c9a525cf95edf3f81381af0e282e189a00a46e948eb291f",
+    ("catalog", "suite", "embeddings", "--json"): "6c070793bd5009541b1222fdfed5b0dd3004c56d901a413b192f96cd998fff99",
 }
 
 

@@ -17,7 +17,6 @@ from afcore.graphs import (
     parse_graph,
     serialize_graph,
     walk_edges,
-    walks_into,
 )
 
 # -- independent oracles -------------------------------------------------------
@@ -234,8 +233,6 @@ FIRST_READS = {
     "directed_cycle_count": directed_cycle_count,
     "classify": classify,
     "directed_walks": lambda g: directed_walks(g, 3),
-    "walks_into": lambda g: [walks_into(g, v, 2) for v in g.vertices],
-    "walks_into unknown": lambda g: walks_into(g, "zz", 1),
 }
 
 
@@ -335,17 +332,6 @@ def test_directed_walks_structure(penrose):
     assert directed_walks(penrose, 2) == walks
     with pytest.raises(ValueError):
         directed_walks(penrose, -1)
-
-
-def test_walks_into_agrees_with_forward_enumeration(universe_sample):
-    for g in universe_sample[:40]:
-        for k in range(0, 3):
-            forward = directed_walks(g, k)
-            for v in g.vertices:
-                backward = walks_into(g, v, k)
-                assert sorted(backward) == sorted(
-                    w for w in forward if w[-1] == v
-                )
 
 
 def test_cycle_count_against_enumeration(universe_sample):

@@ -770,6 +770,39 @@ def test_build_Q_edge_cases(penrose, tadpole):
     assert build_Q(tadpole, "1", 1).is_zero()  # vertex 1 receives nothing
     with pytest.raises(ValueError, match="unknown chooser"):
         build_Q(penrose, "1", 1, chooser="random")
+    with pytest.raises(ValueError, match="^unknown vertex 'zz' in graph 'penrose'$"):
+        build_Q(penrose, "zz", 1)
+    with pytest.raises(ValueError, match="^walk length must be nonnegative, got -1$"):
+        build_Q(penrose, "1", -1)
+
+
+def test_build_Q_takes_the_least_and_greatest_walk(universe_sample):
+    # oracle: list W_k(v) forward and key each walk by its edge declaration indices
+    tokens = ("penrose", "sigma:3", "full:3", "cuntz:2", "chambers:2", "lens:2", "tadpole", "cycle:3")
+    for g in universe_sample + [catalog.build_token(t) for t in tokens]:
+        index = {e.eid: i for i, e in enumerate(g.edges)}
+        for k in range(5):
+            walks = directed_walks(g, k)
+            for v in g.vertices:
+                keyed = sorted(
+                    (tuple(index[eid] for eid in walk_edges(w)), walk_edges(w))
+                    for w in walks
+                    if w[-1] == v
+                )
+                for chooser, pick in (("lex", 0), ("revlex", -1)):
+                    expected = LeavittElem.zero(g)
+                    if keyed:
+                        mu = keyed[pick][1]
+                        expected = LeavittElem(g, {Monomial(mu, mu, v): 1})
+                    assert build_Q(g, v, k, chooser) == expected
+
+
+def test_build_Q_on_long_walks():
+    full3, cuntz2 = catalog.build_token("full:3"), catalog.build_token("cuntz:2")
+    mu = ("e1_1",) * 200
+    assert build_Q(full3, "1", 200) == LeavittElem(full3, {Monomial(mu, mu, "1"): 1})
+    mu = ("g2",) * 300
+    assert build_Q(cuntz2, "1", 300, "revlex") == LeavittElem(cuntz2, {Monomial(mu, mu, "1"): 1})
 
 
 def test_incoming_edge_choice(penrose, tadpole):

@@ -527,7 +527,16 @@ def test_parse_morphism_document_unknown_graph():
 
 
 def test_parse_morphism_document_inline_parse_error_keeps_document_lines():
-    text = "graph dom\nvertex v\nedge a : v -> w\nmorphism f : dom -> dom\n"
-    with pytest.raises(ParseError) as exc:
-        parse_morphism_document(text)
-    assert "line 3" in str(exc.value)
+    # blank and comment lines inside a block count towards the line number
+    for text, expected in (
+        ("graph dom\nvertex v\nedge a : v -> w\nmorphism f : dom -> dom\n",
+         "line 3: edge 'a' references undeclared vertex 'w'"),
+        ("graph dom\nvertex v\n\n# a loop\nedge x : v -> w\nmorphism f : dom -> dom\n",
+         "line 5: edge 'x' references undeclared vertex 'w'"),
+        ("graph dom\nvertex v\ngraph cod\nvertex w\nedge y : w -> w\n\nvertex w\n"
+         "morphism f : dom -> cod\n",
+         "line 7: duplicate vertex 'w'"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_morphism_document(text)
+        assert str(exc.value) == expected
