@@ -85,32 +85,33 @@ class CatalogEntry(NamedTuple):
 
 # The family builders make every identifier from integers and fixed
 # literals, so once their parameters are checked they build with
-# ``Graph._trusted``.
+# ``Graph._trusted``, and their edges with ``tuple.__new__(Edge, ...)``:
+# Edge's own constructor is a slower Python-level __new__, as in ops.product.
+_new = tuple.__new__
 
 
 def _build_penrose(labels: str) -> Graph:
     if labels not in ("12", "01"):
         raise ValueError(f"labels must be '12' or '01', got {labels!r}")
     lo, hi = labels
-    return Graph._trusted(
-        "penrose", (lo, hi), (Edge("a", lo, lo), Edge("b", lo, hi), Edge("c", hi, lo))
-    )
+    return Graph._trusted("penrose", (lo, hi), (
+        _new(Edge, ("a", lo, lo)), _new(Edge, ("b", lo, hi)), _new(Edge, ("c", hi, lo))))
 
 
 def _numbered(family: str, n: int, edges) -> Graph:
-    """``family{n}`` on vertices ``1..n``, one edge per ``(eid, i, j)`` of ``edges``."""
+    """``family{n}`` on vertices ``1..n``, one edge per ``(eid, src, dst)`` that
+    ``edges`` yields from the vertex names."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    names = tuple(str(i) for i in range(1, n + 1))
-    return Graph._trusted(
-        f"{family}{n}", names, [Edge(e, names[i - 1], names[j - 1]) for e, i, j in edges]
-    )
+    names = tuple(map(str, range(1, n + 1)))
+    return Graph._trusted(f"{family}{n}", names, [_new(Edge, e) for e in edges(names)])
 
 
 def _build_cuntz(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return Graph._trusted(f"cuntz{n}", ("1",), [Edge(f"g{i}", "1", "1") for i in range(1, n + 1)])
+    return Graph._trusted(f"cuntz{n}", ("1",), [_new(Edge, (f"g{i}", "1", "1"))
+                                                for i in range(1, n + 1)])
 
 
 def _build_chambers(k: int, loops: bool = False) -> Graph:
@@ -119,9 +120,9 @@ def _build_chambers(k: int, loops: bool = False) -> Graph:
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     chambers = tuple(str(i) for i in range(1, k + 1))
-    edges = [Edge("ell", "v0", "v0")] + [Edge(f"d{c}", "v0", c) for c in chambers]
+    edges = [_new(Edge, ("ell", "v0", "v0"))] + [_new(Edge, (f"d{c}", "v0", c)) for c in chambers]
     if loops:
-        edges += [Edge(f"m{c}", c, c) for c in chambers]
+        edges += [_new(Edge, (f"m{c}", c, c)) for c in chambers]
     return Graph._trusted(f"{'lens' if loops else 'chambers'}{k}", ("v0",) + chambers, edges)
 
 
@@ -150,9 +151,8 @@ _ENTRIES = (
         "sigma",
         "vertices 1..n with one edge i -> j for every i <= j",
         (("n", int, _REQUIRED),),
-        lambda n: _numbered(
-            "sigma", n, ((f"e{i}_{j}", i, j) for i in range(1, n + 1) for j in range(i, n + 1))
-        ),
+        lambda n: _numbered("sigma", n, lambda v: (
+            (f"e{a}_{b}", a, b) for i, a in enumerate(v) for b in v[i:])),
         lambda n: max(n, 0) * (n + 1) // 2,
         lambda n: {
             "n_vertices": n,
@@ -208,7 +208,8 @@ _ENTRIES = (
         "cycle",
         "directed n-cycle",
         (("n", int, _REQUIRED),),
-        lambda n: _numbered("cycle", n, ((f"c{i}", i, i % n + 1) for i in range(1, n + 1))),
+        lambda n: _numbered("cycle", n, lambda v: (
+            (f"c{a}", a, b) for a, b in zip(v, v[1:] + v[:1]))),
         lambda n: max(n, 0),
         lambda n: {
             "n_vertices": n,
@@ -221,9 +222,7 @@ _ENTRIES = (
         "full",
         "complete directed graph with loops on n vertices",
         (("n", int, _REQUIRED),),
-        lambda n: _numbered(
-            "full", n, ((f"e{i}_{j}", i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-        ),
+        lambda n: _numbered("full", n, lambda v: ((f"e{a}_{b}", a, b) for a in v for b in v)),
         lambda n: max(n, 0) ** 2,
         lambda n: {
             "n_vertices": n,
@@ -236,7 +235,7 @@ _ENTRIES = (
         "an edge feeding a loop (source at the tail)",
         (),
         lambda: Graph._trusted(
-            "tadpole", ("1", "2"), (Edge("e12", "1", "2"), Edge("e22", "2", "2"))
+            "tadpole", ("1", "2"), (_new(Edge, ("e12", "1", "2")), _new(Edge, ("e22", "2", "2")))
         ),
         lambda: 2,
         lambda: {
@@ -353,7 +352,7 @@ def small_graph_universe():
         vertices = tuple(str(i) for i in range(1, n + 1))
         pairs = [(a, b) for a in vertices for b in vertices]
         slots = range(1, len(pairs) * _UNIVERSE_MULTIPLICITY + 1)
-        rows = [tuple(Edge(f"e{i}", a, b) for i in slots) for a, b in pairs]
+        rows = [tuple(_new(Edge, (f"e{i}", a, b)) for i in slots) for a, b in pairs]
         half = len(pairs) - len(pairs) // 2
         tails = [
             _edge_runs(rows[half:], before) for before in range(half * _UNIVERSE_MULTIPLICITY + 1)

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 The command line is read against one table, ``COMMANDS``, one entry per command
-path; the parser reads argv once and as argparse did (``--opt=value``, unique
-prefixes of long options, ``-oFILE``, ``--`` ending the options).  A refused
+path, from which each path's flags, positionals and action words are derived
+once, at import; the parser reads argv once and as argparse did
+(``--opt=value``, unique prefixes of long options, ``-oFILE``, ``--`` ending
+the options).  A refused
 command line exits 2 with ``usage: ...`` and ``afcore ...: error: <reason>`` on
 stderr; ``-h``/``--help`` prints help from the table on stdout.
 
@@ -245,7 +247,9 @@ def _cmd_check_morphism(args) -> int:
             return _yesno(flag)
         return f"no (witnesses: {' '.join(witnesses)})"
 
-    print(f"injective: {_with_witnesses(verdict.injective, verdict.injectivity_witnesses)}")
+    # an injectivity witness is a (first, later) pair of preimages, shown "first/later"
+    pairs = ["/".join(pair) for pair in verdict.injectivity_witnesses]
+    print(f"injective: {_with_witnesses(verdict.injective, pairs)}")
     print(f"range-closed: {_with_witnesses(verdict.range_closed, verdict.range_witnesses)}")
     print(f"emission-covered: "
           f"{_with_witnesses(verdict.emission_covered, verdict.emission_witnesses)}")
@@ -503,8 +507,20 @@ class _Exit(Exception):
     """``(code, text)``: help for stdout with code 0, or a usage error for stderr with 2."""
 
 
-def _actions(path: str) -> dict:
-    return {k.rpartition(" ")[2]: k for k in COMMANDS if k and k.rpartition(" ")[0] == path}
+def _table(path: str) -> tuple:
+    """All the parser reads ``path`` by: its handler and options, its flags
+    (``-h/--help`` among them) mapped to their options, its positionals as
+    ``(name, nargs)`` and its action words mapped to the paths they lead to."""
+    func, _, positionals, options = COMMANDS[path]
+    flags = {f: o for o in (_HELP, *options) for f in o[0].partition(" ")[0].split("/")}
+    specs = tuple((p.rstrip("?*+"), p[-1] if p[-1] in "?*+" else "1") for p in positionals)
+    actions = {k.rpartition(" ")[2]: k for k in COMMANDS if k and k.rpartition(" ")[0] == path}
+    return func, options, flags, specs, actions
+
+
+# every path's table, derived from COMMANDS once: a command line that parses
+# reads these alone, and only help and refusals read COMMANDS itself
+_TABLES = {path: _table(path) for path in COMMANDS}
 
 
 def _prog(path: str) -> str:
@@ -533,7 +549,7 @@ def _help(path: str) -> str:
     func, summary, _, options = COMMANDS[path]
     blocks = [[(o[0].replace("/", ", "), o[5]) for o in (_HELP, *options)]]
     if func is None:
-        blocks.insert(0, [(word, COMMANDS[key][1]) for word, key in _actions(path).items()])
+        blocks.insert(0, [(word, COMMANDS[key][1]) for word, key in _TABLES[path][4].items()])
     return f"{_usage(path)}\n{summary}\n" + "".join(
         "\n" + "".join(f"  {a:<20}{b}\n" for a, b in rows) for rows in blocks)
 
@@ -562,13 +578,12 @@ def _read(path: str, tokens: list, ns, extras: list):
     """Read the options and positionals of ``path`` into ``ns``; return the tokens
     from the action word on if ``path`` reads one.  Unknown options and surplus
     values go to ``extras``."""
-    _, _, positionals, options = COMMANDS[path]
-    flags = {f: o for o in (_HELP, *options) for f in o[0].partition(" ")[0].split("/")}
+    _, options, flags, specs, _ = _TABLES[path]
     cut = tokens.index("--") if "--" in tokens else len(tokens)
     found = [_option(path, token, flags) for token in tokens[:cut]]
     kinds = "".join("A" if f is None else "O" for f in found)
     kinds += "-" * (cut < len(tokens)) + "A" * (len(tokens) - cut - 1)
-    pending = [(p.rstrip("?*+"), p[-1] if p[-1] in "?*+" else "1") for p in positionals]
+    pending = list(specs)
     for _, dest, _, default, *_ in options:
         setattr(ns, dest, default)
     i = 0
@@ -617,14 +632,14 @@ def parse_args(argv) -> SimpleNamespace:
     ``func``.  Raises ``_Exit`` for help and for usage errors."""
     ns, extras, path, tokens = SimpleNamespace(), [], "", list(argv)
     while (rest := _read(path, tokens, ns, extras)) is not None:
-        actions = _actions(path)
+        actions = _TABLES[path][4]
         if rest[0] not in actions:
             raise _error(path, f"argument {COMMANDS[path][2][-1][:-1]}: invalid choice: "
                          f"{rest[0]!r} (choose from {', '.join(map(repr, actions))})")
         path, tokens = actions[rest[0]], rest[1:]
     if extras:
         raise _error(path, f"unrecognized arguments: {' '.join(extras)}")
-    ns.func = COMMANDS[path][0]
+    ns.func = _TABLES[path][0]
     return ns
 
 

@@ -425,6 +425,9 @@ def parse_elem(g: Graph, text: str) -> LeavittElem:
             sign = -1 if m[1] == "-" else 1
             m = match(text, m.end())
 
+    def times(terms, f: dict) -> dict:
+        return f if terms is None else {k: c for k, c in _product(mul, terms, f).items() if c}
+
     def term(m, depth: int):
         coeff = 1
         if m[6]:
@@ -433,9 +436,12 @@ def parse_elem(g: Graph, text: str) -> LeavittElem:
             if not m[2] and m[1] not in ("(", "."):
                 unit = {_new(Monomial, ((), (), v)): coeff for v in g.vertices} if coeff else {}
                 return unit, m
-        terms = None
+        # a run of S(e) atoms is one walk, zero once r(e) != s(f), multiplied into
+        # terms when the run ends; a run starts only while terms hold at most one
+        # key, so the products keep the order the ring operations give
+        terms, walk = None, ()
         while True:
-            kind = m[2]
+            kind, f = m[2], None
             if kind:
                 name = m[4]
                 if m[5] is None:  # an atom cut short: say what is missing
@@ -449,10 +455,8 @@ def parse_elem(g: Graph, text: str) -> LeavittElem:
                     if not g.has_vertex(name):
                         raise error(m.end(), f"unknown vertex id {name!r}")
                     f = {_new(Monomial, ((), (), name)): 1}
-                else:
-                    if not g.has_edge(name):
-                        raise error(m.end(), f"unknown edge id {name!r}")
-                    f = {_new(Monomial, ((name,), (), g.edge(name).dst)): 1}
+                elif not g.has_edge(name):
+                    raise error(m.end(), f"unknown edge id {name!r}")
             elif m[1] == "(":
                 if depth == MAX_NESTING:
                     raise error(m.start(1), f"parentheses nested deeper than {MAX_NESTING}")
@@ -462,17 +466,30 @@ def parse_elem(g: Graph, text: str) -> LeavittElem:
             else:
                 raise expected("'P', 'S', or '('", m)
             m = match(text, m.end())
-            while m[1] == "^":
-                m = match(text, m.end())
-                if m[1] != "*":
-                    raise expected("'*'", m)
-                f = {_mono_star(k): c for k, c in f.items()}
-                m = match(text, m.end())
-            terms = f if terms is None else {k: c for k, c in _product(mul, terms, f).items() if c}
+            if f is None and m[1] != "^" and (walk or terms is None or len(terms) < 2):
+                e = g.edge(name)
+                if walk and end != e.src:
+                    terms, walk = {}, ()
+                else:
+                    walk, end = walk + (name,), e.dst
+            else:
+                if walk:
+                    terms, walk = times(terms, {_new(Monomial, (walk, (), end)): 1}), ()
+                if f is None:
+                    f = {_new(Monomial, ((name,), (), g.edge(name).dst)): 1}
+                while m[1] == "^":
+                    m = match(text, m.end())
+                    if m[1] != "*":
+                        raise expected("'*'", m)
+                    f = {_mono_star(k): c for k, c in f.items()}
+                    m = match(text, m.end())
+                terms = times(terms, f)
             if m[1] == ".":
                 m = match(text, m.end())
             elif not m[2] and m[1] != "(":
                 break
+        if walk:
+            terms = times(terms, {_new(Monomial, (walk, (), end)): 1})
         if coeff != 1:
             terms = {k: c * coeff for k, c in terms.items()} if coeff else {}
         return terms, m

