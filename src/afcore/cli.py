@@ -644,6 +644,20 @@ def parse_args(argv) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
+    # Exact integers are read and printed whole, however long: Python's digit
+    # limit for int <-> str (3.10.7 and later) is lifted while a command runs,
+    # and the caller's limit is restored for in-process callers.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except _Exit as stop:

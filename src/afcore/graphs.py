@@ -20,10 +20,11 @@ optional; unnamed edges are assigned ``e1``, ``e2``, ... counting unnamed
 edges in declaration order.  Identifiers match ``[A-Za-z0-9_]+``.
 
 ``Graph(...)`` and :func:`parse_graph` validate; the parser checks each
-line as it reads it and so builds its result with ``Graph._trusted``, as
-do the graphs derived from valid ones (``ops.product``, ``ops.line_graph``,
-``ops.quotient_graph``) and the catalog's families and universe, whose
-identifiers are made from integers and fixed literals.
+line as it reads it and so builds its result with ``Graph._trusted`` and
+its edges with ``tuple.__new__(Edge, ...)``, skipping Edge's Python-level
+constructor, as do the graphs derived from valid ones (``ops.product``,
+``ops.line_graph``, ``ops.quotient_graph``) and the catalog's families and
+universe, whose identifiers are made from integers and fixed literals.
 
 A graph stores only its name, vertices and edges when it is made.  Its four
 lookup indices (vertex position, edge by id, out-edges and in-edges) are
@@ -288,7 +289,7 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"edge {eid!r} references undeclared vertex {src!r}", lineno)
         if dst not in seen_vertices:
             raise ParseError(f"edge {eid!r} references undeclared vertex {dst!r}", lineno)
-        edges.append(Edge(eid, src, dst))
+        edges.append(tuple.__new__(Edge, (eid, src, dst)))
 
     return Graph._trusted(name, vertices, edges)
 

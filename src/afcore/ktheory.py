@@ -4,9 +4,10 @@ Everything is read off one per-graph object, :class:`Tower`, built from
 the vertex adjacency matrix ``Gamma`` alone, in exact integer arithmetic.
 Each field is computed on first use and kept for the life of the tower:
 ``det(t Gamma - 1)`` (its top coefficient is ``det Gamma``), ``Gamma^-1``,
-the line-class matrix and its inverse, and the colimit data.  The module
-functions are thin wrappers that build a fresh tower, so no state lives
-between calls; they stay only because ``perfbench/spans.py`` traces them.
+the line-class matrix and its inverse, the colimit data, and the powers
+of ``x`` that ``phi`` is checked against.  The module functions are thin
+wrappers that build a fresh tower, so no state lives between calls; they
+stay only because ``perfbench/spans.py`` traces them.
 
 Walk counts and line classes are two views of one vector orbit,
 ``orbit(k) = 1 Gamma^k`` (column sums of ``Gamma^k``; ``k < 0`` needs a
@@ -20,8 +21,10 @@ multiplicity diagram, with an edge per nonzero entry of ``Gamma``),
 level ``k`` where ``orbit(k)`` is nonzero, and free on the vertex
 projections exactly when ``|det Gamma| = 1``), ``atiyah_todd`` (the
 exact class recursions), ``phi`` (the ring identification with
-``Z[x]/(p)`` for ``p = det(t Gamma - 1)``) and ``Tower.gamma_inv`` (the
-degree shift ``Gamma^-1``).
+``Z[x]/(p)`` for ``p = det(t Gamma - 1)``, sending ``[L_k]`` to ``x^k``),
+and ``Tower.gamma_inv`` (the degree shift ``Gamma^-1``).  The powers
+``x_power(k) = x^k`` form the tower's second per-degree sequence, kept
+like the orbit and extended one product by ``x`` or ``x^-1`` at a time.
 
 Coordinate convention: all class vectors are *row* vectors in vertex
 declaration order, and matrices act on the right.
@@ -121,6 +124,17 @@ class Tower:
         return K0Class(tuple(int(j == i and supported) for j in range(self.n)), k)
 
     def line_class(self, k: int) -> K0Class:
+        """Coordinates of the canonical class ``[L_k]`` of degree ``k``.
+
+        * ``k = 0``: the unit, i.e. the all-ones vector at level 0.
+        * ``k < 0``: column sums of ``Gamma^|k|`` at level 0 (any sink-free
+          graph).
+        * ``k > 0`` with unimodular ``Gamma``: column sums of ``Gamma^-k`` at
+          level 0.
+        * ``k > 0`` otherwise: requires a source-free graph; the class is the
+          sum of the level-``k`` distinguished projections, i.e. the support
+          indicator at level ``k`` in the colimit.
+        """
         g = self.graph
         self.require_sink_free("line classes live over emission-complete graphs")
         if k <= 0 or self.unimodular:
@@ -135,6 +149,11 @@ class Tower:
 
     @cached_property
     def line_class_matrix(self) -> Matrix:
+        """The n x n matrix whose row ``k`` (0-based) is the vector of ``[L_k]``.
+
+        Row ``k`` holds the column sums of ``Gamma^-k`` for ``k = 0..n-1``;
+        requires a unimodular adjacency matrix.
+        """
         self.require_unimodular()
         return Matrix([self.orbit(-k) for k in range(self.n)])
 
@@ -149,6 +168,15 @@ class Tower:
         return linalg.inv_unimodular(self.line_class_matrix)
 
     def atiyah_todd(self, k: int) -> ATIdentity:
+        """Derive and verify the degree-``k`` class recursion.
+
+        Both directions come from ``sum_i c_i Gamma^-i = 0`` where
+        ``(c_0..c_n) = rev_charpoly(Gamma)``: shifting by ``s`` gives
+        ``sum_i c_i [L_(i+s)] = 0``.  For ``k >= n`` solve for the top term
+        (degree-lowering); for ``k <= -1`` solve for the bottom term
+        (degree-raising).  Degrees ``0 <= k < n`` are the base window and are
+        rejected.  Requires a unimodular adjacency matrix.
+        """
         self.require_unimodular()
         n, c = self.n, self.rev_charpoly
         if 0 <= k < n:
@@ -169,17 +197,48 @@ class Tower:
         return ATIdentity(k=k, coeffs=tuple(sorted(coeffs.items())), verified=verified)
 
     def phi(self, cls: K0Class) -> linalg.QuotElem:
+        """The ring identification: class coordinates -> ``Z[x]/(p)``.
+
+        ``p = det(t Gamma - 1)``; the class vector is solved against the rows
+        of :attr:`line_class_matrix` (which must be unimodular as well), so
+        ``phi([L_k]) = x^k`` by construction on the base window.
+        """
         if cls.level != 0:
             raise ValueError("phi takes level-0 coordinate vectors")
         y = linalg.row_vec_mul(cls.vector, self.line_class_inv)
         return linalg.quot_make(self.rev_charpoly, y)
+
+    @cached_property
+    def _x_sides(self) -> tuple:
+        """``(powers, step)`` for ``k >= 0`` and then for ``k < 0``: the list
+        of ``x^|k|`` or ``x^-|k|`` so far, from ``1``, and ``x`` or ``x^-1``."""
+        self.require_unimodular()
+        one = linalg.quot_make(self.rev_charpoly, (1,))
+        c = one.modulus  # monic with c_0 = +-1, so x^-1 = -c_0 (c_1 + ... + c_n x^(n-1))
+        x = linalg.QuotElem(c, linalg.poly_mod_monic((0, 1), c))
+        x_inv = linalg.QuotElem(c, tuple(-c[0] * a for a in c[1:]))
+        return ([one], x), ([one], x_inv)
+
+    def x_power(self, k: int) -> linalg.QuotElem:
+        """``x^k`` in ``Z[x]/(det(t Gamma - 1))``, which :meth:`phi` should
+        send ``[L_k]`` to.
+
+        Kept like :meth:`orbit`: each side is extended one product by ``x``
+        or ``x^-1`` at a time, modulo ``det(t Gamma - 1)`` normalized once
+        per tower.  The ring needs ``det Gamma = +-1``; otherwise
+        :class:`NotUnimodular` is raised.
+        """
+        powers, step = self._x_sides[k < 0]
+        while len(powers) <= abs(k):
+            powers.append(powers[-1] * step)
+        return powers[abs(k)]
 
     def verify_phi(self, depth: int) -> CheckReport:
         """Check ``phi([L_k]) = x^k`` for ``|k| <= depth``."""
         rep = CheckReport(f"phi on powers of the line class of {self.graph.name!r}")
         for k in range(-depth, depth + 1):
             got = self.phi(self.line_class(k))
-            rep.add(f"phi([L_{k}]) = x^{k}", got == linalg.lambda_pow(self.rev_charpoly, k))
+            rep.add(f"phi([L_{k}]) = x^{k}", got == self.x_power(k))
         return rep
 
     def semiring_check(self, depth: int) -> CheckReport:
@@ -425,17 +484,7 @@ def class_of_unit(g: Graph) -> K0Class:
 
 
 def line_class(g: Graph, k: int) -> K0Class:
-    """Coordinates of the canonical class of degree ``k``.
-
-    * ``k = 0``: the unit, i.e. the all-ones vector at level 0.
-    * ``k < 0``: column sums of ``Gamma^|k|`` at level 0 (any sink-free
-      graph).
-    * ``k > 0`` with unimodular ``Gamma``: column sums of ``Gamma^-k`` at
-      level 0.
-    * ``k > 0`` otherwise: requires a source-free graph; the class is the
-      sum of the level-``k`` distinguished projections, i.e. the support
-      indicator at level ``k`` in the colimit.
-    """
+    """:meth:`Tower.line_class` of a fresh tower; ``perfbench/spans.py`` traces it."""
     return Tower(g).line_class(k)
 
 
@@ -456,34 +505,17 @@ class ATIdentity(NamedTuple):
 
 
 def atiyah_todd(g: Graph, k: int) -> ATIdentity:
-    """Derive and verify the degree-``k`` class recursion.
-
-    Both directions come from ``sum_i c_i Gamma^-i = 0`` where
-    ``(c_0..c_n) = rev_charpoly(Gamma)``: shifting by ``s`` gives
-    ``sum_i c_i [L_(i+s)] = 0``.  For ``k >= n`` solve for the top term
-    (degree-lowering); for ``k <= -1`` solve for the bottom term
-    (degree-raising).  Degrees ``0 <= k < n`` are the base window and are
-    rejected.  Requires a unimodular adjacency matrix.
-    """
+    """:meth:`Tower.atiyah_todd` of a fresh tower; ``perfbench/spans.py`` traces it."""
     return Tower(g).atiyah_todd(k)
 
 
 def line_class_matrix(g: Graph) -> Matrix:
-    """The n x n matrix whose row ``k`` (0-based) is the vector of ``[L_k]``.
-
-    Row ``k`` holds the column sums of ``Gamma^-k`` for ``k = 0..n-1``;
-    requires a unimodular adjacency matrix.
-    """
+    """:attr:`Tower.line_class_matrix` of a fresh tower; ``perfbench/spans.py`` traces it."""
     return Tower(g).line_class_matrix
 
 
 def phi(g: Graph, cls: K0Class) -> linalg.QuotElem:
-    """The ring identification: class coordinates -> ``Z[x]/(p)``.
-
-    ``p = det(t Gamma - 1)``; the class vector is solved against the rows
-    of :func:`line_class_matrix` (which must be unimodular as well), so
-    ``phi([L_k]) = x^k`` by construction on the base window.
-    """
+    """:meth:`Tower.phi` of a fresh tower; ``perfbench/spans.py`` traces it."""
     return Tower(g).phi(cls)
 
 
@@ -576,13 +608,12 @@ def invariants_report(g: Graph, k_min: int = -3, k_max: int = 3) -> dict:
             unavailable = {"available": False, "reason": "line-class matrix is not unimodular"}
             out["phi_checks"] = out["kk"] = unavailable
         else:
-            p = t.rev_charpoly
-            out["phi_modulus"] = list(linalg.lambda_pow(p, 0).modulus)
+            out["phi_modulus"] = list(t.x_power(0).modulus)
             out["phi_checks"] = [
                 {
                     "k": k,
                     "residue": list(phis[k].residue),
-                    "matches_power": phis[k] == linalg.lambda_pow(p, k),
+                    "matches_power": phis[k] == t.x_power(k),
                 }
                 for k in ks
             ]

@@ -374,10 +374,6 @@ def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
     return poly_trim(out)
 
 
-def poly_scale(c: int, p: IntPoly) -> IntPoly:
-    return poly_trim(c * a for a in p)
-
-
 def poly_mod_monic(p: IntPoly, modulus: IntPoly) -> IntPoly:
     """Remainder of p modulo a monic modulus (integer long division)."""
     if not modulus or modulus[-1] != 1:
@@ -451,22 +447,12 @@ class QuotElem(NamedTuple):
         self._binop_check(other)
         return QuotElem(self.modulus, poly_sub(self.residue, other.residue))
 
-    def __neg__(self) -> "QuotElem":
-        return QuotElem(self.modulus, poly_neg(self.residue))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QuotElem(self.modulus, poly_scale(other, self.residue))
+    def __mul__(self, other: "QuotElem") -> "QuotElem":
         self._binop_check(other)
         return QuotElem(
             self.modulus,
             poly_mod_monic(poly_mul(self.residue, other.residue), self.modulus),
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def is_zero(self) -> bool:
         return not self.residue
@@ -480,28 +466,3 @@ def quot_make(p: IntPoly, residue: Iterable[int]) -> QuotElem:
     modulus = _normalize_modulus(tuple(p))
     return QuotElem(modulus, poly_mod_monic(poly_trim(residue), modulus))
 
-
-def quot_one(p: IntPoly) -> QuotElem:
-    return quot_make(p, (1,))
-
-
-def lambda_pow(p: IntPoly, k: int) -> QuotElem:
-    """The class of x^k in Z[x]/(p), for any integer k, by repeated squaring.
-
-    Negative powers exist iff the constant term of the normalized modulus
-    is +-1; then x^-1 = -c_0 * (c_1 + c_2 x + ... + c_n x^(n-1)).
-    """
-    modulus = _normalize_modulus(tuple(p))
-    c0 = modulus[0]
-    if k < 0 and c0 not in (1, -1):
-        raise ValueError(
-            f"x is not invertible modulo {poly_str(modulus)} (constant term {c0})"
-        )
-    base = poly_trim(-c0 * c for c in modulus[1:]) if k < 0 else (0, 1)
-    x = QuotElem(modulus, poly_mod_monic(base, modulus))
-    out = quot_one(modulus)
-    for bit in f"{abs(k):b}":
-        out = out * out
-        if bit == "1":
-            out = out * x
-    return out

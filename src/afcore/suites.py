@@ -82,7 +82,7 @@ def suite_penrose() -> CheckReport:
 
     rep.add(
         "inverse of the ring generator is x + 1",
-        linalg.lambda_pow(t.rev_charpoly, -1).residue == (1, 1),
+        t.x_power(-1).residue == (1, 1),
     )
     rep.add("phi matches powers (|k| <= 6)", t.verify_phi(6).ok)
     rep.add("phi is multiplicative (|j|,|k| <= 6)", t.semiring_check(6).ok)
@@ -159,9 +159,8 @@ def suite_cpq(n: int | None) -> CheckReport:
         down_ok = all(t.atiyah_todd(k).verified for k in (-1, -2, -3))
         rep.add(f"n={nn}: degree-raising recursions verify (k = -1..-3)", down_ok)
 
-        one = linalg.quot_one(t.rev_charpoly)
-        lam = linalg.lambda_pow(t.rev_charpoly, 1)
-        nil = one - lam
+        one = t.x_power(0)
+        nil = one - t.x_power(1)
         power = one
         for _ in range(nn):
             power = power * nil

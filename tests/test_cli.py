@@ -577,6 +577,9 @@ PINNED_OUTPUTS = {
     ("ktheory", "penrose", "--range=-8..8"): "959c30192d562980a191e42fb191792a8dcb825f6d9b31ae2d4a3386c4186b19",
     ("ktheory", "tadpole"): "b9542b40c88f7df0dcf828acaf2105ef96a0b3ed50463baa3651f08ff1189287",
     ("ktheory", "tadpole", "--range=-8..8"): "28fceaceb548cccf31ba9c30f578cef850c7b0cf070ce9f9aefb51eb8ce2c409",
+    # wide windows pin the far powers of x that phi is checked against
+    ("ktheory", "sigma:12", "--range=-40..40", "--json"): "e813ad8ce9347067fcc21556f2997731cc330a7e2237070f3b54afb55b951cab",
+    ("ktheory", "penrose", "--range=-200..200"): "8ab062bb0276df005599daface98e713d4d8bb41cfdeaa15e8fe45db4a6eeaa1",
     ("bratteli", "cycle:1", "--levels", "8"): "d8cfa6c12827ccbdf05d4f9433f9854cf39d8220170e28b57f925c6554f43ffc",
     ("bratteli", "cycle:1", "--levels", "8", "--json"): "efe19c34913923808ca9401eb928795e4f4935dbd9791718fb615d89adb53572",
     ("bratteli", "cycle:1", "--levels", "8", "--dot"): "6979c262caee746d6e7f3e723eb0e25697995c991a6eaddec2c09dfe7e0178dc",
@@ -772,6 +775,47 @@ def test_leavitt_nesting_at_the_limit_evaluates(capsys):
     text = "(" * MAX_NESTING + "P(1)" + ")" * MAX_NESTING
     code, data, err = run_json(capsys, "leavitt", "penrose", "eval", text)
     assert code == 0 and data["normal"] == "P(1)"
+
+
+# -- integers longer than Python's int <-> str digit limit ------------------------------
+
+
+def test_integers_past_the_digit_limit_are_read_and_printed_whole(capsys):
+    # a fresh process with the least digit limit (640) gives the in-process answers
+    coeff = "7" * 700
+    cases = [
+        (("bratteli", "cuntz:10", "--levels", "700"), "1" + "0" * 698),
+        (("bratteli", "cuntz:10", "--levels", "700", "--json"), "1" + "0" * 698),
+        (("ktheory", "cuntz:10", "--range=0..700", "--json"), "1" + "0" * 700),
+        (("leavitt", "penrose", "eval", coeff + "P(1)"), coeff + "P(1)"),
+    ]
+    src = os.path.dirname(os.path.dirname(afcore.__file__))
+    for argv, digits in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "afcore", *argv],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="640"),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert digits in proc.stdout
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="Python before 3.10.7 has no digit limit"
+)
+def test_main_restores_the_callers_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        for argv in (["ktheory", "penrose"], ["ktheory", "nosuch:1"], ["--help"], ["nosuch"]):
+            main(argv)
+            capsys.readouterr()
+            assert sys.get_int_max_str_digits() == 1000, argv
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 # -- picard -----------------------------------------------------------------------------

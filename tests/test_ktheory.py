@@ -27,7 +27,7 @@ from afcore.ktheory import (
     uhf_embed,
     walk_counts,
 )
-from afcore.linalg import Matrix, lambda_pow, power, rank_Q, rev_charpoly
+from afcore.linalg import Matrix, QuotElem, power, rank_Q, rev_charpoly
 
 
 def fib(n: int) -> int:
@@ -514,10 +514,10 @@ def test_line_class_matrix_penrose(penrose):
 
 
 def test_phi_basics(penrose):
-    p = rev_charpoly(adjacency(penrose))
-    assert phi(penrose, class_of_unit(penrose)) == lambda_pow(p, 0)
-    assert phi(penrose, line_class(penrose, 1)) == lambda_pow(p, 1)
-    assert phi(penrose, line_class(penrose, -3)) == lambda_pow(p, -3)
+    t = Tower(penrose)
+    assert phi(penrose, class_of_unit(penrose)) == t.x_power(0)
+    assert phi(penrose, line_class(penrose, 1)) == t.x_power(1)
+    assert phi(penrose, line_class(penrose, -3)) == t.x_power(-3)
     with pytest.raises(ValueError, match="level-0"):
         phi(penrose, K0Class((1, 0), level=2))
 
@@ -606,6 +606,21 @@ def test_invariants_report_is_jsonable(penrose, tadpole):
 def test_invariants_report_range_validation(penrose):
     with pytest.raises(ValueError, match="empty degree range"):
         invariants_report(penrose, k_min=2, k_max=-2)
+
+
+def test_invariants_report_forms_each_power_of_x_once(monkeypatch):
+    # one product by x or x^-1 per degree of the window past 0
+    calls = []
+    mul = QuotElem.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QuotElem, "__mul__", counting_mul)
+    rep = invariants_report(catalog.build_token("sigma:8"), -50, 50)
+    assert len(calls) <= 110
+    assert all(row["matches_power"] for row in rep["phi_checks"])
 
 
 def test_invariants_report_derives_each_per_graph_datum_once(monkeypatch):

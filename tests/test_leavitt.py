@@ -348,6 +348,22 @@ def test_normal_form_at_sinks_agrees_with_zero_test_and_oracle(token):
     assert verdicts == {True, False}
 
 
+def test_normal_form_skips_monomials_an_expansion_cancelled(monkeypatch):
+    # expanding P(1) cancels S(a)S(a)^* and S(b)S(b)^*, which are then not expanded
+    g = catalog.build("penrose")
+    x = parse_elem(g, "-P(1) + S(a)S(a)^* + S(b)S(b)^* + S(a)S(a)(S(a)S(a))^*")
+    calls = []
+    expand = leavitt._expand
+
+    def counted(graph, m):
+        calls.append(m)
+        return expand(graph, m)
+
+    monkeypatch.setattr(leavitt, "_expand", counted)
+    assert to_string(normal_form(x)) == "S(a)S(a)S(a)^*S(a)^*"
+    assert calls == [Monomial((), (), "1")]
+
+
 # -- work of the zero test and the tensor carrier ------------------------------------
 
 

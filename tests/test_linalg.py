@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -6,14 +5,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from afcore import catalog, graphs, linalg
 from afcore.errors import NotUnimodular
+from afcore.ktheory import Tower
 from afcore.linalg import (
     Matrix,
-    QuotElem,
     charpoly,
     det,
     inv_unimodular,
     is_non_derogatory,
-    lambda_pow,
     poly_add,
     poly_deg,
     poly_mod_monic,
@@ -21,7 +19,6 @@ from afcore.linalg import (
     poly_str,
     power,
     quot_make,
-    quot_one,
     rank_Q,
     rev_charpoly,
     row_vec_mul,
@@ -744,8 +741,8 @@ def test_poly_helpers():
 
 def test_quot_ring_laws():
     p = (1, -1, -1)  # penrose reversed charpoly, monic after normalization
-    one = quot_one(p)
-    lam = lambda_pow(p, 1)
+    one = quot_make(p, (1,))
+    lam = quot_make(p, (0, 1))
     x = quot_make(p, (2, 3))
     y = quot_make(p, (-1, 4))
     z = quot_make(p, (5, -2))
@@ -754,71 +751,57 @@ def test_quot_ring_laws():
     assert x * (y + z) == x * y + x * z
     assert x * one == x
     assert (x * y) * z == x * (y * z)
-    assert lam * lam == lambda_pow(p, 2)
+    assert lam * lam == quot_make(p, (0, 0, 1)) == quot_make(p, (1, -1))
 
 
-def test_lambda_pow_additivity():
-    p = (1, -1, -1)
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            assert lambda_pow(p, a) * lambda_pow(p, b) == lambda_pow(p, a + b)
-    assert lambda_pow(p, 0) == quot_one(p)
-
-
-def test_lambda_inverse_penrose():
-    # for the golden-ratio polynomial, 1/lambda = 1 + lambda
-    p = (1, -1, -1)
-    assert lambda_pow(p, -1).residue == (1, 1)
-
-
-def test_lambda_pow_requires_invertible_constant_term():
-    # constant term 0 (or any non-unit) means lambda is not invertible
-    with pytest.raises(ValueError, match="not invertible"):
-        lambda_pow((0, -1, 1), -1)
-    with pytest.raises(ValueError, match="not invertible"):
-        lambda_pow((2, -1), -1)
+# -- powers of x on the tower ---------------------------------------------------------
 
 
 def lambda_pow_by_products(p, k):
-    """x^k as |k| products of x, or of x^-1 = -c_0 (c_1 + ... + c_n x^(n-1))."""
-    modulus = quot_one(p).modulus
+    """x^k in Z[x]/(p) as |k| products of x, or of x^-1 = -c_0 (c_1 + ... + c_n x^(n-1))."""
+    one = quot_make(p, (1,))
+    modulus = one.modulus
     x = quot_make(p, (0, 1) if k >= 0 else [-modulus[0] * c for c in modulus[1:]])
-    out = quot_one(p)
+    out = one
     for _ in range(abs(k)):
         out = out * x
     return out
 
 
-@pytest.mark.parametrize(
-    "p", [(1, -1, -1), (-1, 1, 1), (1, 0, 1), (-1, 3, 0, 1), (1, 2, -2, -1), (1, -1), (3, -1, 1)]
+def test_lambda_pow_additivity():
+    for token in ("penrose", "sigma:3", "cycle:4"):
+        t = Tower(catalog.build_token(token))
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                assert t.x_power(a) * t.x_power(b) == t.x_power(a + b)
+        assert t.x_power(0) == quot_make(t.rev_charpoly, (1,))
+
+
+def test_lambda_inverse_penrose():
+    # for the golden-ratio polynomial, 1/lambda = 1 + lambda
+    assert Tower(catalog.build_token("penrose")).x_power(-1).residue == (1, 1)
+
+
+X_POWER_TOKENS = (
+    ["penrose"]
+    + [f"sigma:{n}" for n in range(1, 7)]
+    + [f"lens:{n}" for n in range(5)]
+    + [f"cycle:{n}" for n in range(1, 7)]
 )
-def test_lambda_pow_matches_repeated_products(p):
-    for k in range(-60, 61):
-        if k < 0 and quot_one(p).modulus[0] not in (1, -1):
-            with pytest.raises(ValueError, match="x is not invertible modulo"):
-                lambda_pow(p, k)
-        else:
-            assert lambda_pow(p, k) == lambda_pow_by_products(p, k)
 
 
-def test_lambda_pow_takes_logarithmically_many_products(monkeypatch):
-    calls = []
-    mul = QuotElem.__mul__
-
-    def counting_mul(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(QuotElem, "__mul__", counting_mul)
-    got = lambda_pow((1, -1, -1), -1000)
-    assert len(calls) <= 2 * math.ceil(math.log2(1000)) + 2
-    monkeypatch.undo()
-    assert got == lambda_pow_by_products((1, -1, -1), -1000)
+@pytest.mark.parametrize("token", X_POWER_TOKENS)
+def test_x_power_matches_repeated_products(token):
+    t = Tower(catalog.build_token(token))
+    ks = list(range(-60, 61))
+    random.Random(token).shuffle(ks)  # the kept powers are read in any order
+    for k in ks:
+        assert t.x_power(k) == lambda_pow_by_products(t.rev_charpoly, k), k
 
 
-def test_quot_positive_powers_cuntz():
-    # single vertex, n loops: modulus x - n, so lambda^k reduces to n^k
-    for n in (2, 3, 5):
-        p = (n, -1)
-        for k in range(0, 5):
-            assert lambda_pow(p, k).residue == (n**k,)
+@pytest.mark.parametrize("token", ["cuntz:2", "full:2"])
+def test_x_power_refuses_a_singular_adjacency(token):
+    t = Tower(catalog.build_token(token))
+    for k in (0, 1, -1):
+        with pytest.raises(NotUnimodular):
+            t.x_power(k)
