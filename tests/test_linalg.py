@@ -768,6 +768,25 @@ def lambda_pow_by_products(p, k):
     return out
 
 
+@pytest.mark.parametrize(
+    "p", [(1, -1, -1), (-1, 1, 1), (1, 0, 1), (-1, 3, 0, 1), (1, 2, -2, -1), (1, -1), (3, -1, 1)]
+)
+def test_lambda_pow_matches_repeated_products(p):
+    # the repeated-products oracle on moduli beyond the towers': x^k for k >= 0 is the
+    # reduced monomial, and the x^-1 it steps by is an inverse exactly when c_0 = +-1
+    one = quot_make(p, (1,))
+    unit = one.modulus[0] in (1, -1)
+    assert (lambda_pow_by_products(p, 1) * lambda_pow_by_products(p, -1) == one) == unit
+    for k in range(0, 61):
+        assert lambda_pow_by_products(p, k) == quot_make(p, (0,) * k + (1,)), k
+    if unit:
+        x = lambda_pow_by_products(p, 1)
+        for k in range(-60, 61):
+            power = lambda_pow_by_products(p, k)
+            assert power * lambda_pow_by_products(p, -k) == one, k
+            assert power * x == lambda_pow_by_products(p, k + 1), k
+
+
 def test_lambda_pow_additivity():
     for token in ("penrose", "sigma:3", "cycle:4"):
         t = Tower(catalog.build_token(token))
