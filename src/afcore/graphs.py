@@ -312,13 +312,14 @@ def serialize_graph(g: Graph) -> str:
 def adjacency(g: Graph):
     """Vertex adjacency matrix: entry (i, j) counts edges from vertex i to j.
 
-    Rows and columns follow vertex declaration order.
+    Rows and columns follow vertex declaration order, read off
+    ``g.vertices``, so the graph builds no lookup index for it.
     """
     from .linalg import Matrix
 
     n = g.n_vertices
     rows = [[0] * n for _ in range(n)]
-    vindex = g._index()._vindex
+    vindex = {v: i for i, v in enumerate(g.vertices)}
     for e in g.edges:
         rows[vindex[e.src]][vindex[e.dst]] += 1
     return Matrix._trusted(tuple(map(tuple, rows)))

@@ -24,7 +24,7 @@ exact class recursions), ``phi`` (the ring identification with
 ``Z[x]/(p)`` for ``p = det(t Gamma - 1)``, sending ``[L_k]`` to ``x^k``),
 and ``Tower.gamma_inv`` (the degree shift ``Gamma^-1``).  The powers
 ``x_power(k) = x^k`` form the tower's second per-degree sequence, kept
-like the orbit and extended one product by ``x`` or ``x^-1`` at a time.
+like the orbit and extended one step by ``x`` or ``x^-1`` at a time.
 
 Coordinate convention: all class vectors are *row* vectors in vertex
 declaration order, and matrices act on the right.
@@ -56,7 +56,8 @@ class Tower:
 
     @cached_property
     def sinks(self) -> tuple:
-        return self.graph.sinks()
+        """The vertices whose row of ``Gamma`` is zero, in vertex order."""
+        return tuple(v for v, row in zip(self.graph.vertices, self.gamma.rows) if not any(row))
 
     def require_sink_free(self, why: str) -> None:
         if self.sinks:
@@ -139,9 +140,11 @@ class Tower:
         self.require_sink_free("line classes live over emission-complete graphs")
         if k <= 0 or self.unimodular:
             return K0Class(self.orbit(-k), 0)
-        if g.sources():
+        # orbit(1) holds the column sums of Gamma, zero at exactly the sources
+        sources = [v for v, into in zip(g.vertices, self.orbit(1)) if not into]
+        if sources:
             raise SourceError(
-                f"graph {g.name!r} has sources {list(g.sources())} and a singular "
+                f"graph {g.name!r} has sources {sources} and a singular "
                 f"adjacency matrix; positive-degree classes are not available"
             )
         supp = set(self.colimit.support(k))
@@ -190,10 +193,11 @@ class Tower:
         else:
             s = -c[0]  # c_0 = (-1)^n
             coeffs = {i + k: s * c[i] for i in range(1, n + 1) if c[i]}
-        rhs = (0,) * n
+        rhs = [0] * n
         for j, coeff in coeffs.items():
-            rhs = tuple(r + coeff * x for r, x in zip(rhs, self.line_class(j).vector))
-        verified = self.line_class(k).vector == rhs
+            for i, x in enumerate(self.line_class(j).vector):
+                rhs[i] += coeff * x
+        verified = self.line_class(k).vector == tuple(rhs)
         return ATIdentity(k=k, coeffs=tuple(sorted(coeffs.items())), verified=verified)
 
     def phi(self, cls: K0Class) -> linalg.QuotElem:
@@ -210,27 +214,36 @@ class Tower:
 
     @cached_property
     def _x_sides(self) -> tuple:
-        """``(powers, step)`` for ``k >= 0`` and then for ``k < 0``: the list
-        of ``x^|k|`` or ``x^-|k|`` so far, from ``1``, and ``x`` or ``x^-1``."""
+        """The lists of ``x^k`` and of ``x^-k`` so far, ``k >= 0``, each from ``1``."""
         self.require_unimodular()
         one = linalg.quot_make(self.rev_charpoly, (1,))
-        c = one.modulus  # monic with c_0 = +-1, so x^-1 = -c_0 (c_1 + ... + c_n x^(n-1))
-        x = linalg.QuotElem(c, linalg.poly_mod_monic((0, 1), c))
-        x_inv = linalg.QuotElem(c, tuple(-c[0] * a for a in c[1:]))
-        return ([one], x), ([one], x_inv)
+        return [one], [one]
 
     def x_power(self, k: int) -> linalg.QuotElem:
         """``x^k`` in ``Z[x]/(det(t Gamma - 1))``, which :meth:`phi` should
         send ``[L_k]`` to.
 
-        Kept like :meth:`orbit`: each side is extended one product by ``x``
-        or ``x^-1`` at a time, modulo ``det(t Gamma - 1)`` normalized once
-        per tower.  The ring needs ``det Gamma = +-1``; otherwise
-        :class:`NotUnimodular` is raised.
+        Kept like :meth:`orbit`: each side is extended by ``x`` or ``x^-1``
+        one step at a time, modulo ``c = det(t Gamma - 1)`` normalized once
+        per tower.  A step is a shift and one multiple of ``c``: ``x r`` is
+        ``r`` shifted up less ``r_(n-1) c``, and ``x^-1 r`` is ``r`` less
+        ``r_0 c_0 c`` shifted down, since ``c`` is monic with ``c_0 = +-1``.
+        The ring needs ``det Gamma = +-1``; otherwise :class:`NotUnimodular`
+        is raised.
         """
-        powers, step = self._x_sides[k < 0]
+        powers = self._x_sides[k < 0]
+        c = powers[0].modulus
+        n = len(c) - 1
         while len(powers) <= abs(k):
-            powers.append(powers[-1] * step)
+            r = powers[-1].residue
+            r = [*r, *(0,) * (n - len(r))]
+            if k >= 0:
+                top = r[-1]
+                r = [a - top * b for a, b in zip([0, *r], c)]
+            else:
+                low = r[0] * c[0]
+                r = [a - low * b for a, b in zip([*r[1:], 0], c[1:])]
+            powers.append(linalg.QuotElem(c, linalg.poly_trim(r)))
         return powers[abs(k)]
 
     def verify_phi(self, depth: int) -> CheckReport:

@@ -27,12 +27,17 @@ exactly when, for all domain vertices u and v,
 
 The admissible edge maps of f are then the bijections between parallel-edge sets.
 The search tries at most a fixed 200 000 assignments (``MAX_ASSIGNMENTS``).
+
+``check_morphism`` validates a given morphism in one pass over the
+codomain's edges, without building the codomain's lookup indices, and
+refuses a map entry for anything that is not a domain vertex or edge.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import graphs
@@ -77,59 +82,79 @@ class AdmissibilityVerdict(NamedTuple):
 def check_morphism(m: Morphism) -> AdmissibilityVerdict:
     """Validate a morphism and decide admissibility.
 
-    Raises :class:`MorphismError` when the data is not a morphism at all
-    (missing assignments, unknown images, or source/range commutation
-    failures).  Otherwise returns a verdict with witnesses.
+    Raises :class:`MorphismError` when the data is not a morphism at all:
+    missing assignments, unknown images, source/range commutation failures
+    and, checked after those, a map entry for a key that is not a domain
+    vertex or edge.  Otherwise returns a verdict with witnesses.
+
+    The codomain is read in one pass over ``cod.edges`` and gets no lookup
+    index.  The pass keeps the edges that end in the image: each image edge
+    is validated against them, and the rest are the range witnesses, in
+    codomain order.  An image edge the pass did not keep is no edge of the
+    codomain or ends outside the image; only for it are ``cod.has_edge``
+    and ``cod.edge`` asked, for the error message.  By commutation, an
+    image vertex f(v) emits an image edge exactly when some domain edge
+    leaves v, so the emission witnesses are the other image vertices that
+    emit a codomain edge, in codomain vertex order.
     """
     dom, cod = m.domain, m.codomain
+    vmap, emap = m.vmap, m.emap
+    cod_vertices = set(cod.vertices)
     for v in dom.vertices:
-        if v not in m.vmap:
+        if v not in vmap:
             raise MorphismError(f"vertex {v!r} has no image under the vertex map")
-        if not cod.has_vertex(m.vmap[v]):
+        if vmap[v] not in cod_vertices:
             raise MorphismError(
-                f"vertex {v!r} maps to {m.vmap[v]!r}, not a vertex of {cod.name!r}"
+                f"vertex {v!r} maps to {vmap[v]!r}, not a vertex of {cod.name!r}"
             )
-    for e in dom.edges:
-        if e.eid not in m.emap:
-            raise MorphismError(f"edge {e.eid!r} has no image under the edge map")
-        fid = m.emap[e.eid]
-        if not cod.has_edge(fid):
+    image_v = set(map(vmap.__getitem__, dom.vertices))
+    edges = cod.edges
+    into = {f[0]: f for f in edges if f[2] in image_v}  # the codomain edges into the image, by id
+    for eid, src, dst in dom.edges:
+        if eid not in emap:
+            raise MorphismError(f"edge {eid!r} has no image under the edge map")
+        fid = emap[eid]
+        f = into.get(fid)
+        if f is None:
+            if not cod.has_edge(fid):
+                raise MorphismError(f"edge {eid!r} maps to {fid!r}, not an edge of {cod.name!r}")
+            f = cod.edge(fid)
+        if vmap[src] != f.src:
             raise MorphismError(
-                f"edge {e.eid!r} maps to {fid!r}, not an edge of {cod.name!r}"
+                f"edge {eid!r}: source does not commute "
+                f"({src!r} -> {vmap[src]!r} but image edge starts at {f.src!r})"
             )
-        f = cod.edge(fid)
-        if m.vmap[e.src] != f.src:
+        if vmap[dst] != f.dst:
             raise MorphismError(
-                f"edge {e.eid!r}: source does not commute "
-                f"({e.src!r} -> {m.vmap[e.src]!r} but image edge starts at {f.src!r})"
+                f"edge {eid!r}: range does not commute "
+                f"({dst!r} -> {vmap[dst]!r} but image edge ends at {f.dst!r})"
             )
-        if m.vmap[e.dst] != f.dst:
-            raise MorphismError(
-                f"edge {e.eid!r}: range does not commute "
-                f"({e.dst!r} -> {m.vmap[e.dst]!r} but image edge ends at {f.dst!r})"
-            )
+    # every domain vertex and edge is a key by now, so a longer map has a stray key
+    if len(vmap) > len(dom.vertices) or len(emap) > len(dom.edges):
+        for kind, entries, known in (("vertex", vmap, set(dom.vertices)),
+                                     ("edge", emap, set(map(itemgetter(0), dom.edges)))):
+            for k in entries:
+                if k not in known:
+                    raise MorphismError(f"the {kind} map has an entry for {k!r}, "
+                                        f"not {'an' if kind == 'edge' else 'a'} {kind} "
+                                        f"of {dom.name!r}")
 
+    image_e = set(emap.values())
     # injectivity, with witnesses: (first preimage, later preimage)
     inj_witnesses = []
-    for keys, images in ((dom.vertices, m.vmap), ([e.eid for e in dom.edges], m.emap)):
-        first: dict = {}
-        for k in keys:
-            if first.setdefault(images[k], k) != k:
-                inj_witnesses.append((first[images[k]], k))
+    if len(image_v) < len(vmap) or len(image_e) < len(emap):
+        for keys, images in ((dom.vertices, vmap), ([e.eid for e in dom.edges], emap)):
+            first: dict = {}
+            for k in keys:
+                if first.setdefault(images[k], k) != k:
+                    inj_witnesses.append((first[images[k]], k))
 
-    image_v = set(m.vmap.values())
-    image_e = set(m.emap.values())
-
-    range_witnesses = tuple(
-        f.eid for f in cod.edges if f.dst in image_v and f.eid not in image_e
-    )
-    emission_witnesses = tuple(
-        w
-        for w in cod.vertices
-        if w in image_v
-        and not cod.is_sink(w)
-        and not any(f.eid in image_e for f in cod.out_edges(w))
-    )
+    range_witnesses = tuple(itertools.filterfalse(image_e.__contains__, into))
+    silent = image_v.difference(map(vmap.__getitem__, map(itemgetter(1), dom.edges)))
+    emission_witnesses = ()
+    if silent:
+        silent.intersection_update(map(itemgetter(1), edges))  # a codomain sink needs no cover
+        emission_witnesses = tuple(w for w in cod.vertices if w in silent)
 
     return AdmissibilityVerdict(
         injective=not inj_witnesses,
@@ -155,13 +180,14 @@ def product(e: Graph, f: Graph) -> Graph:
     more than ``graphs.MAX_EDGES`` edges.
     """
     graphs.check_edge_count(f"the product of {e.name!r} and {f.name!r}", e.n_edges * f.n_edges)
-    vertices = [f"{v}_{w}" for v in e.vertices for w in f.vertices]
+    names = {v: {w: f"{v}_{w}" for w in f.vertices} for v in e.vertices}
+    vertices = [name for row in names.values() for name in row.values()]
     _check_unique(vertices, "product vertex", "rename factor vertices")
     new = tuple.__new__  # Edge's own constructor is a slower Python-level __new__
     edges = [
-        new(Edge, (f"{a.eid}_{b.eid}", f"{a.src}_{b.src}", f"{a.dst}_{b.dst}"))
-        for a in e.edges
-        for b in f.edges
+        new(Edge, (f"{a}_{b}", src[s], dst[d]))
+        for a, src, dst in [(a, names[s], names[d]) for a, s, d in e.edges]
+        for b, s, d in f.edges
     ]
     _check_unique([x[0] for x in edges], "product edge", "rename factor edges")
     return Graph._trusted(f"{e.name}_x_{f.name}", vertices, edges)

@@ -309,6 +309,38 @@ def test_check_morphism_invalid_is_an_error(capsys, tmp_path):
     assert "error:" in err and "no image" in err
 
 
+STRAY_DOC = """\
+graph d
+vertex 1
+edge a : 1 -> 1
+graph c
+vertex x y
+edge p : x -> x
+edge q : y -> x
+morphism f : d -> c
+vmap 1 => x
+emap a => p
+"""
+
+
+@pytest.mark.parametrize("stray, message", [
+    ("emap zz => q", "the edge map has an entry for 'zz', not an edge of 'd'"),
+    ("vmap 7 => y", "the vertex map has an entry for '7', not a vertex of 'd'"),
+])
+def test_check_morphism_refuses_a_stray_map_entry(capsys, tmp_path, stray, message):
+    # without the stray entry the morphism is not range-closed; with it, the
+    # document is refused instead of answered from the extra entry
+    path = tmp_path / "m.morphism"
+    path.write_text(STRAY_DOC)
+    code, out, err = run(capsys, "check-morphism", str(path))
+    assert (code, err) == (1, "")
+    assert "range-closed: no (witnesses: q)\n" in out
+    path.write_text(STRAY_DOC + stray + "\n")
+    assert run(capsys, "check-morphism", str(path)) == (2, "", f"error: {message}\n")
+    code, data, err = run_json(capsys, "check-morphism", str(path))
+    assert (code, data) == (2, None)
+    assert json.loads(err) == {"error": {"type": "MorphismError", "message": message}}
+
 @pytest.mark.parametrize("error", ArtifactError.__subclasses__(), ids=lambda cls: cls.__name__)
 def test_every_artifact_error_from_a_handler_is_a_typed_refusal(capsys, monkeypatch, error):
     def refuse():

@@ -27,7 +27,7 @@ from afcore.ktheory import (
     uhf_embed,
     walk_counts,
 )
-from afcore.linalg import Matrix, QuotElem, power, rank_Q, rev_charpoly
+from afcore.linalg import Matrix, power, rank_Q, rev_charpoly
 
 
 def fib(n: int) -> int:
@@ -609,17 +609,22 @@ def test_invariants_report_range_validation(penrose):
 
 
 def test_invariants_report_forms_each_power_of_x_once(monkeypatch):
-    # one product by x or x^-1 per degree of the window past 0
+    # one step by x or x^-1 per degree of the window past 0, each a shift and
+    # one multiple of the modulus: no polynomial product at all
+    t = Tower(catalog.build_token("sigma:8"))
+    assert t.rev_charpoly  # the modulus, whose determinant expansion multiplies
     calls = []
-    mul = QuotElem.__mul__
+    for name in ("poly_mul", "poly_mod_monic"):
+        def counting(*args, _real=getattr(linalg, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
 
-    def counting_mul(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(QuotElem, "__mul__", counting_mul)
+        monkeypatch.setattr(linalg, name, counting)
+    powers = [t.x_power(k) for k in range(-50, 51)]
+    assert calls == ["poly_mod_monic"]  # x^0, made by quot_make
+    assert [len(side) for side in t._x_sides] == [51, 51]
+    assert [t.x_power(k) for k in range(-50, 51)] == powers and len(calls) == 1
     rep = invariants_report(catalog.build_token("sigma:8"), -50, 50)
-    assert len(calls) <= 110
     assert all(row["matches_power"] for row in rep["phi_checks"])
 
 
@@ -658,9 +663,11 @@ def test_invariants_report_derives_each_per_graph_datum_once(monkeypatch):
 
 
 def test_a_tower_looks_for_sinks_once(monkeypatch):
+    # the sinks are read off Gamma's zero rows, once per tower; the graph is not asked
+    monkeypatch.setattr(Graph, "sinks", lambda g: pytest.fail("Graph.sinks was called"))
     calls = []
-    real_sinks = Graph.sinks
-    monkeypatch.setattr(Graph, "sinks", lambda g: calls.append(g) or real_sinks(g))
+    sinks = Tower.__dict__["sinks"]
+    monkeypatch.setattr(sinks, "func", lambda t, _real=sinks.func: calls.append(t) or _real(t))
     invariants_report(catalog.build_token("sigma:12"))
     assert len(calls) == 1
     t = Tower(catalog.build("chambers", k=2))
@@ -672,6 +679,31 @@ def test_a_tower_looks_for_sinks_once(monkeypatch):
         )
     assert len(calls) == 2
 
+
+def test_the_tower_reads_the_graph_without_indexing_it():
+    # sinks, sources and Gamma come off the vertex and edge tuples, so a fresh
+    # graph gets no lookup index, and the refusals read as before
+    reports = {}
+    for token in ("full:5", "chambers:2", "tadpole"):
+        g = catalog.build_token(token)
+        reports[token] = invariants_report(g)
+        try:
+            Tower(g).bratteli(5)
+        except SinkError as err:
+            reports[token]["bratteli"] = str(err)
+        assert not any(hasattr(g, slot) for slot in ("_vindex", "_eindex", "_out", "_in"))
+    assert reports["full:5"]["k0"] == {"kind": "colimit", "rank": 1, "stable_level": 0,
+                                       "supports": [[0, 1, 2, 3, 4]]}
+    assert reports["chambers:2"]["k0"] == {"available": False,
+                                           "reason": "graph has sinks ['1', '2']"}
+    assert reports["chambers:2"]["bratteli"] == (
+        "graph 'chambers2' has sinks ['1', '2']; the tower sizes assume every vertex emits an edge"
+    )
+    assert reports["tadpole"]["line_classes"][4] == {
+        "k": 1, "available": False,
+        "reason": "graph 'tadpole' has sources ['1'] and a singular adjacency matrix; "
+                  "positive-degree classes are not available",
+    }
 
 @pytest.mark.parametrize("token", ["cycle:40", "lens:10"])
 def test_the_determinant_decides_the_line_basis(token, monkeypatch):

@@ -71,6 +71,75 @@ def all_injective_morphisms(e: Graph, f: Graph):
                 )
 
 
+def check_morphism_by_definition(m: Morphism) -> tuple:
+    """The verdict of ``check_morphism`` read off the codomain's indices,
+    accessor by accessor, as the library did before it learned to read the
+    codomain in one pass; with the stray-entry refusal that follows the
+    per-edge checks."""
+    dom, cod = m.domain, m.codomain
+    for v in dom.vertices:
+        if v not in m.vmap:
+            raise MorphismError(f"vertex {v!r} has no image under the vertex map")
+        if not cod.has_vertex(m.vmap[v]):
+            raise MorphismError(
+                f"vertex {v!r} maps to {m.vmap[v]!r}, not a vertex of {cod.name!r}"
+            )
+    for e in dom.edges:
+        if e.eid not in m.emap:
+            raise MorphismError(f"edge {e.eid!r} has no image under the edge map")
+        fid = m.emap[e.eid]
+        if not cod.has_edge(fid):
+            raise MorphismError(
+                f"edge {e.eid!r} maps to {fid!r}, not an edge of {cod.name!r}"
+            )
+        f = cod.edge(fid)
+        if m.vmap[e.src] != f.src:
+            raise MorphismError(
+                f"edge {e.eid!r}: source does not commute "
+                f"({e.src!r} -> {m.vmap[e.src]!r} but image edge starts at {f.src!r})"
+            )
+        if m.vmap[e.dst] != f.dst:
+            raise MorphismError(
+                f"edge {e.eid!r}: range does not commute "
+                f"({e.dst!r} -> {m.vmap[e.dst]!r} but image edge ends at {f.dst!r})"
+            )
+    for k in m.vmap:
+        if k not in dom.vertices:
+            raise MorphismError(f"the vertex map has an entry for {k!r}, not a vertex of {dom.name!r}")
+    for k in m.emap:
+        if not any(e.eid == k for e in dom.edges):
+            raise MorphismError(f"the edge map has an entry for {k!r}, not an edge of {dom.name!r}")
+
+    inj_witnesses = []
+    for keys, images in ((dom.vertices, m.vmap), ([e.eid for e in dom.edges], m.emap)):
+        first: dict = {}
+        for k in keys:
+            if first.setdefault(images[k], k) != k:
+                inj_witnesses.append((first[images[k]], k))
+    image_v = set(m.vmap.values())
+    image_e = set(m.emap.values())
+    range_witnesses = tuple(
+        f.eid for f in cod.edges if f.dst in image_v and f.eid not in image_e
+    )
+    emission_witnesses = tuple(
+        w
+        for w in cod.vertices
+        if w in image_v
+        and not cod.is_sink(w)
+        and not any(f.eid in image_e for f in cod.out_edges(w))
+    )
+    return (not inj_witnesses, not range_witnesses, not emission_witnesses,
+            tuple(inj_witnesses), range_witnesses, emission_witnesses)
+
+
+def outcome(check, m: Morphism) -> tuple:
+    """A check's verdict tuple, or the type and message of what it raised."""
+    try:
+        return ("verdict", tuple(check(m)))
+    except Exception as err:  # any type: the type and message are compared
+        return ("raised", type(err), str(err))
+
+
 # -- morphism validation ----------------------------------------------------------
 
 
@@ -122,6 +191,107 @@ def test_verdict_witnesses(penrose):
     assert not verdict.admissible
 
 
+def random_morphism(rng: random.Random, dom: Graph, cod: Graph) -> Morphism:
+    """A seeded map from ``dom`` to ``cod``: the identity when they are the
+    same graph, otherwise a random vertex map, often injective; each edge
+    goes to an unused parallel edge where there is one.  Now and then an
+    entry is missing, names an unknown image or a wrong edge, or a stray
+    key is added; the keys come in a shuffled order."""
+    if cod is dom:
+        vmap = {v: v for v in dom.vertices}
+    elif rng.random() < 0.5 and dom.n_vertices <= cod.n_vertices:
+        vmap = dict(zip(dom.vertices, rng.sample(cod.vertices, dom.n_vertices)))
+    else:
+        vmap = {v: rng.choice(cod.vertices) for v in dom.vertices}
+    for v in dom.vertices:
+        r = rng.random()
+        if r < 0.02:
+            del vmap[v]
+        elif r < 0.04:
+            vmap[v] = "zz"
+    emap: dict = {}
+    for x in dom.edges:
+        r = rng.random()
+        if r < 0.02:
+            continue
+        parallel = [f.eid for f in cod.edges
+                    if (f.src, f.dst) == (vmap.get(x.src), vmap.get(x.dst))]
+        unused = [f for f in parallel if f not in emap.values()]
+        if r < 0.04 or not cod.edges:
+            emap[x.eid] = "zz"
+        elif r < 0.94 and parallel:
+            emap[x.eid] = rng.choice(unused or parallel)
+        else:
+            emap[x.eid] = rng.choice(cod.edges).eid
+    for table, images in ((vmap, cod.vertices), (emap, [f.eid for f in cod.edges])):
+        if rng.random() < 0.04:
+            table[rng.choice(["zz", "stray"])] = rng.choice([*images, "zz"])
+    vmap, emap = (dict(rng.sample(list(t.items()), len(t))) for t in (vmap, emap))
+    return Morphism(dom, cod, vmap, emap)
+
+
+REFUSALS = ("has an entry for", "has no image", "not a vertex of", "not an edge of",
+            "source does not commute", "range does not commute")
+
+
+def test_check_morphism_matches_the_definition_on_random_maps():
+    universe = list(catalog.small_graph_universe())
+    small = universe[:84]  # every graph on at most two vertices
+    rng = random.Random(31)
+    codomains = small + rng.sample(universe[84:], 40) + [product(g, g) for g in small[::3]]
+    domains = small + rng.sample(universe[84:], 20)
+    kinds = {}
+    for _ in range(20_000):
+        dom = rng.choice(domains)
+        m = random_morphism(rng, dom, dom if rng.random() < 0.25 else rng.choice(codomains))
+        got = outcome(check_morphism, m)
+        assert got == outcome(check_morphism_by_definition, m), m
+        if got[0] == "raised":
+            kind = next(r for r in REFUSALS if r in got[2])
+        else:
+            kind = "admissible" if all(got[1][:3]) else "not admissible"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # each verdict and each refusal is drawn many times
+    assert set(kinds) == {"admissible", "not admissible", *REFUSALS}, kinds
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_canonical_embeddings_leave_the_square_unindexed():
+    # every diagonal and loop embedding of the graphs on at most two vertices,
+    # each into a fresh square: the verdicts are the definition's, and the
+    # square, read in one pass per check, gets no lookup index
+    for g in itertools.islice(catalog.small_graph_universe(), 84):
+        square = product(g, g)
+        loops = [x.eid for x in g.edges if x.src == x.dst]
+        ms = [diagonal_embedding(g, within=square)]
+        ms += [vertical_embedding(g, g, loop, within=square) for loop in loops]
+        got = [outcome(check_morphism, m) for m in ms]
+        assert not hasattr(square, "_in")
+        assert got == [outcome(check_morphism_by_definition, m) for m in ms]
+
+
+def test_check_morphism_refuses_stray_map_entries():
+    dom = Graph("d", ("1",), (("a", "1", "1"),))
+    cod = Graph("c", ("x", "y"), (("p", "x", "x"), ("q", "y", "x")))
+    m = Morphism(dom, cod, {"1": "x"}, {"a": "p"})
+    assert check_morphism(m).range_witnesses == ("q",)
+    for vmap, emap, message in [
+        ({"1": "x"}, {"a": "p", "zz": "q"},
+         "the edge map has an entry for 'zz', not an edge of 'd'"),
+        ({"1": "x", "7": "y"}, {"a": "p"},
+         "the vertex map has an entry for '7', not a vertex of 'd'"),
+        ({"7": "zz", "1": "x"}, {"b": "zz", "a": "p"},  # the vertex map is read first
+         "the vertex map has an entry for '7', not a vertex of 'd'"),
+        # every other error comes first
+        ({"1": "x", "7": "y"}, {"a": "q"},
+         "edge 'a': source does not commute ('1' -> 'x' but image edge starts at 'y')"),
+        ({"1": "x"}, {"zz": "q"}, "edge 'a' has no image under the edge map"),
+    ]:
+        with pytest.raises(MorphismError) as info:
+            check_morphism(Morphism(dom, cod, vmap, emap))
+        assert str(info.value) == message
+
+
 # -- products and the Kronecker identity --------------------------------------------
 
 
@@ -150,6 +320,20 @@ def test_product_id_ambiguity():
     with pytest.raises(ValueError) as exc:
         product(g, h)
     assert str(exc.value) == "ambiguous product edge id 'a_b_c'; rename factor edges"
+
+
+def test_product_matches_the_pairs_of_names():
+    # each product vertex name is formatted once and reused for the edge ends
+    small = list(itertools.islice(catalog.small_graph_universe(), 84))
+    for e, f in itertools.product(small, small[::5]):
+        p = product(e, f)
+        assert p.vertices == tuple(f"{v}_{w}" for v in e.vertices for w in f.vertices)
+        assert p.edges == tuple(
+            (f"{a.eid}_{b.eid}", f"{a.src}_{b.src}", f"{a.dst}_{b.dst}")
+            for a in e.edges
+            for b in f.edges
+        )
+        assert all(type(x) is graphs.Edge for x in p.edges)
 
 
 def test_cuntz_product_is_cuntz(penrose):
