@@ -15,15 +15,14 @@ and everything else rests on the range relation
                        S_(alpha.e) S_(beta.e)^*,
 
 applied one step at a time by ``_expand``, the only raiser of
-:class:`SinkError`.  Zero tests work by root: stripping the longest common
-trailing string ``gamma`` from ``alpha = alpha'.gamma``, ``beta = beta'.gamma``
-leaves the root ``(alpha', beta', v)``, ``v`` the source of ``gamma`` (the
-base vertex if ``gamma`` is empty); ``gamma`` is the monomial's node in the
-root's expansion tree.  Rewrites stay inside one root and distinct roots are
-linearly independent (the monomial basis of Leavitt path algebras).  In a
-tree only proper prefixes of present nodes are expanded, shortest first, so
-zero tests never expand at a sink and answer exactly on every graph, as
-does :func:`normal_form`, which leaves a monomial at a sink where it is.
+:class:`SinkError`.  Zero tests read the special-edge basis: with the
+first edge a vertex emits as its special edge, the ``P_v`` and the
+monomials whose walks do not both end in one special edge are a basis
+(Abrams, Ara and Siles Molina, LNM 2191, 2017; over Z, Tomforde 2011).
+:func:`_basis_form` rewrites by the range relation at the source of that
+edge, so zero tests never expand at a sink and answer exactly on every
+graph, as does :func:`normal_form`, which leaves a monomial at a sink
+where it is.
 
 Three carriers are integer combinations of basis keys, and the private base
 :class:`_Combination` writes their ``+``, ``-``, ``*``, integer scaling and
@@ -46,7 +45,7 @@ import re
 from functools import partial
 from typing import Iterable, NamedTuple
 
-from .errors import MorphismError, ParseError, SinkError, SourceError
+from .errors import GuardError, MorphismError, ParseError, SinkError, SourceError
 from .graphs import Graph, walk_edges
 from .ops import Morphism, check_morphism, line_graph  # noqa: F401 (traced here by perfbench)
 from .report import CheckReport
@@ -278,7 +277,7 @@ def to_string(x: LeavittElem) -> str:
     return out
 
 
-# -- expansion trees and zero tests ---------------------------------------------
+# -- expansion and zero tests -------------------------------------------------
 
 
 def _expand(g: Graph, m: Monomial) -> list:
@@ -291,6 +290,9 @@ def _expand(g: Graph, m: Monomial) -> list:
     return [_new(Monomial, (alpha + (e.eid,), beta + (e.eid,), e.dst)) for e in outgoing]
 
 
+MAX_NORMAL_TERMS = 10**6  # the most terms normal_form writes, as graphs.MAX_EDGES
+
+
 def normal_form(x: LeavittElem) -> LeavittElem:
     """Canonical representative: each degree component at its top level.
 
@@ -298,6 +300,8 @@ def normal_form(x: LeavittElem) -> LeavittElem:
     level-``L`` basis: ``|beta| = L``, or shorter with a sink as base
     vertex, where no expansion applies.  Coefficients are merged first, and
     a monomial that an earlier expansion cancelled is not expanded.
+    A level pass that could make more than ``MAX_NORMAL_TERMS`` terms,
+    counted from the out-degrees, is refused first with :class:`GuardError`.
     """
     g = x.graph
     comps: dict = {}
@@ -307,6 +311,10 @@ def normal_form(x: LeavittElem) -> LeavittElem:
     for _, work in sorted(comps.items()):
         level = max(len(m.beta) for m in work)
         while pending := [m for m in work if len(m.beta) < level and not g.is_sink(m.vertex)]:
+            size = len(out) + len(work) + sum(len(g.out_edges(m.vertex)) - 1 for m in pending)
+            if size > MAX_NORMAL_TERMS:
+                raise GuardError(f"the normal form would reach {size} terms, "
+                                 f"more than the guard of {MAX_NORMAL_TERMS}")
             for m in pending:
                 c = work.pop(m, 0)
                 if not c:
@@ -317,44 +325,34 @@ def normal_form(x: LeavittElem) -> LeavittElem:
     return LeavittElem(g, out)
 
 
-def _prefixes(g: Graph, m: Monomial) -> list:
-    """The proper prefixes of ``m``'s node in its root's tree, deepest first.
+def _basis_form(g: Graph, terms: dict) -> dict:
+    """``terms`` in the special-edge basis, 0 coefficients kept.
 
-    Each strips one more edge of the common trailing string of ``alpha``
-    and ``beta``; the last one is the root.
+    A key whose walks end in the same special edge ``e`` becomes ``S_a S_b^*
+    - sum over f != e with s(f) = s(e) of S_(a.f) S_(b.f)^*``, and only the
+    first of these can need rewriting again.  Longest keys go first, so no
+    key is rewritten twice.  Coefficients need only ``+`` and ``-``.
     """
-    a, b, out = m.alpha, m.beta, []
-    while a and b and a[-1] == b[-1]:
-        a, b = a[:-1], b[:-1]
-        out.append(_new(Monomial, (a, b, g.edge(m.alpha[len(a)]).src)))
-    return out
-
-
-def _refine(g: Graph, terms: dict):
-    """Push ``terms`` down their roots' trees; yield (final node, coefficient).
-
-    Only the proper prefixes of present nodes are expanded, shortest first
-    and each once.  A child that is neither present nor a prefix is final
-    when it is reached; the present nodes that are no prefix are final at
-    the end.  Coefficients need only ``+``.
-    """
-    prefixes = {p for m in terms for p in _prefixes(g, m)}
     work = dict(terms)
-    for p in sorted(prefixes, key=_term_sort_key):
-        c = work.pop(p, None)
-        if not c:
-            continue
-        for child in _expand(g, p):
-            if child in prefixes or child in terms:
-                work[child] = work[child] + c if child in work else c
-            else:
-                yield child, c
-    yield from work.items()
+    for m in sorted(terms, key=lambda m: len(m.alpha) + len(m.beta), reverse=True):
+        a, b, _ = m
+        while a and b and a[-1] == b[-1] and m in work:
+            out = g.out_edges(g.edge(a[-1]).src)
+            if out[0].eid != a[-1]:
+                break
+            c = work.pop(m)
+            a, b = a[:-1], b[:-1]
+            m = _new(Monomial, (a, b, out[0].src))
+            work[m] = work[m] + c if m in work else c
+            for f in out[1:]:
+                key = _new(Monomial, (a + (f.eid,), b + (f.eid,), f.dst))
+                work[key] = work[key] - c if key in work else -c
+    return work
 
 
 def is_zero(x: LeavittElem) -> bool:
-    """Exact zero test: every final node of every root must carry 0."""
-    return not any(c for _, c in _refine(x.graph, x.terms))
+    """Exact zero test: every coefficient in the special-edge basis is 0."""
+    return not any(_basis_form(x.graph, x.terms).values())
 
 
 def equals(x: LeavittElem, y: LeavittElem) -> bool:
@@ -776,13 +774,13 @@ class TensorElem(_Combination):
         return (_mono_star(k[0]), _mono_star(k[1]))
 
     def is_zero(self) -> bool:
-        # push the left factors down their trees; the final left nodes are
-        # independent, so each one's right-hand element must vanish
+        # the left factors in the basis, their right-hand elements as
+        # coefficients: each of those must vanish
         right: dict = {}
         for (ml, mr), c in self.terms.items():
             right.setdefault(ml, {})[mr] = c
         left = {ml: LeavittElem(self.right_graph, ts) for ml, ts in right.items()}
-        return all(is_zero(y) for _, y in _refine(self.left_graph, left))
+        return all(is_zero(y) for y in _basis_form(self.left_graph, left).values())
 
     def __repr__(self) -> str:
         return (

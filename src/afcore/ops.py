@@ -280,9 +280,14 @@ def enumerate_admissible_embeddings(e: Graph, f: Graph) -> tuple[Morphism, ...]:
         return ()
     e_par: dict = {}
     f_par: dict = {}
-    for g, par in ((e, e_par), (f, f_par)):
+    e_shape, f_shape = {}, {}  # vertex -> (in-degree, is a sink), off the edge table
+    for g, par, shape in ((e, e_par, e_shape), (f, f_par, f_shape)):
+        into = dict.fromkeys(g.vertices, 0)
         for x in g.edges:
             par.setdefault((x.src, x.dst), []).append(x.eid)
+            into[x.dst] += 1
+        emits = {src for src, _ in par}
+        shape.update((v, (n, v not in emits)) for v, n in into.items())
     tries = itertools.count(1)
 
     def step() -> None:
@@ -292,7 +297,7 @@ def enumerate_admissible_embeddings(e: Graph, f: Graph) -> tuple[Morphism, ...]:
 
     def fits(image: dict, w: str) -> bool:
         v = e.vertices[len(image)]
-        same = (e.in_degree(v), e.is_sink(v)) == (f.in_degree(w), f.is_sink(w))
+        same = e_shape[v] == f_shape[w]
         return same and all(
             len(e_par.get((u, v), ())) == len(f_par.get((fu, w), ()))
             and len(e_par.get((v, u), ())) == len(f_par.get((w, fu), ()))

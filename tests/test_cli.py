@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import afcore
-from afcore import catalog, cli, ops
+from afcore import catalog, cli, leavitt, ops
 from afcore.cli import jsonable, main
 from afcore.errors import ArtifactError
 from afcore.graphs import Edge, parse_graph, serialize_graph
@@ -764,6 +764,17 @@ def test_leavitt_equals_exit_codes(capsys):
     assert code == 0 and data["equal"] is True
     code, data, err = run_json(capsys, "leavitt", "penrose", "equals", "P(1)", "P(2)")
     assert code == 1 and data["equal"] is False
+
+
+def test_a_leavitt_eval_above_the_term_guard_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(leavitt, "MAX_NORMAL_TERMS", 243)
+    mu = "S(e1_1)" * 5
+    argv = ("leavitt", "full:3", "eval", f"P(1) - {mu}({mu})^*")
+    message = "the normal form would reach 244 terms, more than the guard of 243"
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"type": "GuardError", "message": message}}
 
 
 def test_leavitt_parse_error(capsys):

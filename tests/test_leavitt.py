@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from afcore import catalog, leavitt, ops
-from afcore.errors import MorphismError, ParseError, SinkError, SourceError
+from afcore.errors import GuardError, MorphismError, ParseError, SinkError, SourceError
 from afcore.graphs import Graph, directed_walks, walk_edges
 from afcore.leavitt import (
     LaurentMat2,
@@ -348,6 +348,23 @@ def test_normal_form_at_sinks_agrees_with_zero_test_and_oracle(token):
     assert verdicts == {True, False}
 
 
+def test_normal_form_refuses_a_level_pass_above_its_guard(monkeypatch):
+    # P(1) - S_mu S_mu^* on full:3, mu = (e1_1)^5: the last pass takes the
+    # 3^4 + 1 terms to at most 3^5 + 1, and 3^5 - 1 of them are left
+    assert leavitt.MAX_NORMAL_TERMS == 10**6
+    g = catalog.build_token("full:3")
+    mu = "S(e1_1)" * 5
+    x = parse_elem(g, f"P(1) - {mu}({mu})^*")
+    expected = normal_form(x)
+    assert len(expected.terms) == 3**5 - 1
+    monkeypatch.setattr(leavitt, "MAX_NORMAL_TERMS", 3**5 + 1)
+    assert normal_form(x) == expected
+    monkeypatch.setattr(leavitt, "MAX_NORMAL_TERMS", 3**5)
+    message = "^the normal form would reach 244 terms, more than the guard of 243$"
+    with pytest.raises(GuardError, match=message):
+        normal_form(x)
+
+
 def test_normal_form_skips_monomials_an_expansion_cancelled(monkeypatch):
     # expanding P(1) cancels S(a)S(a)^* and S(b)S(b)^*, which are then not expanded
     g = catalog.build("penrose")
@@ -379,15 +396,13 @@ def _walk_from(g: Graph, v: str, k: int) -> tuple:
 
 def test_zero_test_work_is_linear_in_depth(monkeypatch):
     g = catalog.build_token("full:3")
-    children = []
-    expand = leavitt._expand
+    children = []  # every monomial the zero test builds
+    new = leavitt._new
 
-    def counted(graph, m):
-        out = expand(graph, m)
-        children.append(len(out))
-        return out
+    def counted(cls, fields):
+        children.append(1)
+        return new(cls, fields)
 
-    monkeypatch.setattr(leavitt, "_expand", counted)
     depth = 30
     mu = _walk_from(g, "1", depth)
     end = g.edge(mu[-1]).dst
@@ -401,7 +416,9 @@ def test_zero_test_work_is_linear_in_depth(monkeypatch):
             if e.eid != mu[i]:
                 w = mu[:i] + (e.eid,)
                 comb = comb + LeavittElem(g, {Monomial(w, w, e.dst): 1})
-    assert is_zero(p - comb)
+    x = p - comb
+    monkeypatch.setattr(leavitt, "_new", counted)
+    assert is_zero(x)
     assert sum(children) <= 3 * depth
     children.clear()
     assert not equals(p, q)
@@ -508,6 +525,123 @@ def test_tensor_zero_test_groups_right_factors_without_additions(monkeypatch):
     _no_additions(monkeypatch)
     assert not nonzero.is_zero()
     assert zero.is_zero()
+
+
+# -- the special-edge basis against the root-tree refiner it replaced ----------------
+#
+# The reference pushes each monomial down its root's expansion tree: stripping
+# the longest common trailing string gamma of alpha and beta leaves the root,
+# distinct roots are independent, and within a tree only the proper prefixes
+# of present nodes are expanded, shortest first.
+
+
+def root_prefixes(g: Graph, m: Monomial) -> list:
+    """The proper prefixes of ``m``'s node in its root's tree, deepest first."""
+    a, b, out = m.alpha, m.beta, []
+    while a and b and a[-1] == b[-1]:
+        a, b = a[:-1], b[:-1]
+        out.append(Monomial(a, b, g.edge(m.alpha[len(a)]).src))
+    return out
+
+
+def refine_by_roots(g: Graph, terms: dict):
+    """Yield (final node, coefficient) of ``terms`` pushed down their trees."""
+    prefixes = {p for m in terms for p in root_prefixes(g, m)}
+    work = dict(terms)
+    for p in sorted(prefixes, key=lambda m: (len(m.alpha) + len(m.beta), m)):
+        c = work.pop(p, None)
+        if not c:
+            continue
+        for e in g.out_edges(p.vertex):
+            child = Monomial(p.alpha + (e.eid,), p.beta + (e.eid,), e.dst)
+            if child in prefixes or child in terms:
+                work[child] = work[child] + c if child in work else c
+            else:
+                yield child, c
+    yield from work.items()
+
+
+def is_zero_by_roots(x: LeavittElem) -> bool:
+    return not any(c for _, c in refine_by_roots(x.graph, x.terms))
+
+
+def tensor_is_zero_by_roots(t: TensorElem) -> bool:
+    right: dict = {}
+    for (ml, mr), c in t.terms.items():
+        right.setdefault(ml, {})[mr] = c
+    left = {ml: LeavittElem(t.right_graph, ts) for ml, ts in right.items()}
+    return all(is_zero_by_roots(y) for _, y in refine_by_roots(t.left_graph, left))
+
+
+def rewritten(x: LeavittElem, rng, steps: int) -> LeavittElem:
+    """``x`` with ``steps`` random terms at emitting vertices rewritten one
+    level down by the range relation: equal to ``x`` in the algebra."""
+    g, terms = x.graph, dict(x.terms)
+    for _ in range(steps):
+        regular = [m for m in terms if not g.is_sink(m.vertex)]
+        if not regular:
+            break
+        m = rng.choice(regular)
+        c = terms.pop(m)
+        for k in leavitt._expand(g, m):
+            terms[k] = terms.get(k, 0) + c
+    return LeavittElem(g, terms)
+
+
+# the graphs of the benchmark's leavitt-algebra workload
+LEAVITT_TOKENS = ("penrose", "sigma:2", "sigma:3", "full:2", "full:3",
+                  "cuntz:2", "cuntz:3", "lens:2", "chambers:2", "tadpole")
+
+
+def test_the_basis_form_matches_the_root_tree_refiner():
+    # x minus a rewrite of x is zero; a stray monomial makes about half of
+    # the elements nonzero
+    graphs = list(itertools.islice(catalog.small_graph_universe(), 84))
+    graphs += [catalog.build_token(t) for t in LEAVITT_TOKENS]
+    rng = random.Random("special-edge-basis")
+    verdicts = {True: 0, False: 0}
+    for g in graphs:
+        pool = monomial_pool(g)
+        right = catalog.build_token(rng.choice(("penrose", "sigma:2", "chambers:1")))
+        rpool = monomial_pool(right)
+        for _ in range(25):
+            x = random_elem(g, pool, rng, n_terms=4)
+            y = rewritten(x, rng, rng.randint(1, 6))
+            if rng.random() < 0.5:
+                y = y + random_elem(g, pool, rng, n_terms=1)
+            verdict = equals(x, y)
+            assert verdict == is_zero(x - y) == is_zero_by_roots(x - y), (g.name, x, y)
+            verdicts[verdict] += 1
+        for _ in range(5):
+            x, z = random_elem(g, pool, rng), random_elem(right, rpool, rng)
+            t = TensorElem.pure(x, z) - TensorElem.pure(rewritten(x, rng, 2), z)
+            t = t + TensorElem.pure(x, z) - TensorElem.pure(x, rewritten(z, rng, 2))
+            if rng.random() < 0.5:
+                t = t + TensorElem.pure(random_elem(g, pool, rng, 1), z)
+            assert t.is_zero() == tensor_is_zero_by_roots(t), (g.name, right.name)
+            verdicts[t.is_zero()] += 1
+    assert min(verdicts.values()) > 0.4 * sum(verdicts.values()), verdicts
+
+
+def test_the_basis_form_of_a_deep_projection_difference_is_linear(monkeypatch):
+    # P(1) - S_mu S_mu^* on full:3 with mu = (e1_1)^200: each rewrite peels one
+    # e1_1 and leaves the two sibling projections, so P(1) cancels
+    g = catalog.build_token("full:3")
+    mu, nu = ("e1_1",) * 200, ("e1_1",) * 100
+    x = LeavittElem.vertex_projection(g, "1") - LeavittElem(g, {Monomial(mu, mu, "1"): 1})
+    y = x + LeavittElem(g, {Monomial(nu, nu, "1"): 1})
+    new, built = leavitt._new, []  # every monomial the rewrites build
+    monkeypatch.setattr(leavitt, "_new", lambda cls, fields: built.append(1) or new(cls, fields))
+    basis = leavitt._basis_form(g, x.terms)
+    assert sum(1 for c in basis.values() if c) == 2 * len(mu)
+    assert len(built) == 3 * len(mu)
+    # S_nu S_nu^* lies on mu's chain, which takes it on the way down, so no key
+    # is rewritten twice; P(1) and the siblings deeper than nu are left
+    built.clear()
+    basis = leavitt._basis_form(g, y.terms)
+    assert sum(1 for c in basis.values() if c) == 1 + 2 * (len(mu) - len(nu))
+    assert len(built) == 3 * len(mu)
+    assert not is_zero(x) and not is_zero(y)
 
 
 # -- the shared ring operations and the Laurent-matrix carrier ------------------------

@@ -454,6 +454,16 @@ def test_enumerate_calls_no_check_morphism(monkeypatch):
     assert calls == []
 
 
+def test_enumerate_leaves_both_graphs_unindexed():
+    # in-degrees and sinks come off the search's own edge tables; the brute
+    # force tests above pin what it finds
+    universe = list(catalog.small_graph_universe())
+    for g in universe[:84] + random.Random(32).sample(universe[84:], 40):
+        square = product(g, g)
+        enumerate_admissible_embeddings(g, square)
+        assert not hasattr(g, "_in") and not hasattr(square, "_in"), g.name
+
+
 def test_enumerate_guard(penrose, monkeypatch):
     assert ops.MAX_ASSIGNMENTS == 200_000
     monkeypatch.setattr(ops, "MAX_ASSIGNMENTS", 10)
