@@ -246,27 +246,6 @@ class Tower:
             powers.append(linalg.QuotElem(c, linalg.poly_trim(r)))
         return powers[abs(k)]
 
-    def verify_phi(self, depth: int) -> CheckReport:
-        """Check ``phi([L_k]) = x^k`` for ``|k| <= depth``."""
-        rep = CheckReport(f"phi on powers of the line class of {self.graph.name!r}")
-        for k in range(-depth, depth + 1):
-            got = self.phi(self.line_class(k))
-            rep.add(f"phi([L_{k}]) = x^{k}", got == self.x_power(k))
-        return rep
-
-    def semiring_check(self, depth: int) -> CheckReport:
-        """Check multiplicativity ``phi(L_j) phi(L_k) = phi(L_(j+k))``, honestly
-        evaluating each side from computed classes."""
-        rep = CheckReport(f"multiplicativity of phi on {self.graph.name!r}")
-        values = {k: self.phi(self.line_class(k)) for k in range(-2 * depth, 2 * depth + 1)}
-        for j in range(-depth, depth + 1):
-            for k in range(-depth, depth + 1):
-                rep.add(
-                    f"phi(L_{j}) phi(L_{k}) = phi(L_{j + k})",
-                    values[j] * values[k] == values[j + k],
-                )
-        return rep
-
     def kk_report(self, depth: int) -> CheckReport:
         """Check the shift matrix ``Gamma^-1`` on the line classes.
 
@@ -287,26 +266,6 @@ class Tower:
             rep.add(f"[L_{k}] shifted = [L_{k + 1}]", lhs == self.line_class(k + 1).vector)
         rep.add("adjacency is non-derogatory", linalg.is_non_derogatory(self.gamma))
         rep.add("shift matrix is non-derogatory", linalg.is_non_derogatory(kkm))
-        return rep
-
-    def verify_q_recursion(self, depth: int) -> CheckReport:
-        """Check ``[Q_(v,k)] = sum_w Gamma[v][w] [Q_(w,k+1)]`` for ``k <= depth``.
-
-        Verified for every vertex ``v`` with at least one length-``k`` walk
-        into it; the right side adds classes at level ``k+1``.
-        """
-        g = self.graph
-        rep = CheckReport(f"projection class recursion on {g.name!r}")
-        for k in range(depth + 1):
-            for i, v in enumerate(g.vertices):
-                if self.orbit(k)[i] == 0:
-                    continue
-                total = K0Class((0,) * self.n, k + 1)
-                for j, w in enumerate(g.vertices):
-                    mult = self.gamma[(i, j)]
-                    if mult:
-                        total = total.add(self.q_class(w, k + 1).scale(mult))
-                rep.add(f"recursion at ({v}, {k})", self.k0_equal(self.q_class(v, k), total))
         return rep
 
     def bratteli(self, depth: int) -> BratteliDiagram:

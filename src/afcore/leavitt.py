@@ -14,15 +14,17 @@ and everything else rests on the range relation
     S_alpha S_beta^* = sum over edges e leaving the range vertex of
                        S_(alpha.e) S_(beta.e)^*,
 
-applied one step at a time by ``_expand``, the only raiser of
-:class:`SinkError`.  Zero tests read the special-edge basis: with the
-first edge a vertex emits as its special edge, the ``P_v`` and the
-monomials whose walks do not both end in one special edge are a basis
-(Abrams, Ara and Siles Molina, LNM 2191, 2017; over Z, Tomforde 2011).
-:func:`_basis_form` rewrites by the range relation at the source of that
-edge, so zero tests never expand at a sink and answer exactly on every
-graph, as does :func:`normal_form`, which leaves a monomial at a sink
-where it is.
+applied one step at a time by ``_expand``.  Zero tests read the
+special-edge basis: with the first edge a vertex emits as its special
+edge, the ``P_v`` and the monomials whose walks do not both end in one
+special edge are a basis (Abrams, Ara and Siles Molina, LNM 2191, 2017;
+over Z, Tomforde 2011).  :func:`_basis_form` rewrites by the range
+relation at the source of that edge, so zero tests never expand and
+answer exactly on every graph, as does :func:`normal_form`, which leaves
+a monomial at a sink where it is.  ``_expand`` raises :class:`SinkError`
+at a sink, but its one caller, :func:`normal_form`, never expands there,
+so no public call here raises it; only a direct call of ``_expand`` at a
+sink does.
 
 Three carriers are integer combinations of basis keys, and the private base
 :class:`_Combination` writes their ``+``, ``-``, ``*``, integer scaling and
@@ -45,8 +47,8 @@ import re
 from functools import partial
 from typing import Iterable, NamedTuple
 
-from .errors import GuardError, MorphismError, ParseError, SinkError, SourceError
-from .graphs import Graph, walk_edges
+from .errors import GuardError, MorphismError, ParseError, SinkError
+from .graphs import Graph
 from .ops import Morphism, check_morphism, line_graph  # noqa: F401 (traced here by perfbench)
 from .report import CheckReport
 
@@ -499,7 +501,7 @@ def parse_elem(g: Graph, text: str) -> LeavittElem:
     return LeavittElem(g, terms)
 
 
-# -- distinguished projections and isometries ---------------------------------
+# -- distinguished projections ------------------------------------------------
 
 
 def build_Q(g: Graph, v: str, k: int, chooser: str = "lex") -> LeavittElem:
@@ -529,93 +531,6 @@ def build_Q(g: Graph, v: str, k: int, chooser: str = "lex") -> LeavittElem:
         steps = g.out_edges(e.dst)
     mu = tuple(mu)
     return LeavittElem(g, {Monomial(mu, mu, v): 1})
-
-
-def incoming_edge_choice(g: Graph) -> dict:
-    """The first declared incoming edge of each vertex; raises
-    :class:`SourceError` on sources."""
-    srcs = g.sources()
-    if srcs:
-        raise SourceError(
-            f"graph {g.name!r} has source vertices {list(srcs)}; "
-            f"every vertex must receive an edge"
-        )
-    return {v: g.in_edges(v)[0].eid for v in g.vertices}
-
-
-def build_Z(g: Graph, eta: dict) -> LeavittElem:
-    """The sum ``Z = sum_w S_(eta(w))`` over a one-incoming-edge selection.
-
-    ``eta`` must assign to *every* vertex ``w`` an edge with range ``w``.
-    ``Z`` is then an isometry of the algebra: ``Z* Z = 1``.
-    """
-    if set(eta.keys()) != set(g.vertices):
-        raise ValueError("eta must select exactly one incoming edge per vertex")
-    terms: dict = {}
-    for w in g.vertices:
-        e = g.edge(eta[w])
-        if e.dst != w:
-            raise ValueError(
-                f"eta({w!r}) = {e.eid!r} has range {e.dst!r}, not {w!r}"
-            )
-        terms[Monomial((e.eid,), (), w)] = 1
-    return LeavittElem(g, terms)
-
-
-def eta_walk(g: Graph, eta: dict, w: str, k: int) -> tuple:
-    """Edge ids of the length-``k`` walk into ``w`` selected by ``eta``.
-
-    The walk is built backwards: the last edge is ``eta(w)``, the one
-    before it is ``eta`` of that edge's source, and so on.
-    """
-    edges: list = []
-    cur = w
-    for _ in range(k):
-        e = g.edge(eta[cur])
-        edges.append(e.eid)
-        cur = e.src
-    edges.reverse()
-    return tuple(edges)
-
-
-def z_isometry_report(g: Graph, eta: dict, depth: int) -> CheckReport:
-    """Verify ``Z* Z = 1`` and the range projections of ``Z^k`` up to ``depth``."""
-    rep = CheckReport(f"isometry checks on {g.name!r}")
-    z = build_Z(g, eta)
-    unit = LeavittElem.unit(g)
-    rep.add("Z^* Z = 1", equals(z.star() * z, unit))
-    zk = LeavittElem.unit(g)
-    for k in range(1, depth + 1):
-        zk = zk * z
-        expected = LeavittElem(
-            g,
-            {
-                Monomial(rho, rho, w): 1
-                for w in g.vertices
-                for rho in (eta_walk(g, eta, w, k),)
-            },
-        )
-        rep.add(
-            f"Z^{k} (Z^*)^{k} = sum of selected range projections",
-            equals(zk * zk.star(), expected),
-        )
-    return rep
-
-
-def walk_unit_identity(g: Graph, k: int) -> bool:
-    """Exact check of ``sum over length-k walks mu of S_mu S_mu^* = 1``.
-
-    On a graph with sinks the identity fails for ``k >= 1``.
-    """
-    from .graphs import directed_walks
-
-    terms: dict = {}
-    for w in directed_walks(g, k):
-        mu = walk_edges(w)
-        m = Monomial(mu, mu, w[-1])
-        terms[m] = terms.get(m, 0) + 1
-    total = LeavittElem(g, terms)
-    return equals(total, LeavittElem.unit(g))
 
 
 # -- induced homomorphisms along admissible embeddings -------------------------
@@ -787,30 +702,6 @@ class TensorElem(_Combination):
             f"TensorElem({self.left_graph.name!r} x {self.right_graph.name!r}, "
             f"{len(self.terms)} terms)"
         )
-
-
-def product_tensor_family(e: Graph, f: Graph):
-    """The canonical family for ``product(e, f)`` in the tensor carrier.
-
-    Returns ``(graph, pmap, smap)`` where the product vertex ``v_w`` maps
-    to ``P_v (x) P_w`` and the product edge ``a_b`` to ``S_a (x) S_b``.
-    """
-    from .ops import product
-
-    pmap = {}
-    for v in e.vertices:
-        for w in f.vertices:
-            pmap[f"{v}_{w}"] = TensorElem.pure(
-                LeavittElem.vertex_projection(e, v),
-                LeavittElem.vertex_projection(f, w),
-            )
-    smap = {}
-    for a in e.edges:
-        for b in f.edges:
-            smap[f"{a.eid}_{b.eid}"] = TensorElem.pure(
-                LeavittElem.edge_gen(e, a.eid), LeavittElem.edge_gen(f, b.eid)
-            )
-    return product(e, f), pmap, smap
 
 
 # -- 2x2 integer Laurent-matrix carrier ----------------------------------------

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from afcore import catalog, cli, graphs, linalg
+from afcore import catalog, cli, graphs, linalg, suites
 from afcore.errors import NotUnimodular, SinkError, SourceError
 from afcore.graphs import Graph, adjacency
 from afcore.ktheory import (
@@ -419,8 +419,7 @@ def test_q_class_vanishes_off_support(tadpole):
 
 @pytest.mark.parametrize("token", ["penrose", "sigma:2", "cuntz:2", "tadpole", "full:2"])
 def test_q_recursion_reports(token):
-    rep = Tower(catalog.build_token(token)).verify_q_recursion(4)
-    assert rep.ok, rep.render()
+    assert suites.verify_q_recursion(Tower(catalog.build_token(token)), 4)
 
 
 # -- line classes --------------------------------------------------------------------
@@ -533,10 +532,10 @@ def test_phi_additive(penrose):
 
 def test_phi_reports(penrose, sigma2):
     pen, sig = Tower(penrose), Tower(sigma2)
-    assert pen.verify_phi(8).ok
-    assert pen.semiring_check(4).ok
-    assert sig.verify_phi(6).ok
-    assert sig.semiring_check(3).ok
+    assert suites.verify_phi(pen, 8)
+    assert suites.semiring_check(pen, 4)
+    assert suites.verify_phi(sig, 6)
+    assert suites.semiring_check(sig, 3)
 
 
 def test_phi_needs_unimodular_line_class_matrix():

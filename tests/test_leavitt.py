@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from afcore import catalog, leavitt, ops
+from afcore import catalog, leavitt, ops, suites
 from afcore.errors import GuardError, MorphismError, ParseError, SinkError, SourceError
 from afcore.graphs import Graph, directed_walks, walk_edges
 from afcore.leavitt import (
@@ -15,19 +15,14 @@ from afcore.leavitt import (
     Monomial,
     TensorElem,
     build_Q,
-    build_Z,
     ck_verify,
     equals,
-    eta_walk,
     evaluate_family,
-    incoming_edge_choice,
     induced_hom,
     is_zero,
     normal_form,
     parse_elem,
     to_string,
-    walk_unit_identity,
-    z_isometry_report,
 )
 from afcore.ops import Morphism
 from afcore.report import CheckReport
@@ -1019,43 +1014,28 @@ def test_build_Q_on_long_walks():
 
 
 def test_incoming_edge_choice(penrose, tadpole):
-    assert incoming_edge_choice(penrose) == {"1": "a", "2": "b"}
     with pytest.raises(SourceError, match="source vertices"):
-        incoming_edge_choice(tadpole)
+        suites.z_isometry_report(tadpole, 1)
 
 
 def test_build_Z_is_isometry(penrose):
-    eta = incoming_edge_choice(penrose)
-    z = build_Z(penrose, eta)
+    z = LeavittElem(penrose, {Monomial((penrose.in_edges(w)[0].eid,), (), w): 1
+                              for w in penrose.vertices})
     unit = LeavittElem.unit(penrose)
     assert equals(z.star() * z, unit)
     assert oracle_equal(z.star() * z, unit)
     # range projection of Z is a proper subprojection marker: Z Z^* != 1
     assert not equals(z * z.star(), unit)
-    rep = z_isometry_report(penrose, eta, depth=3)
+    rep = suites.z_isometry_report(penrose, depth=3)
     assert rep.ok, rep.render()
     assert len(rep.items) == 4
-
-
-def test_build_Z_validates(penrose):
-    with pytest.raises(ValueError, match="exactly one incoming edge"):
-        build_Z(penrose, {"1": "a"})
-    with pytest.raises(ValueError, match="has range"):
-        build_Z(penrose, {"1": "a", "2": "a"})
-
-
-def test_eta_walk(penrose):
-    eta = incoming_edge_choice(penrose)
-    assert eta_walk(penrose, eta, "1", 0) == ()
-    assert eta_walk(penrose, eta, "1", 3) == ("a", "a", "a")
-    assert eta_walk(penrose, eta, "2", 2) == ("a", "b")
 
 
 @pytest.mark.parametrize("token", SINK_FREE_TOKENS)
 def test_walk_unit_identity(token):
     g = catalog.build_token(token)
     for k in range(4):
-        assert walk_unit_identity(g, k)
+        assert suites.walk_unit_identity(g, k)
 
 
 # -- induced homomorphisms --------------------------------------------------------

@@ -204,6 +204,51 @@ def test_importing_the_cli_loads_no_dataclasses(capsys):
     assert "picard group order: 2\n" in capsys.readouterr().out
 
 
+def _cli_modules(trees: dict) -> set:
+    """The modules ``import afcore.cli`` loads: the package, the CLI and what
+    their module-level relative imports reach.  The imports inside a
+    function (``suites``, ``picard``) load only when that command runs."""
+    loaded, todo = set(), ["__init__", "cli"]
+    while todo:
+        module = todo.pop()
+        if module in loaded:
+            continue
+        loaded.add(module)
+        for node in trees[module].body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                todo += [node.module] if node.module else [a.name for a in node.names]
+    return loaded
+
+
+# the CheckReport builders kept on the command path -> why each is kept
+REPORT_BUILDERS_ALLOWED = {
+    "ktheory.Tower.kk_report": "`afcore ktheory` prints whether its checks pass",
+    "ktheory.kk_report": "the module wrapper of Tower.kk_report that perfbench traces",
+    "leavitt.ck_verify": "the relation checker `induced_hom` runs on every call",
+    "catalog.verify_entry": "it reads the catalog's private entry table",
+}
+
+
+def test_no_report_builder_is_compiled_by_every_command():
+    # a check that only a suite runs belongs in suites.py, which only
+    # `catalog suite` loads, not in a module every command byte-compiles
+    trees = _module_trees()
+    modules = _cli_modules(trees)
+    assert not {"suites", "picard"} & modules
+    builders = set()
+    for module in modules:
+        for node in trees[module].body:
+            items = [("", node)]
+            if isinstance(node, ast.ClassDef):
+                items = [(f"{node.name}.", item) for item in node.body]
+            builders.update(
+                f"{module}.{prefix}{item.name}" for prefix, item in items
+                if isinstance(item, ast.FunctionDef) and item.returns is not None
+                and ast.unparse(item.returns).strip("'\"") == "CheckReport"
+            )
+    assert builders == set(REPORT_BUILDERS_ALLOWED)
+
+
 _LOOP = Graph("loop", ["v"], [Edge("e", "v", "v")])
 
 
