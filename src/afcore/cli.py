@@ -123,25 +123,20 @@ def _put(x, out: list, nl: str, spill=None) -> None:
         _put(jsonable(x), out, nl, spill)
 
 
-def _json_text(x) -> str:
-    """``json.dumps(jsonable(x), indent=2, sort_keys=True)`` in one walk and one join."""
-    out: list = []
-    _put(x, out, "\n")
-    return "".join(out)
+def _emit_json(payload, stream=None) -> None:
+    """Write ``json.dumps(jsonable(payload), indent=2, sort_keys=True)`` and a
+    newline to ``stream``, stdout if None: in one write for a small payload, in
+    chunks of ``_CHUNK`` pieces for a large one."""
+    write = (stream or sys.stdout).write
 
+    def spill(out: list) -> None:
+        write("".join(out))
+        out.clear()
 
-def _emit_json(payload) -> None:
-    """Write ``_json_text(payload)`` and a newline to stdout: in one write for a
-    small payload, in chunks of ``_CHUNK`` pieces for a large one."""
     out: list = []
-    _put(payload, out, "\n", _spill)
+    _put(payload, out, "\n", spill)
     out.append("\n")
-    _spill(out)
-
-
-def _spill(out: list) -> None:
-    sys.stdout.write("".join(out))
-    out.clear()
+    spill(out)
 
 
 def _yesno(flag: bool) -> str:
@@ -167,23 +162,19 @@ def _cmd_analyze(args) -> int:
     info = graphs.classify(g)
     gamma = graphs.adjacency(g)
     if args.json:
-        _emit_json(
-            {
-                "name": g.name,
-                "vertices": list(g.vertices),
-                "edges": [[e.eid, e.src, e.dst] for e in g.edges],
-                "sinks": list(info.sinks),
-                "sources": list(info.sources),
-                "regular": list(info.regular),
-                "is_functional": info.is_functional,
-                "is_transposed_functional": info.is_transposed_functional,
-                "is_connected": info.is_connected,
-                "directed_cycle_count": info.directed_cycle_count,
-                "is_cycle_graph": info.is_cycle_graph,
-                "adjacency": gamma,
-                "det": linalg.det(gamma),
-            }
-        )
+        _emit_json({
+            **jsonable(g),
+            "sinks": info.sinks,
+            "sources": info.sources,
+            "regular": info.regular,
+            "is_functional": info.is_functional,
+            "is_transposed_functional": info.is_transposed_functional,
+            "is_connected": info.is_connected,
+            "directed_cycle_count": info.directed_cycle_count,
+            "is_cycle_graph": info.is_cycle_graph,
+            "adjacency": gamma,
+            "det": linalg.det(gamma),
+        })
         return 0
     none = "(none)"
     print(f"graph {g.name}: {g.n_vertices} vertices, {g.n_edges} edges")
@@ -233,12 +224,7 @@ def _cmd_check_morphism(args) -> int:
     verdict = ops.check_morphism(m)
     if args.json:
         _emit_json({"name": m.name, "domain": m.domain.name, "codomain": m.codomain.name,
-                    "injective": verdict.injective, "range_closed": verdict.range_closed,
-                    "emission_covered": verdict.emission_covered,
-                    "injectivity_witnesses": list(verdict.injectivity_witnesses),
-                    "range_witnesses": list(verdict.range_witnesses),
-                    "emission_witnesses": list(verdict.emission_witnesses),
-                    "admissible": verdict.admissible})
+                    **verdict._asdict(), "admissible": verdict.admissible})
         return 0 if verdict.admissible else 1
     print(f"morphism {m.name}: {m.domain.name} -> {m.codomain.name}")
 
@@ -291,8 +277,7 @@ def _cmd_bratteli(args) -> int:
             sys.stdout.write(dot)
         return 0
     if args.json:
-        _emit_json({"graph": g.name, "depth": diagram.depth,
-                    "levels": [[[v, size] for v, size in level] for level in diagram.levels]})
+        _emit_json({"graph": g.name, "depth": diagram.depth, "levels": diagram.levels})
         return 0
     for k, level in enumerate(diagram.levels, start=1):
         cells = " ".join(f"{v}:{size}" for v, size in level)
@@ -668,8 +653,7 @@ def _run(argv) -> int:
         return args.func(args)
     except (ArtifactError, ValueError, OSError) as err:
         if args.json:
-            payload = {"error": {"type": type(err).__name__, "message": str(err)}}
-            sys.stderr.write(_json_text(payload) + "\n")
+            _emit_json({"error": {"type": type(err).__name__, "message": str(err)}}, sys.stderr)
         else:
             sys.stderr.write(f"error: {err}\n")
         return 2

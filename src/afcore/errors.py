@@ -41,7 +41,8 @@ class CertificateError(ArtifactError):
 
 
 class SinkError(ArtifactError):
-    """An operation needed to expand at a vertex that emits no edges."""
+    """A vertex emits no edges, so the tower refuses its K0 colimit, line
+    classes or Bratteli diagram."""
 
 
 class SourceError(ArtifactError):

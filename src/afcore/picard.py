@@ -12,56 +12,29 @@ at most a fixed 8 blocks (``MAX_BLOCKS``).
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from .errors import CertificateError, GuardError
 
 
-class _Frozen:
-    """Value semantics over ``__slots__``: equality, hashing and repr by
-    field, and no assignment once ``__init__`` has set the fields."""
+class FinDimCStar(NamedTuple("FinDimCStar", [("dims", tuple)])):
+    """A finite multi-matrix algebra: ordered tuple of block sizes."""
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class FinDimCStar(_Frozen):
-    """A finite multi-matrix algebra: ordered tuple of block sizes."""
-
-    __slots__ = ("dims",)
-
-    def __init__(self, dims: tuple) -> None:
+    def __new__(cls, dims: tuple):
         if not dims:
             raise ValueError("need at least one matrix block")
         if any((not isinstance(d, int)) or d < 1 for d in dims):
             raise ValueError(f"block sizes must be positive integers, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        return super().__new__(cls, dims)
 
     @property
     def n_blocks(self) -> int:
         return len(self.dims)
 
 
-class PermBimodule(_Frozen):
+class PermBimodule(NamedTuple("PermBimodule", [("dims", tuple), ("tau", tuple)])):
     """The invertible bimodule attached to a block permutation ``tau``.
 
     ``tau`` is 0-indexed: block ``i`` of the left action meets block
@@ -69,13 +42,12 @@ class PermBimodule(_Frozen):
     ``(dims[i], dims[tau[i]])``.
     """
 
-    __slots__ = ("dims", "tau")
+    __slots__ = ()
 
-    def __init__(self, dims: tuple, tau: tuple) -> None:
+    def __new__(cls, dims: tuple, tau: tuple):
         if sorted(tau) != list(range(len(dims))):
             raise ValueError(f"tau = {tau} is not a permutation of the blocks")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "tau", tau)
+        return super().__new__(cls, dims, tau)
 
     @property
     def shapes(self) -> tuple:

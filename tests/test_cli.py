@@ -103,6 +103,12 @@ def test_json_writer_matches_json_dumps(x):
     assert _one_line(x) == json.dumps(jsonable(x), sort_keys=True)
 
 
+def _emitted(x) -> str:
+    out = io.StringIO()
+    cli._emit_json(x, out)
+    return out.getvalue().removesuffix("\n")
+
+
 def test_json_writer_package_values_and_refusals(penrose):
     rep = CheckReport("t")
     rep.add("x", False, "d\u00e9tail")
@@ -110,17 +116,17 @@ def test_json_writer_package_values_and_refusals(penrose):
         {-1: [1], -2: [2], 0: [3], 10: [4], 2: [5], True: "t", False: Fraction(-3, 4)},
         [penrose, rep, Matrix([]), Matrix([[], []]), (), {}, [[]], 2**100, -(2**100)],
     ):
-        assert cli._json_text(x) == json.dumps(jsonable(x), indent=2, sort_keys=True)
+        assert _emitted(x) == json.dumps(jsonable(x), indent=2, sort_keys=True)
         assert _one_line(x) == json.dumps(jsonable(x), sort_keys=True)
     assert _one_line({-1: 0, -2: 0, 0: 0}) == '{"-1": 0, "-2": 0, "0": 0}'
     for bad in (object(), 1.5, {"k": [1, 2.0]}):
         with pytest.raises(TypeError):
-            cli._json_text(bad)
+            _emitted(bad)
     # a record is a tuple subclass, but no payload carries one: the writer
     # refuses it instead of printing its fields as an array
     for record in (K0Class((1,), 0), [Edge("e", "v", "v")]):
         with pytest.raises(TypeError, match="cannot convert (K0Class|Edge) to JSON data"):
-            cli._json_text(record)
+            _emitted(record)
         with pytest.raises(TypeError):
             jsonable(record)
 
@@ -340,6 +346,28 @@ def test_check_morphism_refuses_a_stray_map_entry(capsys, tmp_path, stray, messa
     code, data, err = run_json(capsys, "check-morphism", str(path))
     assert (code, data) == (2, None)
     assert json.loads(err) == {"error": {"type": "MorphismError", "message": message}}
+
+
+# sha256 of "<exit code>\n<stdout>\0<stderr>" for ``check-morphism <doc> [--json]``,
+# recorded while the handler listed the verdict's fields by hand
+PINNED_MORPHISMS = {
+    ("ADMISSIBLE_DOC", ""): "67438314797185a19116cf6d0890c77b9123a86f880481a15742699994c249d4",
+    ("ADMISSIBLE_DOC", "--json"): "73c0ccba91ef056063c3fceb7b6283d1e43cabb8a7f956aeeb8c1cc07dfc6cc9",
+    ("NON_ADMISSIBLE_DOC", ""): "f7fbe9756356897a37e5680ace083d80d692eeaf9ca4b283211b6188710bf0ee",
+    ("NON_ADMISSIBLE_DOC", "--json"): "5eeaa7e0b0d162f1419b518b33e5afa65f50ee400db78f67e557c229f0a0bae3",
+    ("NON_INJECTIVE_DOC", ""): "9ecc851ba31a9186f4fe0d1e0e9fce320ac91f4c59642b4d14439173291dc31a",
+    ("NON_INJECTIVE_DOC", "--json"): "badcea2d3fb742962370ae139445826103f30b2b5ad067448bf5e6c32b5461bd",
+}
+
+
+def test_check_morphism_output_is_pinned(capsys, tmp_path):
+    got = {}
+    for doc, flag in PINNED_MORPHISMS:
+        path = tmp_path / f"{doc}.morphism"
+        path.write_text(globals()[doc])
+        got[(doc, flag)] = _digest(*run(capsys, "check-morphism", str(path), *([flag] if flag else [])))
+    assert got == PINNED_MORPHISMS
+
 
 @pytest.mark.parametrize("error", ArtifactError.__subclasses__(), ids=lambda cls: cls.__name__)
 def test_every_artifact_error_from_a_handler_is_a_typed_refusal(capsys, monkeypatch, error):

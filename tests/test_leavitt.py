@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from afcore import catalog, leavitt, ops, suites
+from afcore.cli import main
 from afcore.errors import GuardError, MorphismError, ParseError, SinkError, SourceError
 from afcore.graphs import Graph, directed_walks, walk_edges
 from afcore.leavitt import (
@@ -358,6 +359,20 @@ def test_normal_form_refuses_a_level_pass_above_its_guard(monkeypatch):
     message = "^the normal form would reach 244 terms, more than the guard of 243$"
     with pytest.raises(GuardError, match=message):
         normal_form(x)
+
+
+def test_normal_form_answers_an_element_a_walk_count_bound_would_refuse(capsys):
+    # P(1) - sum_j S(e1_j)S(e1_j)^* + S_mu S_mu^* on full:3, mu = (e1_1)^16.  Bounding
+    # the terms by the walks of length 16 from each monomial's vertex would give
+    # 3^16 + 3 * 3^15 + 1 = 86 093 443, past the guard of 10^6; but the expansion of
+    # P(1) cancels in the first pass, and the normal form is one term
+    g = catalog.build_token("full:3")
+    mu = "S(e1_1)" * 16
+    expr = f"P(1) - S(e1_1)S(e1_1)^* - S(e1_2)S(e1_2)^* - S(e1_3)S(e1_3)^* + {mu}({mu})^*"
+    normal = mu + "S(e1_1)^*" * 16
+    assert to_string(normal_form(parse_elem(g, expr))) == normal
+    assert main(["leavitt", "full:3", "eval", expr]) == 0
+    assert f"\nnormal: {normal}\nzero: no\n" in capsys.readouterr().out
 
 
 def test_normal_form_skips_monomials_an_expansion_cancelled(monkeypatch):

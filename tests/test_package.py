@@ -351,3 +351,27 @@ def test_records_keep_their_value_semantics(make, text, field, hashable):
     else:  # a report is filled in after it is made, each into a list of its own
         a.items.append(CheckItem("y", False))
         assert a != b and len(b.items) == 1
+
+
+# the classes that write their own equality or hashing -> why each is not a NamedTuple
+OWN_VALUE_SEMANTICS_ALLOWED = {
+    "graphs.Graph": "it builds its lookup indices on first read, so it cannot be a tuple",
+    "linalg.Matrix": "it keeps each row's nonzero entries after its first product",
+    "report.CheckReport": "items are added after it is made",
+    "leavitt.LeavittElem": "a carrier whose == compares term dicts",
+    "leavitt.LaurentMat2": "a carrier whose == compares term dicts",
+}
+
+
+def test_records_take_their_value_semantics_from_namedtuple():
+    # a NamedTuple compares, hashes and prints by its fields; a class that
+    # writes its own __eq__ or __hash__ states that again, unless it cannot be one
+    own = {
+        f"{module}.{node.name}"
+        for module, tree in _module_trees().items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
+            for item in node.body)
+    }
+    assert own == set(OWN_VALUE_SEMANTICS_ALLOWED)
