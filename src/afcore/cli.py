@@ -162,19 +162,9 @@ def _cmd_analyze(args) -> int:
     info = graphs.classify(g)
     gamma = graphs.adjacency(g)
     if args.json:
-        _emit_json({
-            **jsonable(g),
-            "sinks": info.sinks,
-            "sources": info.sources,
-            "regular": info.regular,
-            "is_functional": info.is_functional,
-            "is_transposed_functional": info.is_transposed_functional,
-            "is_connected": info.is_connected,
-            "directed_cycle_count": info.directed_cycle_count,
-            "is_cycle_graph": info.is_cycle_graph,
-            "adjacency": gamma,
-            "det": linalg.det(gamma),
-        })
+        payload = info._asdict()
+        del payload["n_vertices"], payload["n_edges"]
+        _emit_json({**payload, **jsonable(g), "adjacency": gamma, "det": linalg.det(gamma)})
         return 0
     none = "(none)"
     print(f"graph {g.name}: {g.n_vertices} vertices, {g.n_edges} edges")

@@ -3,11 +3,12 @@
 Everything is read off one per-graph object, :class:`Tower`, built from
 the vertex adjacency matrix ``Gamma`` alone, in exact integer arithmetic.
 Each field is computed on first use and kept for the life of the tower:
-``det(t Gamma - 1)`` (its top coefficient is ``det Gamma``), ``Gamma^-1``,
-the line-class matrix and its inverse, the colimit data, and the powers
-of ``x`` that ``phi`` is checked against.  The module functions are thin
-wrappers that build a fresh tower, so no state lives between calls; they
-stay only because ``perfbench/spans.py`` traces them.
+``det(t Gamma - 1)`` (its top coefficient is ``det Gamma``), the monic
+``modulus`` of ``phi``'s ring, ``Gamma^-1``, the line-class matrix and its
+inverse, the colimit data, and the powers of ``x`` that ``phi`` is checked
+against.  The module functions are thin wrappers that build a fresh tower,
+so no state lives between calls; they stay only because
+``perfbench/spans.py`` traces them.
 
 Walk counts and line classes are two views of one vector orbit,
 ``orbit(k) = 1 Gamma^k`` (column sums of ``Gamma^k``; ``k < 0`` needs a
@@ -75,6 +76,15 @@ class Tower:
     def require_unimodular(self) -> None:
         if not self.unimodular:
             raise NotUnimodular(self.det)
+
+    @cached_property
+    def modulus(self) -> tuple:
+        """``det Gamma`` times ``det(t Gamma - 1)``, so monic: the modulus of the
+        ring of :meth:`phi` and :meth:`x_power`, which needs ``det Gamma = +-1``."""
+        self.require_unimodular()
+        if not self.n:
+            raise ValueError(f"graph {self.graph.name!r} has no vertices, so phi's ring is zero")
+        return tuple(self.det * c for c in self.rev_charpoly)
 
     @cached_property
     def gamma_inv(self) -> Matrix:
@@ -203,20 +213,20 @@ class Tower:
     def phi(self, cls: K0Class) -> linalg.QuotElem:
         """The ring identification: class coordinates -> ``Z[x]/(p)``.
 
-        ``p = det(t Gamma - 1)``; the class vector is solved against the rows
+        ``p`` is :attr:`modulus`; the class vector is solved against the rows
         of :attr:`line_class_matrix` (which must be unimodular as well), so
-        ``phi([L_k]) = x^k`` by construction on the base window.
+        ``phi([L_k]) = x^k`` by construction on the base window, and its
+        ``n`` coordinates are already a residue of degree below ``deg p``.
         """
         if cls.level != 0:
             raise ValueError("phi takes level-0 coordinate vectors")
         y = linalg.row_vec_mul(cls.vector, self.line_class_inv)
-        return linalg.quot_make(self.rev_charpoly, y)
+        return linalg.QuotElem(self.modulus, linalg.poly_trim(y))
 
     @cached_property
     def _x_sides(self) -> tuple:
         """The lists of ``x^k`` and of ``x^-k`` so far, ``k >= 0``, each from ``1``."""
-        self.require_unimodular()
-        one = linalg.quot_make(self.rev_charpoly, (1,))
+        one = linalg.QuotElem(self.modulus, (1,))
         return [one], [one]
 
     def x_power(self, k: int) -> linalg.QuotElem:
@@ -224,16 +234,15 @@ class Tower:
         send ``[L_k]`` to.
 
         Kept like :meth:`orbit`: each side is extended by ``x`` or ``x^-1``
-        one step at a time, modulo ``c = det(t Gamma - 1)`` normalized once
-        per tower.  A step is a shift and one multiple of ``c``: ``x r`` is
-        ``r`` shifted up less ``r_(n-1) c``, and ``x^-1 r`` is ``r`` less
-        ``r_0 c_0 c`` shifted down, since ``c`` is monic with ``c_0 = +-1``.
+        one step at a time, modulo ``c =`` :attr:`modulus`.  A step is a
+        shift and one multiple of ``c``: ``x r`` is ``r`` shifted up less
+        ``r_(n-1) c``, and ``x^-1 r`` is ``r`` less ``r_0 c_0 c`` shifted
+        down, since ``c`` is monic with ``c_0 = +-1``.
         The ring needs ``det Gamma = +-1``; otherwise :class:`NotUnimodular`
         is raised.
         """
         powers = self._x_sides[k < 0]
-        c = powers[0].modulus
-        n = len(c) - 1
+        c, n = self.modulus, self.n
         while len(powers) <= abs(k):
             r = powers[-1].residue
             r = [*r, *(0,) * (n - len(r))]
@@ -542,10 +551,12 @@ def invariants_report(g: Graph, k_min: int = -3, k_max: int = 3) -> dict:
         "m_table": {k: list(t.orbit(k)) for k in ks if k >= 0 or t.unimodular},
     }
 
-    sink_free = not t.sinks
-    if not sink_free:
+    if t.sinks:
         out["k0"] = {"available": False, "reason": f"graph has sinks {list(t.sinks)}"}
-    elif t.unimodular:
+        out["line_classes"] = [{"k": k, "available": False, "reason": "graph has sinks"}
+                               for k in ks]
+        return out
+    if t.unimodular:
         out["k0"] = {"kind": "free", "rank": t.n, "basis": list(g.vertices)}
     else:
         pres = t.colimit
@@ -558,9 +569,6 @@ def invariants_report(g: Graph, k_min: int = -3, k_max: int = 3) -> dict:
 
     line_classes = []
     for k in ks:
-        if not sink_free:
-            line_classes.append({"k": k, "available": False, "reason": "graph has sinks"})
-            continue
         try:
             cls = t.line_class(k)
             line_classes.append({"k": k, "vector": list(cls.vector), "level": cls.level})
@@ -568,7 +576,7 @@ def invariants_report(g: Graph, k_min: int = -3, k_max: int = 3) -> dict:
             line_classes.append({"k": k, "available": False, "reason": str(err)})
     out["line_classes"] = line_classes
 
-    if t.unimodular and sink_free:
+    if t.unimodular:
         out["class_recursions"] = [
             {"k": ident.k, "coeffs": [[j, c] for j, c in ident.coeffs], "verified": ident.verified}
             for ident in (t.atiyah_todd(k) for k in ks if not 0 <= k < t.n)
@@ -580,7 +588,7 @@ def invariants_report(g: Graph, k_min: int = -3, k_max: int = 3) -> dict:
             unavailable = {"available": False, "reason": "line-class matrix is not unimodular"}
             out["phi_checks"] = out["kk"] = unavailable
         else:
-            out["phi_modulus"] = list(t.x_power(0).modulus)
+            out["phi_modulus"] = list(t.modulus)
             out["phi_checks"] = [
                 {
                     "k": k,
@@ -593,7 +601,7 @@ def invariants_report(g: Graph, k_min: int = -3, k_max: int = 3) -> dict:
                 "matrix": [list(r) for r in t.gamma_inv.rows],
                 "checks_pass": t.kk_report(min(6, max(abs(k_min), abs(k_max)))).ok,
             }
-    elif sink_free and t.n == 1 and t.gamma[(0, 0)] >= 2:
+    elif t.n == 1 and t.gamma[(0, 0)] >= 2:
         out["scaled_dimension_values"] = [
             {"k": k, "value": uhf_embed(t.gamma[(0, 0)], t.line_class(k))} for k in ks
         ]

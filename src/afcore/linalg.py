@@ -11,8 +11,8 @@ blocks v, v m, v m^2, ..., each row computed on demand and reduced modulo
 the span so far up to the first dependent one, with v = e_0 and then each
 unit vector not yet in the span (Keller-Gehrig); the non-derogatory test,
 whether the minimal polynomial of m, grown from the Krylov blocks of the
-unit vectors, has degree n; and arithmetic in Z[x]/(p) for a
-monic-up-to-sign integer polynomial p.
+unit vectors, has degree n; and arithmetic in Z[x]/(p) for the monic
+integer polynomial p that :attr:`afcore.ktheory.Tower.modulus` makes.
 
 Polynomials are tuples of integer coefficients in ascending order with
 trailing zeros trimmed; the zero polynomial is the empty tuple.
@@ -343,24 +343,11 @@ def poly_trim(coeffs: Iterable[int]) -> IntPoly:
     return tuple(cs)
 
 
-def poly_deg(p: IntPoly) -> int:
-    """Degree; the zero polynomial has degree -1."""
-    return len(p) - 1
-
-
 def poly_add(p: IntPoly, q: IntPoly) -> IntPoly:
     n = max(len(p), len(q))
     return poly_trim(
         (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
     )
-
-
-def poly_neg(p: IntPoly) -> IntPoly:
-    return tuple(-c for c in p)
-
-
-def poly_sub(p: IntPoly, q: IntPoly) -> IntPoly:
-    return poly_add(p, poly_neg(q))
 
 
 def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -378,7 +365,7 @@ def poly_mod_monic(p: IntPoly, modulus: IntPoly) -> IntPoly:
     """Remainder of p modulo a monic modulus (integer long division)."""
     if not modulus or modulus[-1] != 1:
         raise ValueError(f"modulus must be monic, got {modulus!r}")
-    d = poly_deg(modulus)
+    d = len(modulus) - 1
     rem = list(p)
     while len(rem) - 1 >= d and len(rem) > 0:
         lead = rem[-1]
@@ -414,19 +401,8 @@ def poly_str(p: IntPoly) -> str:
 # -- quotient ring Z[x]/(p) ------------------------------------------------
 
 
-def _normalize_modulus(p: IntPoly) -> IntPoly:
-    p = poly_trim(p)
-    if poly_deg(p) < 1:
-        raise ValueError(f"quotient modulus must have degree >= 1, got {p!r}")
-    if abs(p[-1]) != 1:
-        raise ValueError(f"quotient modulus must have leading coefficient +-1, got {p!r}")
-    if p[-1] == -1:
-        p = poly_neg(p)
-    return p
-
-
 class QuotElem(NamedTuple):
-    """An element of Z[x]/(modulus); residue degree < deg(modulus)."""
+    """An element of Z[x]/(modulus) for a monic modulus; residue degree < deg(modulus)."""
 
     modulus: IntPoly
     residue: IntPoly
@@ -445,7 +421,7 @@ class QuotElem(NamedTuple):
 
     def __sub__(self, other: "QuotElem") -> "QuotElem":
         self._binop_check(other)
-        return QuotElem(self.modulus, poly_sub(self.residue, other.residue))
+        return QuotElem(self.modulus, poly_add(self.residue, tuple(-c for c in other.residue)))
 
     def __mul__(self, other: "QuotElem") -> "QuotElem":
         self._binop_check(other)
@@ -459,10 +435,3 @@ class QuotElem(NamedTuple):
 
     def __repr__(self) -> str:
         return f"({poly_str(self.residue)}) mod ({poly_str(self.modulus)})"
-
-
-def quot_make(p: IntPoly, residue: Iterable[int]) -> QuotElem:
-    """Reduce ``residue`` into Z[x]/(p); ``p`` is normalized to be monic."""
-    modulus = _normalize_modulus(tuple(p))
-    return QuotElem(modulus, poly_mod_monic(poly_trim(residue), modulus))
-

@@ -620,11 +620,12 @@ def test_invariants_report_forms_each_power_of_x_once(monkeypatch):
 
         monkeypatch.setattr(linalg, name, counting)
     powers = [t.x_power(k) for k in range(-50, 51)]
-    assert calls == ["poly_mod_monic"]  # x^0, made by quot_make
+    assert calls == []  # x^0 is the residue 1 on the tower's modulus
     assert [len(side) for side in t._x_sides] == [51, 51]
-    assert [t.x_power(k) for k in range(-50, 51)] == powers and len(calls) == 1
+    assert [t.x_power(k) for k in range(-50, 51)] == powers and calls == []
     rep = invariants_report(catalog.build_token("sigma:8"), -50, 50)
     assert all(row["matches_power"] for row in rep["phi_checks"])
+    assert "poly_mod_monic" not in calls  # phi's solved coordinates are already reduced
 
 
 def test_invariants_report_derives_each_per_graph_datum_once(monkeypatch):

@@ -13,12 +13,10 @@ from afcore.linalg import (
     inv_unimodular,
     is_non_derogatory,
     poly_add,
-    poly_deg,
     poly_mod_monic,
     poly_mul,
     poly_str,
     power,
-    quot_make,
     rank_Q,
     rev_charpoly,
     row_vec_mul,
@@ -730,8 +728,6 @@ def test_is_non_derogatory_matches_the_power_rank_definition():
 
 
 def test_poly_helpers():
-    assert poly_deg(()) == -1  # zero polynomial trims to the empty tuple
-    assert poly_deg((1, 0, 2)) == 2
     assert poly_add((1, 2), (-1, -2)) == ()
     assert poly_mul((1, 1), (1, -1)) == (1, 0, -1)
     assert poly_mod_monic((0, 0, 1), (-1, 0, 1)) == (1,)
@@ -739,19 +735,27 @@ def test_poly_helpers():
     assert poly_str(()) == "0"
 
 
+def ring(p, residue):
+    """``residue`` reduced into Z[x]/(p), for ``p`` monic up to sign: the
+    element the tower's ``modulus`` would carry, made without a ``Tower``."""
+    modulus = tuple(p[-1] * c for c in p)
+    assert modulus[-1] == 1, p
+    return linalg.QuotElem(modulus, poly_mod_monic(tuple(residue), modulus))
+
+
 def test_quot_ring_laws():
-    p = (1, -1, -1)  # penrose reversed charpoly, monic after normalization
-    one = quot_make(p, (1,))
-    lam = quot_make(p, (0, 1))
-    x = quot_make(p, (2, 3))
-    y = quot_make(p, (-1, 4))
-    z = quot_make(p, (5, -2))
+    p = (1, -1, -1)  # penrose reversed charpoly, monic after the sign
+    one = ring(p, (1,))
+    lam = ring(p, (0, 1))
+    x = ring(p, (2, 3))
+    y = ring(p, (-1, 4))
+    z = ring(p, (5, -2))
     assert (x + y) - y == x
     assert x * y == y * x
     assert x * (y + z) == x * y + x * z
     assert x * one == x
     assert (x * y) * z == x * (y * z)
-    assert lam * lam == quot_make(p, (0, 0, 1)) == quot_make(p, (1, -1))
+    assert lam * lam == ring(p, (0, 0, 1)) == ring(p, (1, -1))
 
 
 # -- powers of x on the tower ---------------------------------------------------------
@@ -759,9 +763,9 @@ def test_quot_ring_laws():
 
 def lambda_pow_by_products(p, k):
     """x^k in Z[x]/(p) as |k| products of x, or of x^-1 = -c_0 (c_1 + ... + c_n x^(n-1))."""
-    one = quot_make(p, (1,))
+    one = ring(p, (1,))
     modulus = one.modulus
-    x = quot_make(p, (0, 1) if k >= 0 else [-modulus[0] * c for c in modulus[1:]])
+    x = ring(p, (0, 1) if k >= 0 else [-modulus[0] * c for c in modulus[1:]])
     out = one
     for _ in range(abs(k)):
         out = out * x
@@ -774,11 +778,11 @@ def lambda_pow_by_products(p, k):
 def test_lambda_pow_matches_repeated_products(p):
     # the repeated-products oracle on moduli beyond the towers': x^k for k >= 0 is the
     # reduced monomial, and the x^-1 it steps by is an inverse exactly when c_0 = +-1
-    one = quot_make(p, (1,))
+    one = ring(p, (1,))
     unit = one.modulus[0] in (1, -1)
     assert (lambda_pow_by_products(p, 1) * lambda_pow_by_products(p, -1) == one) == unit
     for k in range(0, 61):
-        assert lambda_pow_by_products(p, k) == quot_make(p, (0,) * k + (1,)), k
+        assert lambda_pow_by_products(p, k) == ring(p, (0,) * k + (1,)), k
     if unit:
         x = lambda_pow_by_products(p, 1)
         for k in range(-60, 61):
@@ -793,7 +797,7 @@ def test_lambda_pow_additivity():
         for a in range(-3, 4):
             for b in range(-3, 4):
                 assert t.x_power(a) * t.x_power(b) == t.x_power(a + b)
-        assert t.x_power(0) == quot_make(t.rev_charpoly, (1,))
+        assert t.x_power(0) == ring(t.rev_charpoly, (1,)) == ring(t.modulus, (1,))
 
 
 def test_lambda_inverse_penrose():
@@ -824,3 +828,52 @@ def test_x_power_refuses_a_singular_adjacency(token):
     for k in (0, 1, -1):
         with pytest.raises(NotUnimodular):
             t.x_power(k)
+
+
+@pytest.mark.parametrize(
+    "token, modulus", [("penrose", (-1, 1, 1)), ("sigma:3", (-1, 3, -3, 1)),
+                       ("cycle:4", (-1, 0, 0, 0, 1))]
+)
+def test_tower_modulus_is_the_monic_reversed_charpoly(token, modulus):
+    t = Tower(catalog.build_token(token))
+    assert t.modulus == modulus
+    assert t.x_power(3).modulus is t.x_power(-3).modulus is t.modulus
+
+
+@pytest.mark.parametrize("token", ["cuntz:2", "full:3"])
+def test_tower_modulus_refuses_a_singular_adjacency(token):
+    with pytest.raises(NotUnimodular):
+        Tower(catalog.build_token(token)).modulus
+
+
+EMPTY_TOWER_REFUSALS = """
+from afcore import catalog, graphs
+from afcore.errors import NotUnimodular
+from afcore.ktheory import K0Class, Tower
+
+def refused(call, error):
+    try:
+        call()
+    except error:
+        return True
+    return False
+
+empty = Tower(graphs.Graph("empty", [], []))
+for call in (lambda: empty.x_power(0), lambda: empty.x_power(1),
+             lambda: empty.phi(K0Class((), 0))):
+    if not refused(call, ValueError):
+        raise SystemExit("the empty graph's degree-0 modulus was accepted")
+cuntz = Tower(catalog.build_token("cuntz:2"))
+for call in (lambda: cuntz.x_power(1), lambda: cuntz.phi(K0Class((1,), 0))):
+    if not refused(call, NotUnimodular):
+        raise SystemExit("a singular tower's ring was accepted")
+"""
+
+
+def test_tower_ring_refuses_an_empty_graph():
+    # with no vertex the modulus is the constant 1, whose ring is zero
+    exec(EMPTY_TOWER_REFUSALS, {})
+
+
+def test_tower_ring_refuses_an_empty_graph_under_python_O(run_python_O):
+    run_python_O(EMPTY_TOWER_REFUSALS)

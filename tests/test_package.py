@@ -297,7 +297,7 @@ RECORDS = [
         "k", True, id="ATIdentity",
     ),
     pytest.param(
-        lambda: linalg.quot_make((1, -1, 1), (2, 3)), "(2 + 3*x) mod (1 - x + x^2)",
+        lambda: linalg.QuotElem((1, -1, 1), (2, 3)), "(2 + 3*x) mod (1 - x + x^2)",
         "residue", True, id="QuotElem",
     ),
     pytest.param(
